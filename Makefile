@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-self vet-stats lint test race race-hotpath race-failover fuzz-smoke check bench bench-compare clean
+.PHONY: all build vet vet-self vet-stats lint test race race-hotpath race-failover fuzz-smoke check bench bench-compare bench-pairs clean
 
 all: build
 
@@ -82,6 +82,16 @@ bench:
 # points).
 bench-compare:
 	sh scripts/bench-compare.sh
+
+# bench-pairs is how a performance claim on the bench/ benchmark is checked:
+# ten alternating runs of one workload on PARENT (exported to a temp
+# directory) and on this working tree, judged by scripts/bench-pairs.sh.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=mixed_file METRIC=lat_p99_ms
+PARENT ?= HEAD
+WORKLOAD ?= mixed_file
+METRIC ?= lat_p99_ms
+bench-pairs:
+	sh scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(METRIC)
 
 clean:
 	$(GO) clean ./...

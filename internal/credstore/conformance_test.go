@@ -17,14 +17,18 @@ import (
 // conformanceBackends enumerates the implementations under test, each with
 // a fresh, empty store per invocation.
 func conformanceBackends(t *testing.T) map[string]func(t *testing.T) Backend {
+	newFileStore := func(t *testing.T) *FileStore {
+		s, err := NewFileStore(t.TempDir())
+		if err != nil {
+			t.Fatalf("NewFileStore: %v", err)
+		}
+		return s
+	}
 	return map[string]func(t *testing.T) Backend{
-		"mem": func(t *testing.T) Backend { return NewMemStore() },
-		"file": func(t *testing.T) Backend {
-			s, err := NewFileStore(t.TempDir())
-			if err != nil {
-				t.Fatalf("NewFileStore: %v", err)
-			}
-			return s
+		"mem":  func(t *testing.T) Backend { return NewMemStore() },
+		"file": func(t *testing.T) Backend { return newFileStore(t) },
+		"file-legacy": func(t *testing.T) Backend {
+			return &legacyFileStore{FileStore: newFileStore(t), tb: t}
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package credstore
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 var errEmptyUsername = errors.New("credstore: empty username")
@@ -18,42 +18,84 @@ var errEmptyUsername = errors.New("credstore: empty username")
 // /var/myproxy. Private keys inside the files are sealed; the files
 // themselves are additionally created owner-only (0600, directory 0700)
 // because the repository host must be tightly secured (paper §5.1).
+//
+// A FileStore holds no lock: Put publishes a whole file by atomic rename
+// and Delete unlinks one, so a reader sees each entry file entirely old,
+// entirely new or absent — from this process or from another one working
+// in the same directory (myproxy-admin beside a live server).
 type FileStore struct {
 	dir string
-	mu  sync.Mutex // serializes multi-file operations (List/Usernames scans)
+	// readFile is os.ReadFile; tests substitute it to count the entry
+	// files an operation opens and to interleave a delete with a scan.
+	readFile func(string) ([]byte, error)
 }
 
 // NewFileStore creates (if needed) and opens a directory-backed store.
-// Stale temp files from writes interrupted by a crash are swept on open:
-// an unrenamed ".put-*" file is an aborted deposit (the rename never
-// happened, so the previous entry — if any — is still intact) and is
-// deleted rather than left to accumulate.
+// Two kinds of leftover are swept on open. An unrenamed ".put-*" file is an
+// aborted deposit (the rename never happened, so the previous entry — if
+// any — is still intact) and is deleted rather than left to accumulate. An
+// entry file still carrying the name earlier versions gave it is renamed
+// to the one path() gives its recorded key.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("credstore: create store dir: %w", err)
 	}
-	s := &FileStore{dir: dir}
-	if err := s.sweepTempFiles(); err != nil {
+	s := &FileStore{dir: dir, readFile: os.ReadFile}
+	if err := s.sweep(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// sweepTempFiles removes ".put-*" leftovers from crashed writes.
-func (s *FileStore) sweepTempFiles() error {
+// sweep removes ".put-*" leftovers from crashed writes and renames
+// legacy-named entry files. Each rename is atomic, so a crash part-way
+// leaves every entry under its old or its new name and the next open
+// finishes the job; a file that vanishes under the sweep was renamed (or
+// deleted) by another process opening the same directory.
+func (s *FileStore) sweep() error {
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("credstore: sweep temp files: %w", err)
+		return fmt.Errorf("credstore: sweep store dir: %w", err)
 	}
+	renamed := false
 	for _, de := range dirents {
-		if de.IsDir() || !strings.HasPrefix(de.Name(), ".put-") {
-			continue
+		old := filepath.Join(s.dir, de.Name())
+		switch {
+		case de.IsDir():
+		case strings.HasPrefix(de.Name(), ".put-"):
+			if err := os.Remove(old); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("credstore: sweep %s: %w", de.Name(), err)
+			}
+		case isLegacyName(de.Name()):
+			e, err := s.decode(old)
+			if errors.Is(err, ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			if err := os.Rename(old, s.path(e.Username, e.Name)); err == nil {
+				renamed = true
+			} else if !os.IsNotExist(err) {
+				return fmt.Errorf("credstore: rename legacy %s: %w", de.Name(), err)
+			}
 		}
-		if err := os.Remove(filepath.Join(s.dir, de.Name())); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("credstore: sweep %s: %w", de.Name(), err)
-		}
+	}
+	if renamed {
+		return syncDir(s.dir)
 	}
 	return nil
+}
+
+// isLegacyName reports whether name has the shape earlier versions gave
+// entry files: sha256sum(username, name) + ".json", 64 hex digits, no dash.
+func isLegacyName(name string) bool {
+	digits, ok := strings.CutSuffix(name, ".json")
+	if !ok || len(digits) != 2*nameHashLen {
+		return false
+	}
+	_, err := hex.DecodeString(digits)
+	return err == nil
 }
 
 // Dir returns the backing directory.
@@ -67,8 +109,28 @@ type fileEntry struct {
 	Entry    *Entry `json:"entry"`
 }
 
+// encodeEntry renders the body of e's entry file.
+func encodeEntry(e *Entry) ([]byte, error) {
+	return json.MarshalIndent(fileEntry{Username: e.Username, Name: e.Name, Entry: e}, "", " ")
+}
+
+// nameHashLen is how many hex digits of each SHA-256 go into a file name:
+// 128 bits apiece, so a collision is not a practical event, and the recorded
+// key inside the file settles one anyway.
+const nameHashLen = 32
+
+// ownerPrefix is what the names of all of username's entry files start
+// with, so List finds them from the directory listing alone.
+func ownerPrefix(username string) string {
+	return sha256sum(username)[:nameHashLen] + "-"
+}
+
+// path names the entry file for a key: owner hash, name hash, ".json".
+// Only hashes reach the file system, never a wire-supplied string, and the
+// name is a locator, not an authority: the key recorded inside the file is
+// what Get and List match against.
 func (s *FileStore) path(username, name string) string {
-	return filepath.Join(s.dir, sha256sum(username, name)+".json")
+	return filepath.Join(s.dir, ownerPrefix(username)+sha256sum(name)[:nameHashLen]+".json")
 }
 
 // Put implements Store with a crash-safe atomic write: the entry is written
@@ -77,23 +139,35 @@ func (s *FileStore) path(username, name string) string {
 // crash between rename and writeback could leave a zero-length or torn
 // credential file — losing a deposited credential the client believes is
 // safely stored (paper §3: the repository is the availability anchor).
+// The rename is also the publication point readers rely on.
 func (s *FileStore) Put(e *Entry) error {
 	if e.Username == "" {
 		return errEmptyUsername
 	}
-	data, err := json.MarshalIndent(fileEntry{Username: e.Username, Name: e.Name, Entry: e}, "", " ")
+	data, err := encodeEntry(e)
 	if err != nil {
 		return fmt.Errorf("credstore: encode entry: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	target := s.path(e.Username, e.Name)
 	tmp, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
 		return fmt.Errorf("credstore: temp file: %w", err)
 	}
 	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
+	if err := writeAndSync(tmp, data); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	// Once renamed the temp name is free for a concurrent Put to draw
+	// again, so it is removed on the failure paths only.
+	if err := os.Rename(tmpName, s.path(e.Username, e.Name)); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	return syncDir(s.dir)
+}
+
+// writeAndSync fills, fsyncs and closes an entry's temp file.
+func writeAndSync(tmp *os.File, data []byte) error {
 	if err := tmp.Chmod(0o600); err != nil {
 		tmp.Close()
 		return err
@@ -106,13 +180,7 @@ func (s *FileStore) Put(e *Entry) error {
 		tmp.Close()
 		return fmt.Errorf("credstore: sync entry: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, target); err != nil {
-		return err
-	}
-	return syncDir(s.dir)
+	return tmp.Close()
 }
 
 // syncDir fsyncs a directory so a just-completed rename is durable.
@@ -128,15 +196,24 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store. The file at the key's path must also record that
+// key: a file copied or renamed onto another key's path is refused, not
+// served under the key it was planted at.
 func (s *FileStore) Get(username, name string) (*Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readLocked(s.path(username, name))
+	path := s.path(username, name)
+	e, err := s.decode(path)
+	if err != nil {
+		return nil, err
+	}
+	if e.Username != username || e.Name != name {
+		return nil, fmt.Errorf("credstore: %s records a different key than its name", filepath.Base(path))
+	}
+	return e, nil
 }
 
-func (s *FileStore) readLocked(path string) (*Entry, error) {
-	data, err := os.ReadFile(path)
+// decode reads one entry file, ErrNotFound if it does not exist.
+func (s *FileStore) decode(path string) (*Entry, error) {
+	data, err := s.readFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, ErrNotFound
@@ -155,20 +232,27 @@ func (s *FileStore) readLocked(path string) (*Entry, error) {
 	return fe.Entry, nil
 }
 
-// List implements Store by scanning the directory.
+// List implements Store by reading the files whose names carry username's
+// prefix. The prefix only narrows the scan: entries are kept by the
+// username they record, so a misnamed file or a prefix collision cannot
+// put another owner's entry in the result.
 func (s *FileStore) List(username string) ([]*Entry, error) {
-	entries, err := s.scan(func(fe *Entry) bool { return fe.Username == username })
+	entries, err := s.scan(ownerPrefix(username))
 	if err != nil {
 		return nil, err
 	}
-	sortEntries(entries)
-	return entries, nil
+	var own []*Entry
+	for _, e := range entries {
+		if e.Username == username {
+			own = append(own, e)
+		}
+	}
+	sortEntries(own)
+	return own, nil
 }
 
 // Delete implements Store.
 func (s *FileStore) Delete(username, name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	err := os.Remove(s.path(username, name))
 	if os.IsNotExist(err) {
 		return ErrNotFound
@@ -178,7 +262,7 @@ func (s *FileStore) Delete(username, name string) error {
 
 // Usernames implements Store.
 func (s *FileStore) Usernames() ([]string, error) {
-	entries, err := s.scan(func(*Entry) bool { return true })
+	entries, err := s.scan("")
 	if err != nil {
 		return nil, err
 	}
@@ -194,25 +278,28 @@ func (s *FileStore) Usernames() ([]string, error) {
 	return out, nil
 }
 
-func (s *FileStore) scan(keep func(*Entry) bool) ([]*Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// scan decodes every entry file whose name starts with prefix. A file that
+// is gone by the time it is read was deleted after the directory listing —
+// by this process or another — and is skipped; a file that is there but
+// does not decode fails the scan, naming it.
+func (s *FileStore) scan(prefix string) ([]*Entry, error) {
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("credstore: scan: %w", err)
 	}
 	var out []*Entry
 	for _, de := range dirents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".json") {
+		if de.IsDir() || !strings.HasPrefix(de.Name(), prefix) || !strings.HasSuffix(de.Name(), ".json") {
 			continue
 		}
-		e, err := s.readLocked(filepath.Join(s.dir, de.Name()))
+		e, err := s.decode(filepath.Join(s.dir, de.Name()))
+		if errors.Is(err, ErrNotFound) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		if keep(e) {
-			out = append(out, e)
-		}
+		out = append(out, e)
 	}
 	return out, nil
 }

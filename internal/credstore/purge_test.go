@@ -44,6 +44,26 @@ func TestPurgeExpired(t *testing.T) {
 	})
 }
 
+// PurgeExpired lists every user after enumerating them. Over a FileStore
+// that must stay a constant number of reads per entry — one for Usernames,
+// one for the owner's List — not a scan of the store per user.
+func TestPurgeExpiredReadsLinearInEntries(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries = 512
+	fillForeign(t, fs, entries)
+	reads := countReads(fs)
+	n, err := PurgeExpired(fs, testEntry("", "").NotAfter.Add(time.Hour), false)
+	if err != nil || n != entries {
+		t.Fatalf("purge = %d, %v; want %d", n, err, entries)
+	}
+	if got := reads.files.Load(); got > 3*entries {
+		t.Errorf("purging %d entries opened %d entry files, want at most %d", entries, got, 3*entries)
+	}
+}
+
 func TestPurgeExpiredEmptyStore(t *testing.T) {
 	n, err := PurgeExpired(NewMemStore(), time.Now(), false)
 	if err != nil || n != 0 {
