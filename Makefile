@@ -48,10 +48,11 @@ race:
 	$(GO) test -race ./...
 
 # race-hotpath re-runs the concurrency-heavy performance substrate (key
-# pool, GSI channels, repository core) under the race detector with a
-# fresh count, independent of the cached full run.
+# pool, GSI channels, repository core, and the HTTP gateway that calls the
+# same service) under the race detector with a fresh count, independent of
+# the cached full run.
 race-hotpath:
-	$(GO) test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core
+	$(GO) test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core ./internal/httpgate
 
 # race-failover re-runs the cluster package and the deterministic
 # kill-one-replica / partition-ambiguity drills (DESIGN.md §12) with a
@@ -72,7 +73,8 @@ fuzz-smoke:
 
 check: vet lint build race-hotpath race-failover fuzz-smoke race
 
-# Short benchmark smoke pass (full runs are driven by cmd/experiments).
+# One-iteration smoke pass over the go-test benchmarks; the load benchmark
+# is `go run ./bench` (BENCHMARK.json, bench-pairs below).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 

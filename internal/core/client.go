@@ -124,6 +124,36 @@ func (c *Client) do(ctx context.Context, fn func(ctx context.Context) error) err
 	return err
 }
 
+// exchange runs fn on a fresh authenticated connection, under the retry
+// policy.
+func (c *Client) exchange(ctx context.Context, fn func(conn *gsi.Conn) error) error {
+	return c.do(ctx, func(ctx context.Context) error {
+		conn, err := c.connect(ctx)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		return fn(conn.Conn)
+	})
+}
+
+// answering runs op and, when the server demands a one-time password the
+// caller left to secret (§6.3), computes the response into *answer and runs
+// op once more.
+func answering(answer *string, secret string, op func() error) error {
+	err := op()
+	var otpErr *ErrOTPRequired
+	if secret == "" || *answer != "" || !errors.As(err, &otpErr) {
+		return err
+	}
+	resp, rerr := otp.Respond(otpErr.Challenge, secret)
+	if rerr != nil {
+		return rerr
+	}
+	*answer = resp
+	return op()
+}
+
 // ambiguous marks a transport fault in a mutation's commit window, leaving
 // definitive server verdicts (already Permanent) untouched.
 func ambiguous(op string, err error) error {
@@ -294,17 +324,12 @@ func (c *Client) Put(ctx context.Context, opts PutOptions) error {
 	if lifetime <= 0 {
 		lifetime = 7 * 24 * time.Hour
 	}
-	return c.do(ctx, func(ctx context.Context) error {
-		return c.putOnce(ctx, opts, lifetime)
+	return c.exchange(ctx, func(conn *gsi.Conn) error {
+		return c.putOn(conn, opts, lifetime)
 	})
 }
 
-func (c *Client) putOnce(ctx context.Context, opts PutOptions, lifetime time.Duration) error {
-	conn, err := c.connect(ctx)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
+func (c *Client) putOn(conn *gsi.Conn, opts PutOptions, lifetime time.Duration) error {
 	req := &protocol.Request{
 		Command:       protocol.CmdPut,
 		Username:      opts.Username,
@@ -320,18 +345,18 @@ func (c *Client) putOnce(ctx context.Context, opts PutOptions, lifetime time.Dur
 	}
 	// The first response precedes any server-side state change: failures
 	// up to here are retry-safe.
-	if _, err := c.roundTrip(conn.Conn, req, ""); err != nil {
+	if _, err := c.roundTrip(conn, req, ""); err != nil {
 		return err
 	}
 	// Commit window: the server stores the credential when the delegation
 	// completes, so a fault from here on leaves the outcome unknown.
-	if _, err := gsi.Delegate(conn.Conn, c.Credential, proxy.Options{
+	if _, err := gsi.Delegate(conn, c.Credential, proxy.Options{
 		Type:     c.ProxyType,
 		Lifetime: lifetime,
 	}); err != nil {
 		return ambiguous("PUT", fmt.Errorf("core: delegate to repository: %w", err))
 	}
-	return ambiguous("PUT", c.readFinal(conn.Conn))
+	return ambiguous("PUT", c.readFinal(conn))
 }
 
 // GetOptions parameterizes Get (myproxy-get-delegation, paper Fig. 2).
@@ -363,41 +388,19 @@ type GetOptions struct {
 // myproxy-get-delegation operation of paper Figure 2. Get is idempotent and
 // retries any transient fault under the Retry policy.
 func (c *Client) Get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
-	cred, err := c.get(ctx, opts)
-	if err == nil {
-		return cred, nil
-	}
-	var otpErr *ErrOTPRequired
-	if errors.As(err, &otpErr) && opts.OTPSecret != "" && opts.OTP == "" {
-		resp, rerr := otp.Respond(otpErr.Challenge, opts.OTPSecret)
-		if rerr != nil {
-			return nil, rerr
-		}
-		opts.OTP = resp
-		return c.get(ctx, opts)
-	}
-	return nil, err
-}
-
-func (c *Client) get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
 	var cred *pki.Credential
-	err := c.do(ctx, func(ctx context.Context) error {
-		var err error
-		cred, err = c.getOnce(ctx, opts)
-		return err
+	err := answering(&opts.OTP, opts.OTPSecret, func() error {
+		return c.exchange(ctx, func(conn *gsi.Conn) (err error) {
+			cred, err = c.getOn(conn, opts)
+			return err
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cred, nil
+	return cred, err
 }
 
-func (c *Client) getOnce(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
-	conn, err := c.connect(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
+// getOn runs one GET exchange on ch: a dedicated connection, or one stream
+// of a session.
+func (c *Client) getOn(ch gsi.Channel, opts GetOptions) (*pki.Credential, error) {
 	req := &protocol.Request{
 		Command:    protocol.CmdGet,
 		Username:   opts.Username,
@@ -408,14 +411,14 @@ func (c *Client) getOnce(ctx context.Context, opts GetOptions) (*pki.Credential,
 		OTP:        opts.OTP,
 		Renewal:    opts.Renewal,
 	}
-	if _, err := c.roundTrip(conn.Conn, req, ""); err != nil {
+	if _, err := c.roundTrip(ch, req, ""); err != nil {
 		return nil, err
 	}
-	cred, err := gsi.RequestDelegationFrom(conn.Conn, c.KeySource, c.keySpec(), c.Roots)
+	cred, err := gsi.RequestDelegationFrom(ch, c.KeySource, c.keySpec(), c.Roots)
 	if err != nil {
 		return nil, fmt.Errorf("core: receive delegation: %w", err)
 	}
-	if err := c.readFinal(conn.Conn); err != nil {
+	if err := c.readFinal(ch); err != nil {
 		return nil, err
 	}
 	return cred, nil
@@ -426,25 +429,21 @@ func (c *Client) getOnce(ctx context.Context, opts GetOptions) (*pki.Credential,
 // faults.
 func (c *Client) Info(ctx context.Context, username, passphrase string) ([]protocol.CredInfo, error) {
 	var infos []protocol.CredInfo
-	err := c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		resp, err := c.roundTrip(conn.Conn, &protocol.Request{
-			Command: protocol.CmdInfo, Username: username, Passphrase: passphrase,
-		}, "")
-		if err != nil {
-			return err
-		}
-		infos = resp.Infos
-		return nil
+	err := c.exchange(ctx, func(conn *gsi.Conn) (err error) {
+		infos, err = c.infoOn(conn, username, passphrase)
+		return err
 	})
+	return infos, err
+}
+
+func (c *Client) infoOn(ch gsi.Channel, username, passphrase string) ([]protocol.CredInfo, error) {
+	resp, err := c.roundTrip(ch, &protocol.Request{
+		Command: protocol.CmdInfo, Username: username, Passphrase: passphrase,
+	}, "")
 	if err != nil {
 		return nil, err
 	}
-	return infos, nil
+	return resp.Infos, nil
 }
 
 // Destroy removes a stored credential (myproxy-destroy, paper §4.1).
@@ -452,13 +451,8 @@ func (c *Client) Info(ctx context.Context, username, passphrase string) ([]proto
 // request was delivered is ambiguous (the credential may already be gone)
 // and surfaces as *resilience.AmbiguousError.
 func (c *Client) Destroy(ctx context.Context, username, passphrase, credName string) error {
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = c.roundTrip(conn.Conn, &protocol.Request{
+	return c.exchange(ctx, func(conn *gsi.Conn) error {
+		_, err := c.roundTrip(conn, &protocol.Request{
 			Command: protocol.CmdDestroy, Username: username, Passphrase: passphrase, CredName: credName,
 		}, "DESTROY")
 		return err
@@ -469,13 +463,8 @@ func (c *Client) Destroy(ctx context.Context, username, passphrase, credName str
 // (myproxy-change-passphrase). Same commit semantics as Destroy: only
 // pre-delivery faults retry.
 func (c *Client) ChangePassphrase(ctx context.Context, username, oldPass, newPass, credName string) error {
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		_, err = c.roundTrip(conn.Conn, &protocol.Request{
+	return c.exchange(ctx, func(conn *gsi.Conn) error {
+		_, err := c.roundTrip(conn, &protocol.Request{
 			Command: protocol.CmdChangePassphrase, Username: username,
 			Passphrase: oldPass, NewPassphrase: newPass, CredName: credName,
 		}, "CHANGE_PASSPHRASE")
@@ -512,12 +501,7 @@ func (c *Client) Store(ctx context.Context, opts StoreOptions) error {
 	if err != nil {
 		return err
 	}
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
+	return c.exchange(ctx, func(conn *gsi.Conn) error {
 		req := &protocol.Request{
 			Command:     protocol.CmdStore,
 			Username:    opts.Username,
@@ -527,14 +511,14 @@ func (c *Client) Store(ctx context.Context, opts StoreOptions) error {
 			Retrievers:  opts.Retrievers,
 			TaskTags:    opts.TaskTags,
 		}
-		if _, err := c.roundTrip(conn.Conn, req, ""); err != nil {
+		if _, err := c.roundTrip(conn, req, ""); err != nil {
 			return err
 		}
 		// Commit window: the server stores the blob when it arrives.
 		if err := conn.WriteMessage(blob); err != nil {
 			return ambiguous("STORE", err)
 		}
-		return ambiguous("STORE", c.readFinal(conn.Conn))
+		return ambiguous("STORE", c.readFinal(conn))
 	})
 }
 
@@ -552,56 +536,38 @@ type RetrieveOptions struct {
 // Store. Unsealing happens client-side with the pass phrase. Retrieve is
 // idempotent and retries any transient fault.
 func (c *Client) Retrieve(ctx context.Context, opts RetrieveOptions) (*pki.Credential, error) {
-	cred, err := c.retrieve(ctx, opts)
-	if err == nil {
-		return cred, nil
-	}
-	var otpErr *ErrOTPRequired
-	if errors.As(err, &otpErr) && opts.OTPSecret != "" && opts.OTP == "" {
-		resp, rerr := otp.Respond(otpErr.Challenge, opts.OTPSecret)
-		if rerr != nil {
-			return nil, rerr
-		}
-		opts.OTP = resp
-		return c.retrieve(ctx, opts)
-	}
-	return nil, err
+	var cred *pki.Credential
+	err := answering(&opts.OTP, opts.OTPSecret, func() error {
+		return c.exchange(ctx, func(conn *gsi.Conn) (err error) {
+			cred, err = c.retrieveOn(conn, opts)
+			return err
+		})
+	})
+	return cred, err
 }
 
-func (c *Client) retrieve(ctx context.Context, opts RetrieveOptions) (*pki.Credential, error) {
-	var cred *pki.Credential
-	err := c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		resp, err := c.roundTrip(conn.Conn, &protocol.Request{
-			Command:    protocol.CmdRetrieve,
-			Username:   opts.Username,
-			Passphrase: opts.Passphrase,
-			CredName:   opts.CredName,
-			TaskHint:   opts.TaskHint,
-			OTP:        opts.OTP,
-		}, "")
-		if err != nil {
-			return err
-		}
-		plain, err := pki.OpenBytes(resp.Blob, []byte(opts.Passphrase))
-		if err != nil {
-			// The blob arrived intact over TLS; a bad unseal is a bad
-			// pass phrase or corrupt deposit, not a transport fault.
-			return resilience.Permanent(err)
-		}
-		cred, err = pki.DecodeCredentialPEM(plain, nil)
-		pki.WipeBytes(plain) // decoded into cred; drop the plaintext PEM
-		if err != nil {
-			return resilience.Permanent(err)
-		}
-		return nil
-	})
+func (c *Client) retrieveOn(conn *gsi.Conn, opts RetrieveOptions) (*pki.Credential, error) {
+	resp, err := c.roundTrip(conn, &protocol.Request{
+		Command:    protocol.CmdRetrieve,
+		Username:   opts.Username,
+		Passphrase: opts.Passphrase,
+		CredName:   opts.CredName,
+		TaskHint:   opts.TaskHint,
+		OTP:        opts.OTP,
+	}, "")
 	if err != nil {
 		return nil, err
+	}
+	plain, err := pki.OpenBytes(resp.Blob, []byte(opts.Passphrase))
+	if err != nil {
+		// The blob arrived intact over TLS; a bad unseal is a bad
+		// pass phrase or corrupt deposit, not a transport fault.
+		return nil, resilience.Permanent(err)
+	}
+	cred, err := pki.DecodeCredentialPEM(plain, nil)
+	pki.WipeBytes(plain) // decoded into cred; drop the plaintext PEM
+	if err != nil {
+		return nil, resilience.Permanent(err)
 	}
 	return cred, nil
 }

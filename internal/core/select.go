@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/credstore"
-	"repro/internal/policy"
 )
-
-func policyMatch(pattern, dn string) bool { return policy.MatchDN(pattern, dn) }
 
 // selectEntry resolves which stored credential a request addresses.
 //
@@ -17,16 +15,16 @@ func policyMatch(pattern, dn string) bool { return policy.MatchDN(pattern, dn) }
 // that task — preferring the most specific tag set, then the longest
 // remaining validity; with no hint it returns the default credential, or
 // the only credential if exactly one exists.
-func (s *Server) selectEntry(username, credName, taskHint string) (*credstore.Entry, error) {
+func (s *Service) selectEntry(username, credName, taskHint string) (*credstore.Entry, error) {
 	if credName != "" {
-		return s.store.Get(username, credName)
+		return s.cfg.Store.Get(username, credName)
 	}
 	if taskHint == "" {
 		// Default credential, falling back to a sole named credential.
-		if e, err := s.store.Get(username, ""); err == nil {
+		if e, err := s.cfg.Store.Get(username, ""); err == nil {
 			return e, nil
 		}
-		entries, err := s.store.List(username)
+		entries, err := s.cfg.Store.List(username)
 		if err != nil {
 			return nil, err
 		}
@@ -38,7 +36,7 @@ func (s *Server) selectEntry(username, credName, taskHint string) (*credstore.En
 		}
 		return nil, fmt.Errorf("%w: %d credentials; specify a name or task", credstore.ErrNotFound, len(entries))
 	}
-	entries, err := s.store.List(username)
+	entries, err := s.cfg.Store.List(username)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +44,7 @@ func (s *Server) selectEntry(username, credName, taskHint string) (*credstore.En
 	var best *credstore.Entry
 	bestSpecificity := -1
 	for _, e := range entries {
-		if e.Expired(now) || !tagged(e, taskHint) {
+		if e.Expired(now) || !slices.Contains(e.TaskTags, taskHint) {
 			continue
 		}
 		// Prefer fewer tags (more specific purpose); break ties with the
@@ -64,13 +62,4 @@ func (s *Server) selectEntry(username, credName, taskHint string) (*credstore.En
 		return nil, fmt.Errorf("%w: no credential tagged for task %q", credstore.ErrNotFound, taskHint)
 	}
 	return best, nil
-}
-
-func tagged(e *credstore.Entry, task string) bool {
-	for _, t := range e.TaskTags {
-		if t == task {
-			return true
-		}
-	}
-	return false
 }

@@ -12,23 +12,21 @@ import (
 
 	"repro/internal/credstore"
 	"repro/internal/gsi"
-	"repro/internal/policy"
 	"repro/internal/proxy"
 )
 
 // Server is a MyProxy repository server (paper §4).
 type Server struct {
-	cfg   ServerConfig
-	store credstore.Store
-	stats Stats
+	cfg ServerConfig
+	// svc makes every repository decision; this type is its MYPROXYv2
+	// front-end (listener, TLS, sessions, the request codecs).
+	svc *Service
 
 	// tlsCfg is shared across all accepted connections so TLS session
 	// tickets resume (the ticket keys live in the config); verifyCache
-	// memoizes client chain verifications across connections; isRevoked
-	// holds the swappable revocation hook (SetRevoked).
+	// memoizes client chain verifications across connections.
 	tlsCfg      *tls.Config
 	verifyCache *proxy.VerifyCache
-	isRevoked   atomic.Value // of func(*x509.Certificate) bool
 
 	// sem, when non-nil, caps concurrently served connections
 	// (cfg.MaxConcurrent); the accept loop blocks on it — backpressure
@@ -108,24 +106,9 @@ func (s *Stats) Snapshot() map[string]int64 {
 
 // NewServer validates the configuration and builds a server.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.Credential == nil || cfg.Credential.Certificate == nil || cfg.Credential.PrivateKey == nil {
-		return nil, errors.New("core: server requires a host credential")
-	}
-	if cfg.Roots == nil {
-		return nil, errors.New("core: server requires trust roots")
-	}
-	if cfg.AcceptedCredentials == nil {
-		cfg.AcceptedCredentials = policy.NewACL()
-	}
-	if cfg.AuthorizedRetrievers == nil {
-		cfg.AuthorizedRetrievers = policy.NewACL()
-	}
-	if cfg.AuthorizedRenewers == nil {
-		cfg.AuthorizedRenewers = policy.NewACL()
-	}
-	store := cfg.Store
-	if store == nil {
-		store = credstore.NewMemStore()
+	svc, err := NewService(cfg)
+	if err != nil {
+		return nil, err
 	}
 	tlsCfg, err := gsi.NewServerTLSConfig(cfg.Credential)
 	if err != nil {
@@ -136,15 +119,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		verifyCache = proxy.NewVerifyCache(0)
 	}
 	s := &Server{
-		cfg:         cfg,
-		store:       store,
+		cfg:         svc.cfg,
+		svc:         svc,
 		tlsCfg:      tlsCfg,
 		verifyCache: verifyCache,
 		listeners:   make(map[net.Listener]struct{}),
 		active:      make(map[net.Conn]struct{}),
 		quit:        make(chan struct{}),
 	}
-	s.isRevoked.Store(cfg.IsRevoked)
 	if cfg.MaxConcurrent > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
@@ -167,7 +149,7 @@ func (s *Server) sweep(interval time.Duration) {
 		case <-s.quit:
 			return
 		case <-ticker.C:
-			n, err := credstore.PurgeExpired(s.store, s.cfg.now(), false)
+			n, err := credstore.PurgeExpired(s.svc.cfg.Store, s.cfg.now(), false)
 			if err != nil {
 				s.cfg.logf("purge: %v", err)
 				continue
@@ -193,7 +175,7 @@ func (s *Server) flushStats() {
 		case <-s.quit:
 			return
 		case <-ticker.C:
-			if err := s.stats.WriteFile(s.cfg.StatsFile); err != nil {
+			if err := s.svc.stats.WriteFile(s.cfg.StatsFile); err != nil {
 				s.cfg.logf("stats flush: %v", err)
 			}
 		}
@@ -201,16 +183,10 @@ func (s *Server) flushStats() {
 }
 
 // Store exposes the backing store (admin tooling, tests).
-func (s *Server) Store() credstore.Store { return s.store }
+func (s *Server) Store() credstore.Store { return s.svc.cfg.Store }
 
 // VerifyCache exposes the chain-verification cache (diagnostics, tests).
 func (s *Server) VerifyCache() *proxy.VerifyCache { return s.verifyCache }
-
-// revocationHook returns the current revocation hook (possibly nil).
-func (s *Server) revocationHook() func(*x509.Certificate) bool {
-	fn, _ := s.isRevoked.Load().(func(*x509.Certificate) bool)
-	return fn
-}
 
 // SetRevoked atomically replaces the revocation hook — the CRL-reload
 // entry point — and invalidates the verification cache so no cached
@@ -218,12 +194,12 @@ func (s *Server) revocationHook() func(*x509.Certificate) bool {
 // newly revoked chain is rejected even if its chain was cached or its TLS
 // session is resumed.
 func (s *Server) SetRevoked(fn func(*x509.Certificate) bool) {
-	s.isRevoked.Store(fn)
+	s.svc.isRevoked.Store(fn)
 	s.verifyCache.Invalidate()
 }
 
 // Stats exposes the operation counters.
-func (s *Server) Stats() *Stats { return &s.stats }
+func (s *Server) Stats() *Stats { return &s.svc.stats }
 
 // Identity returns the repository's Grid identity.
 func (s *Server) Identity() string { return s.cfg.Credential.Subject() }
@@ -304,7 +280,7 @@ func (s *Server) release() {
 }
 
 func (s *Server) refuse(raw net.Conn) {
-	s.stats.DrainRefusals.Add(1)
+	s.svc.stats.DrainRefusals.Add(1)
 	s.cfg.logf("refused connection from %v: server draining", raw.RemoteAddr())
 	_ = raw.Close() // refusing the peer; close is best-effort
 }
@@ -352,7 +328,7 @@ func (s *Server) Close() error {
 		case <-timer.C:
 			s.mu.Lock()
 			for raw := range s.active {
-				s.stats.ForcedCloses.Add(1)
+				s.svc.stats.ForcedCloses.Add(1)
 				s.cfg.logf("drain timeout: force-closing session with %v", raw.RemoteAddr())
 				_ = raw.Close() // cutting the session off; close is best-effort
 			}
@@ -363,7 +339,7 @@ func (s *Server) Close() error {
 		<-drained
 	}
 	if s.cfg.StatsFile != "" {
-		if err := s.stats.WriteFile(s.cfg.StatsFile); err != nil {
+		if err := s.svc.stats.WriteFile(s.cfg.StatsFile); err != nil {
 			s.cfg.logf("stats flush: %v", err)
 		}
 	}
@@ -374,7 +350,7 @@ func (s *Server) Close() error {
 func (s *Server) handleRaw(raw net.Conn) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.Errors.Add(1)
+			s.svc.stats.Errors.Add(1)
 			s.cfg.logf("panic serving %v: %v", raw.RemoteAddr(), r)
 			_ = raw.Close() // session is already broken; close is best-effort
 		}
@@ -392,30 +368,30 @@ func (s *Server) handleRaw(raw net.Conn) {
 	conn, err := gsi.Server(raw, s.cfg.Credential, gsi.AuthOptions{
 		Roots:            s.cfg.Roots,
 		MaxDepth:         s.cfg.MaxChainDepth,
-		IsRevoked:        s.revocationHook(),
+		IsRevoked:        s.svc.revocationHook(),
 		HandshakeTimeout: msgTimeout,
 		Cache:            s.verifyCache,
 		TLSConfig:        s.tlsCfg,
 	})
 	if err != nil {
-		s.stats.AuthFailures.Add(1)
+		s.svc.stats.AuthFailures.Add(1)
 		s.cfg.logf("authentication failed from %v: %v", raw.RemoteAddr(), err)
 		return
 	}
 	defer conn.Close()
-	s.stats.Connections.Add(1)
+	s.svc.stats.Connections.Add(1)
 	// Per-message deadlines inside the session cap (slowloris guard): each
 	// message must complete within msgTimeout, the session within timeout.
 	conn.SetSessionDeadline(time.Now().Add(timeout))
 	conn.SetMessageTimeout(msgTimeout)
-	if err := s.serveSession(conn); err != nil {
+	if err := s.exchange(conn, nil); err != nil {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
-			s.stats.Timeouts.Add(1)
+			s.svc.stats.Timeouts.Add(1)
 			s.cfg.logf("session with %s evicted: message deadline exceeded", conn.PeerIdentity())
 			return
 		}
-		s.stats.Errors.Add(1)
+		s.svc.stats.Errors.Add(1)
 		s.cfg.logf("session with %s: %v", conn.PeerIdentity(), err)
 	}
 }

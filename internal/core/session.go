@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/gsi"
-	"repro/internal/otp"
 	"repro/internal/pki"
 	"repro/internal/protocol"
 )
@@ -94,49 +93,17 @@ func (s *Session) Get(ctx context.Context, opts GetOptions) (*pki.Credential, er
 	if s.mux == nil {
 		return s.c.Get(ctx, opts)
 	}
-	cred, err := s.getOnce(opts)
-	if err == nil {
-		return cred, nil
-	}
-	var otpErr *ErrOTPRequired
-	if errors.As(err, &otpErr) && opts.OTPSecret != "" && opts.OTP == "" {
-		resp, rerr := otp.Respond(otpErr.Challenge, opts.OTPSecret)
-		if rerr != nil {
-			return nil, rerr
+	var cred *pki.Credential
+	err := answering(&opts.OTP, opts.OTPSecret, func() error {
+		st, err := s.mux.Open()
+		if err != nil {
+			return err
 		}
-		opts.OTP = resp
-		return s.getOnce(opts)
-	}
-	return nil, err
-}
-
-func (s *Session) getOnce(opts GetOptions) (*pki.Credential, error) {
-	st, err := s.mux.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	req := &protocol.Request{
-		Command:    protocol.CmdGet,
-		Username:   opts.Username,
-		Passphrase: opts.Passphrase,
-		Lifetime:   opts.Lifetime,
-		CredName:   opts.CredName,
-		TaskHint:   opts.TaskHint,
-		OTP:        opts.OTP,
-		Renewal:    opts.Renewal,
-	}
-	if _, err := s.c.roundTrip(st, req, ""); err != nil {
-		return nil, err
-	}
-	cred, err := gsi.RequestDelegationFrom(st, s.c.KeySource, s.c.keySpec(), s.c.Roots)
-	if err != nil {
-		return nil, fmt.Errorf("core: receive delegation: %w", err)
-	}
-	if err := s.c.readFinal(st); err != nil {
-		return nil, err
-	}
-	return cred, nil
+		defer st.Close()
+		cred, err = s.c.getOn(st, opts)
+		return err
+	})
+	return cred, err
 }
 
 // GetBatch pipelines one Get per options entry concurrently over the
@@ -171,11 +138,5 @@ func (s *Session) Info(ctx context.Context, username, passphrase string) ([]prot
 		return nil, err
 	}
 	defer st.Close()
-	resp, err := s.c.roundTrip(st, &protocol.Request{
-		Command: protocol.CmdInfo, Username: username, Passphrase: passphrase,
-	}, "")
-	if err != nil {
-		return nil, err
-	}
-	return resp.Infos, nil
+	return s.c.infoOn(st, username, passphrase)
 }

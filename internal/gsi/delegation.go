@@ -88,34 +88,57 @@ func requestDelegationWithKey(ch Channel, key crypto.Signer, roots *x509.CertPoo
 // Delegate runs the exporting side: it receives the peer's CSR and signs a
 // proxy certificate under issuer with the given options, sending back the
 // full chain (new proxy first, then issuer's chain). It returns the signed
-// certificate. The requested key's algorithm is taken from the CSR; any
-// supported algorithm (see pki.KeyAlgorithm) is accepted regardless of the
-// issuer's own key type — proxy chains may mix algorithms.
+// certificate.
 //myproxy:hotpath
 func Delegate(ch Channel, issuer *pki.Credential, opts proxy.Options) (*x509.Certificate, error) {
 	csrDER, err := ch.ReadMessage()
 	if err != nil {
 		return nil, fmt.Errorf("gsi: receive CSR: %w", err)
 	}
-	csr, err := x509.ParseCertificateRequest(csrDER)
-	if err != nil {
-		return nil, fmt.Errorf("gsi: parse CSR: %w", err)
-	}
-	// Proof of possession of the requested key.
-	if err := csr.CheckSignature(); err != nil {
-		return nil, fmt.Errorf("gsi: CSR signature: %w", err)
-	}
-	if _, ok := pki.AlgorithmOf(csr.PublicKey); !ok {
-		return nil, errors.New("gsi: CSR public key algorithm not supported")
-	}
-	cert, err := proxy.Create(issuer, csr.PublicKey, opts)
+	cert, chainPEM, err := SignCSR(csrDER, issuer, opts)
 	if err != nil {
 		return nil, err
 	}
-	chain := []*x509.Certificate{cert}
-	chain = append(chain, issuer.CertChain()...)
-	if err := ch.WriteMessage(pki.EncodeCertsPEM(chain)); err != nil {
+	if err := ch.WriteMessage(chainPEM); err != nil {
 		return nil, err
 	}
 	return cert, nil
+}
+
+// ErrBadCSR marks (via errors.Is) a certification request SignCSR refused
+// on its own merits — malformed, no proof of possession, unsupported key —
+// as opposed to a signing failure on the issuer's side.
+var ErrBadCSR = errors.New("gsi: bad certification request")
+
+type csrError struct{ error }
+
+func (csrError) Is(target error) bool { return target == ErrBadCSR }
+
+// SignCSR is the signing step of a delegation, shared by every transport
+// that can carry a CSR: it checks the request's proof of possession, signs
+// a proxy certificate for its key under issuer, and returns the certificate
+// and the PEM chain to ship (new proxy first, then issuer's chain). The
+// requested key's algorithm is taken from the CSR; any supported algorithm
+// (see pki.KeyAlgorithm) is accepted regardless of the issuer's own key
+// type — proxy chains may mix algorithms.
+//myproxy:hotpath
+func SignCSR(csrDER []byte, issuer *pki.Credential, opts proxy.Options) (*x509.Certificate, []byte, error) {
+	csr, err := x509.ParseCertificateRequest(csrDER)
+	if err != nil {
+		return nil, nil, csrError{fmt.Errorf("gsi: parse CSR: %w", err)}
+	}
+	// Proof of possession of the requested key.
+	if err := csr.CheckSignature(); err != nil {
+		return nil, nil, csrError{fmt.Errorf("gsi: CSR signature: %w", err)}
+	}
+	if _, ok := pki.AlgorithmOf(csr.PublicKey); !ok {
+		return nil, nil, csrError{errors.New("gsi: CSR public key algorithm not supported")}
+	}
+	cert, err := proxy.Create(issuer, csr.PublicKey, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	chain := []*x509.Certificate{cert}
+	chain = append(chain, issuer.CertChain()...)
+	return cert, pki.EncodeCertsPEM(chain), nil
 }

@@ -3,22 +3,21 @@
 // plan to investigate using more standard protocols. One option would be
 // HTTP for compatibility with standard web-oriented libraries."
 //
-// It exposes the same repository semantics as internal/core over
-// HTTPS+JSON. Clients authenticate with TLS client certificates (proxy
-// chains included — verification is the same proxy-aware validator), and
-// delegation is reshaped to fit HTTP's single round trip: the client sends
-// a certification request in the GET body and receives the signed chain in
+// It is a second codec in front of core.Service: every handler decodes a
+// JSON request, makes the one service call the wire handlers make, and
+// encodes the material or the verdict that comes back (DESIGN.md §17).
+// Clients authenticate with TLS client certificates (proxy chains included
+// — verification is the same proxy-aware validator), and delegation is
+// reshaped to fit HTTP's single round trip: the client sends a
+// certification request in the GET body and receives the signed chain in
 // the response, so private keys still never cross the wire.
 package httpgate
 
 import (
-	"crypto/rsa"
 	"crypto/tls"
-	"crypto/x509"
 	"encoding/json"
 	"encoding/pem"
-	"errors"
-	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -26,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/credstore"
-	"repro/internal/policy"
 	"repro/internal/protocol"
 	"repro/internal/proxy"
 )
@@ -35,9 +33,9 @@ import (
 // shares the store (and therefore all credentials) with any protocol
 // frontend built from the same ServerConfig.
 type Gateway struct {
-	cfg   core.ServerConfig
-	store credstore.Store
-	mux   *http.ServeMux
+	cfg core.ServerConfig
+	svc *core.Service
+	mux *http.ServeMux
 	// verifyCache memoizes client chain verifications across requests —
 	// the same portal chain authenticates every call, and net/http opens
 	// fresh TLS connections often enough that re-walking it is measurable.
@@ -47,24 +45,15 @@ type Gateway struct {
 // New builds a gateway from a repository configuration. The same
 // validation rules as core.NewServer apply.
 func New(cfg core.ServerConfig) (*Gateway, error) {
-	if cfg.Credential == nil || cfg.Roots == nil {
-		return nil, errors.New("httpgate: credential and roots required")
-	}
-	if cfg.AcceptedCredentials == nil {
-		cfg.AcceptedCredentials = policy.NewACL()
-	}
-	if cfg.AuthorizedRetrievers == nil {
-		cfg.AuthorizedRetrievers = policy.NewACL()
-	}
-	store := cfg.Store
-	if store == nil {
-		store = credstore.NewMemStore()
+	svc, err := core.NewService(cfg)
+	if err != nil {
+		return nil, err
 	}
 	verifyCache := cfg.VerifyCache
 	if verifyCache == nil {
 		verifyCache = proxy.NewVerifyCache(0)
 	}
-	g := &Gateway{cfg: cfg, store: store, mux: http.NewServeMux(), verifyCache: verifyCache}
+	g := &Gateway{cfg: cfg, svc: svc, mux: http.NewServeMux(), verifyCache: verifyCache}
 	g.mux.HandleFunc("POST /v1/get", g.requireIdentity(g.handleGet))
 	g.mux.HandleFunc("GET /v1/info", g.requireIdentity(g.handleInfo))
 	g.mux.HandleFunc("POST /v1/store", g.requireIdentity(g.handleStore))
@@ -75,7 +64,7 @@ func New(cfg core.ServerConfig) (*Gateway, error) {
 
 // Store exposes the backing store so a gateway can be co-hosted with a
 // core.Server over the same credentials.
-func (g *Gateway) Store() credstore.Store { return g.store }
+func (g *Gateway) Store() credstore.Store { return g.svc.Backend() }
 
 // Serve runs HTTPS with client-certificate authentication on ln.
 func (g *Gateway) Serve(ln net.Listener) error {
@@ -86,7 +75,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           g.mux,
 		ReadHeaderTimeout: 10 * time.Second,
-		ErrorLog:          log.New(discardWriter{}, "", 0),
+		ErrorLog:          log.New(io.Discard, "", 0),
 		TLSConfig: &tls.Config{
 			Certificates: []tls.Certificate{cert},
 			MinVersion:   tls.VersionTLS12,
@@ -98,10 +87,6 @@ func (g *Gateway) Serve(ln net.Listener) error {
 	}
 	return srv.ServeTLS(ln, "", "")
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 func (g *Gateway) now() time.Time {
 	if g.cfg.Now != nil {
@@ -117,7 +102,7 @@ func (g *Gateway) logf(format string, args ...interface{}) {
 }
 
 // identityHandler receives the authenticated Grid identity.
-type identityHandler func(w http.ResponseWriter, r *http.Request, peer *proxy.Result)
+type identityHandler func(w http.ResponseWriter, r *http.Request, peer string)
 
 // requireIdentity verifies the TLS client chain with the proxy-aware
 // validator before admitting the request.
@@ -134,23 +119,65 @@ func (g *Gateway) requireIdentity(h identityHandler) http.HandlerFunc {
 			CurrentTime: g.now(),
 		})
 		if err != nil {
+			g.svc.Stats().AuthFailures.Add(1)
 			g.logf("httpgate: reject %q: %v", r.RemoteAddr, err)
 			writeErr(w, http.StatusUnauthorized, "client chain rejected")
 			return
 		}
-		h(w, r, res)
+		h(w, r, res.IdentityString())
 	}
 }
 
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+func writeErr(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
+}
+
+// refuse encodes a service verdict: the class picks the status, the body
+// carries the verdict's public text (and the OTP challenge, when there is
+// one). A verdict that is a fault joins the error count, as a failed
+// exchange does on the wire.
+func (g *Gateway) refuse(w http.ResponseWriter, v *core.Verdict) {
+	if v.Err != nil {
+		g.svc.Stats().Errors.Add(1)
+		g.logf("httpgate: %v", v.Err)
+	}
+	status := http.StatusInternalServerError
+	switch v.Kind {
+	case core.VerdictDenied, core.VerdictBadPassphrase, core.VerdictOTPExhausted:
+		status = http.StatusForbidden
+	case core.VerdictNotFound:
+		status = http.StatusNotFound
+	case core.VerdictExpired:
+		status = http.StatusGone
+	case core.VerdictOTPRequired:
+		status = http.StatusUnauthorized
+	case core.VerdictConflict:
+		status = http.StatusConflict
+	case core.VerdictInvalid:
+		status = http.StatusBadRequest
+	case core.VerdictInternal:
+	}
+	body := map[string]string{"error": v.Public}
+	if v.Challenge != "" {
+		body["challenge"] = v.Challenge
+	}
+	writeJSON(w, status, body)
+}
+
+// decode reads a JSON request body, writing a 400 and reporting false when
+// it is malformed.
+func decode(w http.ResponseWriter, r *http.Request, req interface{}) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(req); err != nil {
+		writeErr(w, http.StatusBadRequest, "malformed request body")
+		return false
+	}
+	return true
 }
 
 // checkNames validates the wire-supplied username and (optional)
@@ -192,56 +219,9 @@ type GetResponse struct {
 	ChainPEM string `json:"chain_pem"`
 }
 
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, peer *proxy.Result) {
+func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, peer string) {
 	var req GetRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed request body")
-		return
-	}
-	if !checkNames(w, req.Username, req.CredName) {
-		return
-	}
-	peerDN := peer.IdentityString()
-	if !g.cfg.AuthorizedRetrievers.Allows(peerDN) {
-		g.logf("httpgate: GET by %s not in authorized_retrievers", peerDN)
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
-	if g.cfg.OTP != nil && g.cfg.OTP.Enabled(req.Username) {
-		if req.OTP == "" {
-			challenge, ok := g.cfg.OTP.Challenge(req.Username)
-			if !ok {
-				writeErr(w, http.StatusForbidden, "one-time password chain exhausted")
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnauthorized)
-			json.NewEncoder(w).Encode(map[string]string{
-				"error": "one-time password required", "challenge": challenge,
-			})
-			return
-		}
-		if err := g.cfg.OTP.Verify(req.Username, req.OTP); err != nil {
-			writeErr(w, http.StatusForbidden, "bad one-time password")
-			return
-		}
-	}
-	entry, err := g.selectEntry(req.Username, req.CredName, req.TaskHint)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "no credentials found for user")
-		return
-	}
-	if entry.Retrievers != "" && !policy.MatchDN(entry.Retrievers, peerDN) {
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
-	if entry.Expired(g.now()) {
-		writeErr(w, http.StatusGone, "stored credential has expired")
-		return
-	}
-	issuer, err := credstore.UnsealDelegated(entry, []byte(req.Passphrase))
-	if err != nil {
-		writeErr(w, http.StatusForbidden, "bad pass phrase or username")
+	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
 	block, _ := pem.Decode([]byte(req.CSRPEM))
@@ -249,30 +229,19 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, peer *proxy.
 		writeErr(w, http.StatusBadRequest, "csr_pem must be a CERTIFICATE REQUEST block")
 		return
 	}
-	csr, err := x509.ParseCertificateRequest(block.Bytes)
-	if err != nil || csr.CheckSignature() != nil {
-		writeErr(w, http.StatusBadRequest, "invalid certification request")
+	chain, v := g.svc.Get(peer, &protocol.Request{
+		Username:   req.Username,
+		Passphrase: req.Passphrase,
+		Lifetime:   time.Duration(req.LifetimeSeconds) * time.Second,
+		CredName:   req.CredName,
+		TaskHint:   req.TaskHint,
+		OTP:        req.OTP,
+	}, nil, func() ([]byte, error) { return block.Bytes, nil })
+	if v != nil {
+		g.refuse(w, v)
 		return
 	}
-	pub, ok := csr.PublicKey.(*rsa.PublicKey)
-	if !ok {
-		writeErr(w, http.StatusBadRequest, "CSR public key must be RSA")
-		return
-	}
-	lifetime := g.cfg.Lifetimes.ClampDelegatedWithRestriction(
-		time.Duration(req.LifetimeSeconds)*time.Second, entry.MaxDelegation)
-	cert, err := proxy.Create(issuer, pub, proxy.Options{
-		Type:     g.cfg.DelegationProxyType,
-		Lifetime: lifetime,
-	})
-	issuer.PrivateKey = nil
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "delegation failed")
-		return
-	}
-	chain := append([]*x509.Certificate{cert}, issuer.CertChain()...)
-	g.logf("httpgate: DELEGATED %q/%q to %s for %v", req.Username, entry.Name, peerDN, lifetime)
-	writeJSON(w, GetResponse{ChainPEM: string(encodeChain(chain))})
+	writeJSON(w, http.StatusOK, GetResponse{ChainPEM: string(chain)})
 }
 
 // InfoResponse mirrors the INFO command.
@@ -293,40 +262,29 @@ type InfoEntry struct {
 	Kind          string    `json:"kind"`
 }
 
-func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request, peer *proxy.Result) {
-	peerDN := peer.IdentityString()
-	if !g.cfg.AcceptedCredentials.Allows(peerDN) && !g.cfg.AuthorizedRetrievers.Allows(peerDN) {
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
+func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request, peer string) {
 	username := r.URL.Query().Get("username")
-	passphrase := r.URL.Query().Get("passphrase")
 	if username == "" {
 		writeErr(w, http.StatusBadRequest, "username required")
 		return
 	}
-	entries, err := g.store.List(username)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "store error")
+	entries, v := g.svc.Info(peer, &protocol.Request{
+		Username: username, Passphrase: r.URL.Query().Get("passphrase"),
+	})
+	if v != nil {
+		g.refuse(w, v)
 		return
 	}
-	resp := InfoResponse{Credentials: []InfoEntry{}}
-	for _, e := range entries {
-		if e.CheckPassphrase([]byte(passphrase)) != nil {
-			continue
-		}
-		resp.Credentials = append(resp.Credentials, InfoEntry{
+	resp := InfoResponse{Credentials: make([]InfoEntry, len(entries))}
+	for i, e := range entries {
+		resp.Credentials[i] = InfoEntry{
 			Name: e.Name, Owner: e.Owner, Description: e.Description,
 			NotBefore: e.NotBefore.UTC(), NotAfter: e.NotAfter.UTC(),
 			MaxDelegation: durString(e.MaxDelegation), Retrievers: e.Retrievers,
 			TaskTags: e.TaskTags, Kind: e.Kind.String(),
-		})
+		}
 	}
-	if len(resp.Credentials) == 0 {
-		writeErr(w, http.StatusNotFound, "no credentials found for user")
-		return
-	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func durString(d time.Duration) string {
@@ -349,48 +307,27 @@ type StoreRequest struct {
 	Blob []byte `json:"blob"`
 }
 
-func (g *Gateway) handleStore(w http.ResponseWriter, r *http.Request, peer *proxy.Result) {
+func (g *Gateway) handleStore(w http.ResponseWriter, r *http.Request, peer string) {
 	var req StoreRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed request body")
-		return
-	}
-	if !checkNames(w, req.Username, req.CredName) {
-		return
-	}
-	peerDN := peer.IdentityString()
-	if !g.cfg.AcceptedCredentials.Allows(peerDN) {
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
-	if err := g.cfg.Passphrase.Check(req.Passphrase); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("pass phrase rejected: %v", err))
+	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
 	if len(req.Blob) == 0 {
 		writeErr(w, http.StatusBadRequest, "blob required")
 		return
 	}
-	if prev, err := g.store.Get(req.Username, req.CredName); err == nil && prev.Owner != peerDN {
-		writeErr(w, http.StatusConflict, "credential exists and is owned by another identity")
+	if v := g.svc.Store(peer, &protocol.Request{
+		Username:    req.Username,
+		Passphrase:  req.Passphrase,
+		CredName:    req.CredName,
+		Description: req.Description,
+		Retrievers:  req.Retrievers,
+		TaskTags:    req.TaskTags,
+	}, func() ([]byte, error) { return req.Blob, nil }); v != nil {
+		g.refuse(w, v)
 		return
 	}
-	entry := &credstore.Entry{
-		Username: req.Username, Name: req.CredName, Owner: peerDN,
-		Kind: credstore.KindStored, SealedKey: req.Blob,
-		Description: req.Description, Retrievers: req.Retrievers,
-		TaskTags: req.TaskTags, CreatedAt: g.now(),
-	}
-	if err := entry.SetPassphrase([]byte(req.Passphrase)); err != nil {
-		writeErr(w, http.StatusInternalServerError, "verifier error")
-		return
-	}
-	if err := g.store.Put(entry); err != nil {
-		writeErr(w, http.StatusInternalServerError, "store error")
-		return
-	}
-	g.logf("httpgate: STORED %q/%q for %s", req.Username, req.CredName, peerDN)
-	writeJSON(w, map[string]bool{"ok": true})
+	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
 // RetrieveRequest fetches a stored blob.
@@ -403,39 +340,23 @@ type RetrieveRequest struct {
 	OTP        string `json:"otp,omitempty"`
 }
 
-func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, peer *proxy.Result) {
+func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, peer string) {
 	var req RetrieveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed request body")
+	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
-	if !checkNames(w, req.Username, req.CredName) {
+	blob, v := g.svc.Retrieve(peer, &protocol.Request{
+		Username:   req.Username,
+		Passphrase: req.Passphrase,
+		CredName:   req.CredName,
+		TaskHint:   req.TaskHint,
+		OTP:        req.OTP,
+	})
+	if v != nil {
+		g.refuse(w, v)
 		return
 	}
-	peerDN := peer.IdentityString()
-	if !g.cfg.AuthorizedRetrievers.Allows(peerDN) {
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
-	entry, err := g.selectEntry(req.Username, req.CredName, req.TaskHint)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "no credentials found for user")
-		return
-	}
-	if entry.Kind != credstore.KindStored {
-		writeErr(w, http.StatusConflict, "credential is not retrievable; use /v1/get")
-		return
-	}
-	if entry.Retrievers != "" && !policy.MatchDN(entry.Retrievers, peerDN) {
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
-	if err := entry.CheckPassphrase([]byte(req.Passphrase)); err != nil {
-		writeErr(w, http.StatusForbidden, "bad pass phrase or username")
-		return
-	}
-	g.logf("httpgate: RETRIEVED %q/%q by %s", req.Username, entry.Name, peerDN)
-	writeJSON(w, map[string][]byte{"blob": entry.SealedKey})
+	writeJSON(w, http.StatusOK, map[string][]byte{"blob": blob})
 }
 
 // DestroyRequest removes a credential.
@@ -446,88 +367,16 @@ type DestroyRequest struct {
 	CredName   string `json:"cred_name,omitempty"`
 }
 
-func (g *Gateway) handleDestroy(w http.ResponseWriter, r *http.Request, peer *proxy.Result) {
+func (g *Gateway) handleDestroy(w http.ResponseWriter, r *http.Request, peer string) {
 	var req DestroyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "malformed request body")
+	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
-	if !checkNames(w, req.Username, req.CredName) {
+	if v := g.svc.Destroy(peer, &protocol.Request{
+		Username: req.Username, Passphrase: req.Passphrase, CredName: req.CredName,
+	}); v != nil {
+		g.refuse(w, v)
 		return
 	}
-	entry, err := g.store.Get(req.Username, req.CredName)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "no credentials found for user")
-		return
-	}
-	if entry.Owner != peer.IdentityString() {
-		writeErr(w, http.StatusForbidden, "authorization failed")
-		return
-	}
-	if err := entry.CheckPassphrase([]byte(req.Passphrase)); err != nil {
-		writeErr(w, http.StatusForbidden, "bad pass phrase or username")
-		return
-	}
-	if err := g.store.Delete(req.Username, req.CredName); err != nil {
-		writeErr(w, http.StatusInternalServerError, "store error")
-		return
-	}
-	g.logf("httpgate: DESTROYED %q/%q", req.Username, req.CredName)
-	writeJSON(w, map[string]bool{"ok": true})
-}
-
-// selectEntry mirrors the core server's wallet selection (§6.2).
-func (g *Gateway) selectEntry(username, credName, taskHint string) (*credstore.Entry, error) {
-	if credName != "" {
-		return g.store.Get(username, credName)
-	}
-	if taskHint == "" {
-		if e, err := g.store.Get(username, ""); err == nil {
-			return e, nil
-		}
-		entries, err := g.store.List(username)
-		if err != nil {
-			return nil, err
-		}
-		if len(entries) == 1 {
-			return entries[0], nil
-		}
-		return nil, credstore.ErrNotFound
-	}
-	entries, err := g.store.List(username)
-	if err != nil {
-		return nil, err
-	}
-	now := g.now()
-	var best *credstore.Entry
-	for _, e := range entries {
-		if e.Expired(now) || !hasTag(e, taskHint) {
-			continue
-		}
-		if best == nil || len(e.TaskTags) < len(best.TaskTags) ||
-			(len(e.TaskTags) == len(best.TaskTags) && e.NotAfter.After(best.NotAfter)) {
-			best = e
-		}
-	}
-	if best == nil {
-		return nil, credstore.ErrNotFound
-	}
-	return best, nil
-}
-
-func hasTag(e *credstore.Entry, tag string) bool {
-	for _, t := range e.TaskTags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
-
-func encodeChain(chain []*x509.Certificate) []byte {
-	var out []byte
-	for _, c := range chain {
-		out = append(out, pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: c.Raw})...)
-	}
-	return out
+	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }

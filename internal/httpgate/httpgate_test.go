@@ -290,21 +290,6 @@ func TestOTPOverHTTP(t *testing.T) {
 	}
 }
 
-func TestSharedStoreBetweenFrontends(t *testing.T) {
-	// §6.4's point: the protocol is a frontend detail. A credential
-	// deposited over the MYPROXYv2 protocol is retrievable over HTTP and
-	// vice versa (store/retrieve path).
-	g, base := startGateway(t, nil)
-	alice := testpki.User(t, "gate-alice")
-	seedDelegated(t, g, "alice", gatePass, alice) // via GSI frontend
-	cli := newGateClient(t, testpki.Host(t, "gate-portal.test"), base)
-	if _, err := cli.Get(context.Background(), GetRequest{
-		Username: "alice", Passphrase: gatePass,
-	}); err != nil {
-		t.Fatalf("HTTP retrieval of GSI-deposited credential: %v", err)
-	}
-}
-
 func TestGatewayValidation(t *testing.T) {
 	if _, err := New(core.ServerConfig{}); err == nil {
 		t.Error("empty config accepted")

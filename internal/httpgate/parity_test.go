@@ -1,0 +1,471 @@
+package httpgate
+
+import (
+	"context"
+	"errors"
+	"net"
+	"net/http"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/credstore"
+	"repro/internal/otp"
+	"repro/internal/pki"
+	"repro/internal/policy"
+	"repro/internal/protocol"
+	"repro/internal/proxy"
+	"repro/internal/testpki"
+	"repro/internal/x509util"
+)
+
+// class is what a client can tell about an outcome: "ok", or the name of
+// the core.VerdictKind the front-end encoded.
+type class string
+
+// classOf maps a refusal's public text to its class; wantStatus is the HTTP
+// status the gateway must pick for the class (DESIGN.md §17).
+var (
+	classOf = map[string]class{
+		"authorization failed":                               "denied",
+		"no credentials found for user":                      "not-found",
+		"bad pass phrase or username":                        "bad-passphrase",
+		"stored credential has expired":                      "expired",
+		"one-time password required":                         "otp-required",
+		"one-time password chain exhausted":                  "otp-exhausted",
+		"credential exists and is owned by another identity": "conflict",
+		"credential is not retrievable; use get-delegation":  "conflict",
+	}
+	wantStatus = map[class]int{
+		"denied": 403, "not-found": 404, "bad-passphrase": 403, "expired": 410,
+		"otp-required": 401, "otp-exhausted": 403, "conflict": 409,
+	}
+)
+
+// frontend drives the repository through one transport. Operations the
+// transport does not carry are nil and their table rows skip it.
+type frontend struct {
+	name     string
+	stats    *core.Stats
+	get      func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error)
+	retrieve func(peer *pki.Credential, o core.RetrieveOptions) (*pki.Credential, error)
+	store    func(peer *pki.Credential, o core.StoreOptions) error
+	destroy  func(peer *pki.Credential, username, passphrase string) error
+	// outcome classes err and extracts an OTP challenge if it carries one.
+	outcome func(t *testing.T, err error) (class, string)
+}
+
+func wireOutcome(t *testing.T, err error) (class, string) {
+	var otpErr *core.ErrOTPRequired
+	var se *protocol.ServerError
+	switch {
+	case err == nil:
+		return "ok", ""
+	case errors.As(err, &otpErr):
+		return "otp-required", otpErr.Challenge
+	case errors.As(err, &se) && len(se.Msgs) == 1 && classOf[se.Msgs[0]] != "":
+		return classOf[se.Msgs[0]], ""
+	}
+	t.Fatalf("unclassifiable wire error: %v", err)
+	return "", ""
+}
+
+// statusRecorder remembers the status of the gateway's last answer, which
+// httpgate.Client folds into an error string.
+type statusRecorder struct {
+	http.RoundTripper
+	last int
+}
+
+func (s *statusRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := s.RoundTripper.RoundTrip(r)
+	if resp != nil {
+		s.last = resp.StatusCode
+	}
+	return resp, err
+}
+
+const parityPass = "parity pass phrase"
+
+// TestSharedStoreBetweenFrontends is §6.4's point — the protocol is a
+// front-end detail — as a table: one store, one OTP registry and one
+// configuration behind the MYPROXYv2 server (per-exchange connections and
+// session streams) and the HTTP gateway; every row must end in the same
+// verdict class, the same delegated identity and lifetime, and the same
+// counter, whichever front-end carried it.
+func TestSharedStoreBetweenFrontends(t *testing.T) {
+	roots := x509util.PoolOf(testpki.CA(t).Certificate())
+	registry := otp.NewRegistry()
+	cfg := core.ServerConfig{
+		Credential:          testpki.Host(t, "httpgate.test"),
+		Roots:               roots,
+		Store:               credstore.NewMemStore(),
+		AcceptedCredentials: policy.NewACL("/C=US/O=Test Grid/*"),
+		AuthorizedRetrievers: policy.NewACL(
+			"*/CN=parity-portal.test", "*/CN=parity-other.test", "*/CN=parity-alice"),
+		Lifetimes:         policy.LifetimePolicy{MaxDelegated: 2 * time.Hour},
+		OTP:               registry,
+		KDFIterations:     64,
+		DelegationKeyBits: 1024,
+	}
+	srv, err := core.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addrs [2]string
+	for i, serve := range []func(net.Listener) error{srv.Serve, gate.Serve} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go serve(ln)
+		t.Cleanup(func() { ln.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	alice := testpki.User(t, "parity-alice")
+	bob := testpki.User(t, "parity-bob")
+	mallory := testpki.User(t, "parity-mallory")
+	portal := testpki.Host(t, "parity-portal.test")
+	other := testpki.Host(t, "parity-other.test")
+	ctx := context.Background()
+
+	var keyAlg pki.KeyAlgorithm // of the keys the clients ask to have certified
+	wire := func(peer *pki.Credential) *core.Client {
+		return &core.Client{
+			Credential: peer, Roots: roots, Addr: addrs[0], ExpectedServer: "*/CN=httpgate.test",
+			KeyAlgorithm: keyAlg, KeyBits: 1024, Timeout: 10 * time.Second,
+		}
+	}
+	var answered *statusRecorder // on the gateway client used last
+	gateway := func(peer *pki.Credential) *Client {
+		cli := newGateClient(t, peer, "https://"+addrs[1])
+		cli.KeyAlgorithm = keyAlg
+		hc, err := cli.client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered = &statusRecorder{RoundTripper: hc.Transport}
+		hc.Transport = answered
+		return cli
+	}
+	frontends := []frontend{{
+		name: "wire", stats: srv.Stats(), outcome: wireOutcome,
+		get: func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error) {
+			return wire(peer).Get(ctx, o)
+		},
+		retrieve: func(peer *pki.Credential, o core.RetrieveOptions) (*pki.Credential, error) {
+			return wire(peer).Retrieve(ctx, o)
+		},
+		store: func(peer *pki.Credential, o core.StoreOptions) error { return wire(peer).Store(ctx, o) },
+		destroy: func(peer *pki.Credential, username, passphrase string) error {
+			return wire(peer).Destroy(ctx, username, passphrase, "")
+		},
+	}, {
+		name: "session", stats: srv.Stats(), outcome: wireOutcome,
+		get: func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error) {
+			sess, err := wire(peer).NewSession(ctx)
+			if err != nil {
+				return nil, err
+			}
+			defer sess.Close()
+			if !sess.Multiplexed() {
+				t.Fatal("session degraded to per-exchange connections")
+			}
+			return sess.Get(ctx, o)
+		},
+	}, {
+		name: "gateway", stats: gate.svc.Stats(),
+		get: func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error) {
+			return gateway(peer).Get(ctx, GetRequest{
+				Username: o.Username, Passphrase: o.Passphrase, LifetimeSeconds: int64(o.Lifetime / time.Second),
+				CredName: o.CredName, TaskHint: o.TaskHint, OTP: o.OTP,
+			})
+		},
+		retrieve: func(peer *pki.Credential, o core.RetrieveOptions) (*pki.Credential, error) {
+			return gateway(peer).Retrieve(ctx, RetrieveRequest{
+				Username: o.Username, Passphrase: o.Passphrase, CredName: o.CredName, TaskHint: o.TaskHint, OTP: o.OTP,
+			})
+		},
+		store: func(peer *pki.Credential, o core.StoreOptions) error {
+			return gateway(peer).Store(ctx, StoreRequest{Username: o.Username, Passphrase: o.Passphrase}, o.Credential)
+		},
+		destroy: func(peer *pki.Credential, username, passphrase string) error {
+			return gateway(peer).Destroy(ctx, DestroyRequest{Username: username, Passphrase: passphrase})
+		},
+		outcome: func(t *testing.T, err error) (class, string) {
+			if err == nil {
+				return "ok", ""
+			}
+			msg, challenge := strings.TrimPrefix(err.Error(), "httpgate: "), ""
+			if i := strings.Index(msg, ` (challenge "`); i >= 0 {
+				msg, challenge = msg[:i], strings.TrimSuffix(msg[i+len(` (challenge "`):], `")`)
+			}
+			c := classOf[msg]
+			if c == "" {
+				t.Fatalf("unclassifiable gateway error: %v", err)
+			}
+			if got := answered.last; got != wantStatus[c] {
+				t.Errorf("gateway answered %q with status %d, want %d", msg, got, wantStatus[c])
+			}
+			return c, challenge
+		},
+	}}
+
+	// seed deposits a delegated proxy of owner straight into the shared
+	// store, shaped by mutate.
+	seed := func(t *testing.T, username string, owner *pki.Credential, mutate func(*credstore.Entry)) {
+		t.Helper()
+		p, err := proxy.New(owner, proxy.Options{Lifetime: 24 * time.Hour, KeyBits: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := &credstore.Entry{Username: username, Owner: owner.Subject()}
+		if err := credstore.SealDelegated(entry, p, []byte(parityPass), 64); err != nil {
+			t.Fatal(err)
+		}
+		if mutate != nil {
+			mutate(entry)
+		}
+		if err := cfg.Store.Put(entry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// delegated asserts a successful GET's identity and clamped lifetime.
+	delegated := func(t *testing.T, cred *pki.Credential, identity *pki.Credential, max time.Duration) {
+		t.Helper()
+		res, err := proxy.Verify(cred.CertChain(), proxy.VerifyOptions{Roots: roots})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IdentityString() != identity.Subject() {
+			t.Errorf("delegated identity %q, want %q", res.IdentityString(), identity.Subject())
+		}
+		if left := cred.TimeLeft(); left > max || left < max-time.Minute {
+			t.Errorf("delegated lifetime %v, want it clamped to %v", left, max)
+		}
+	}
+
+	// Each row runs once per front-end under a user of its own, so rows and
+	// front-ends cannot see each other's entries or OTP chains. run returns
+	// the classes it observed, to be compared with want; counter, when
+	// named, must have moved by exactly one.
+	otpRound := []class{"otp-required", "ok", "bad-passphrase", "otp-exhausted"}
+	rows := []struct {
+		name      string
+		want      []class
+		counter   string
+		beyondGet bool // needs STORE, RETRIEVE or DESTROY, which a session does not carry
+		run       func(t *testing.T, f frontend, user string) []class
+	}{
+		{"server ACL deny", []class{"denied"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			_, err := f.get(mallory, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"unknown user", []class{"not-found"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"bad pass phrase", []class{"bad-passphrase"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: "wrong wrong wrong"})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"retriever list deny", []class{"denied"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, func(e *credstore.Entry) { e.Retrievers = "*/CN=parity-portal.test" })
+			_, err := f.get(other, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"expired entry", []class{"expired"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, func(e *credstore.Entry) { e.NotAfter = time.Now().Add(-time.Hour) })
+			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"clamped GET", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, Lifetime: 10 * time.Hour})
+			c, _ := f.outcome(t, err)
+			if err == nil {
+				delegated(t, cred, alice, 2*time.Hour)
+			}
+			return []class{c}
+		}},
+		{"owner-restricted GET", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, func(e *credstore.Entry) { e.MaxDelegation = 30 * time.Minute })
+			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			if err == nil {
+				delegated(t, cred, alice, 30*time.Minute)
+			}
+			return []class{c}
+		}},
+		{"GET for an ECDSA key", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			keyAlg = pki.AlgECDSAP256
+			defer func() { keyAlg = pki.AlgRSA }()
+			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			if err == nil {
+				if alg, _ := pki.AlgorithmOf(cred.PrivateKey.Public()); alg != pki.AlgECDSAP256 {
+					t.Errorf("delegated key algorithm = %v", alg)
+				}
+			}
+			return []class{c}
+		}},
+		{"wallet selection by task hint", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, func(e *credstore.Entry) { e.Name, e.TaskTags = "compute", []string{"job-submit"} })
+			seed(t, user, bob, func(e *credstore.Entry) { e.Name, e.TaskTags = "data", []string{"file-read", "file-write"} })
+			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, TaskHint: "file-read"})
+			c, _ := f.outcome(t, err)
+			if err == nil {
+				delegated(t, cred, bob, 2*time.Hour)
+			}
+			return []class{c}
+		}},
+		{"OTP on GET: required, accepted, replayed, exhausted", otpRound, "", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			return otpRounds(t, registry, user, f.outcome, func(answer string) error {
+				_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, OTP: answer})
+				return err
+			})
+		}},
+		{"OTP on RETRIEVE: required, accepted, replayed, exhausted", otpRound, "", true, func(t *testing.T, f frontend, user string) []class {
+			if err := f.store(alice, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: alice}); err != nil {
+				t.Fatal(err)
+			}
+			return otpRounds(t, registry, user, f.outcome, func(answer string) error {
+				_, err := f.retrieve(alice, core.RetrieveOptions{Username: user, Passphrase: parityPass, OTP: answer})
+				return err
+			})
+		}},
+		{"RETRIEVE round trip", []class{"ok"}, "retrieves", true, func(t *testing.T, f frontend, user string) []class {
+			if err := f.store(alice, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: alice}); err != nil {
+				t.Fatal(err)
+			}
+			back, err := f.retrieve(alice, core.RetrieveOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			if err == nil && !pki.PublicKeysEqual(back.PrivateKey.Public(), alice.PrivateKey.Public()) {
+				t.Error("retrieved key differs from the deposit")
+			}
+			return []class{c}
+		}},
+		{"RETRIEVE of a delegated entry", []class{"conflict"}, "auth_failures", true, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			_, err := f.retrieve(alice, core.RetrieveOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"STORE overwrite by a non-owner", []class{"conflict"}, "auth_failures", true, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			c, _ := f.outcome(t, f.store(mallory, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: mallory}))
+			return []class{c}
+		}},
+		{"DESTROY by a non-owner", []class{"denied"}, "auth_failures", true, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			c, _ := f.outcome(t, f.destroy(mallory, user, parityPass))
+			return []class{c}
+		}},
+		{"DESTROY by the owner", []class{"ok"}, "destroys", true, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			c, _ := f.outcome(t, f.destroy(alice, user, parityPass))
+			return []class{c}
+		}},
+	}
+	for _, row := range rows {
+		for _, f := range frontends {
+			t.Run(row.name+"/"+f.name, func(t *testing.T) {
+				if row.beyondGet && f.retrieve == nil {
+					t.Skipf("%s does not carry this operation", f.name)
+				}
+				before := f.stats.Snapshot()
+				got := row.run(t, f, testpki.FreshName("parity"))
+				if !slices.Equal(got, row.want) {
+					t.Errorf("outcomes %v, want %v", got, row.want)
+				}
+				if row.counter == "" {
+					return
+				}
+				if delta := f.stats.Snapshot()[row.counter] - before[row.counter]; delta != 1 {
+					t.Errorf("%s moved by %d, want 1", row.counter, delta)
+				}
+			})
+		}
+	}
+}
+
+// otpRounds enrolls user with a chain holding exactly one usable response
+// and plays the four OTP outcomes through attempt: no answer, the right
+// answer, the same answer again, and no answer once the chain is used up.
+func otpRounds(t *testing.T, registry *otp.Registry, user string,
+	outcome func(*testing.T, error) (class, string), attempt func(answer string) error) []class {
+	t.Helper()
+	const secret = "parity otp secret"
+	if err := registry.Register(user, otp.SHA1, secret, "parityseed", 2); err != nil {
+		t.Fatal(err)
+	}
+	required, challenge := outcome(t, attempt(""))
+	answer, err := otp.Respond(challenge, secret)
+	if err != nil {
+		t.Fatalf("challenge %q: %v", challenge, err)
+	}
+	accepted, _ := outcome(t, attempt(answer))
+	replayed, _ := outcome(t, attempt(answer))
+	exhausted, _ := outcome(t, attempt(""))
+	return []class{required, accepted, replayed, exhausted}
+}
+
+// A user enrolled for one-time passwords (§6.3) must answer the challenge
+// on /v1/retrieve exactly as on /v1/get; the gateway used to serve the blob
+// for the replayable pass phrase alone.
+func TestOTPGatesRetrieveOverHTTP(t *testing.T) {
+	registry := otp.NewRegistry()
+	_, base := startGateway(t, func(cfg *core.ServerConfig) { cfg.OTP = registry })
+	alice := testpki.User(t, "gate-alice")
+	cli := newGateClient(t, alice, base)
+	ctx := context.Background()
+	if err := cli.Store(ctx, StoreRequest{Username: "alice", Passphrase: gatePass}, alice); err != nil {
+		t.Fatal(err)
+	}
+	secret := "gateway otp secret"
+	if err := registry.Register("alice", otp.SHA1, secret, "gateseed", 10); err != nil {
+		t.Fatal(err)
+	}
+	code, body := rawPost(t, cli, "/v1/retrieve", `{"username":"alice","passphrase":"`+gatePass+`"}`)
+	if code != http.StatusUnauthorized || !strings.Contains(body, `"challenge"`) {
+		t.Fatalf("retrieve without OTP: status %d, want 401 and a challenge", code)
+	}
+	code, body = rawPost(t, cli, "/v1/retrieve", `{"username":"alice","passphrase":"`+gatePass+`","otp":"AAAA BBBB CCCC DDDD EEEE FFFF"}`)
+	if code != http.StatusForbidden {
+		t.Fatalf("retrieve with a wrong OTP: %d %s, want 403", code, body)
+	}
+}
+
+// The gateway signs any CSR key the wire path signs, including the ones its
+// own client produces for KeyAlgorithm; it used to insist on RSA.
+func TestGetECDSAOverHTTP(t *testing.T) {
+	g, base := startGateway(t, nil)
+	alice := testpki.User(t, "gate-alice")
+	seedViaStore(t, g, "alice", alice)
+	cli := newGateClient(t, testpki.Host(t, "gate-portal.test"), base)
+	cli.KeyAlgorithm = pki.AlgECDSAP256
+	cred, err := cli.Get(context.Background(), GetRequest{Username: "alice", Passphrase: gatePass})
+	if err != nil {
+		t.Fatalf("Get with an ECDSA key: %v", err)
+	}
+	if alg, _ := pki.AlgorithmOf(cred.PrivateKey.Public()); alg != pki.AlgECDSAP256 {
+		t.Errorf("delegated key algorithm = %v", alg)
+	}
+}

@@ -149,6 +149,10 @@ func (s *Server) handle(raw net.Conn) {
 
 	account, ok := s.cfg.Gridmap.Lookup(conn.PeerIdentity())
 	if !ok {
+		// Take the request off the wire before refusing: closing on a
+		// client that is still writing it turns the verdict into a broken
+		// pipe on its side.
+		_, _ = conn.ReadMessage()
 		writeReply(conn, &Reply{Error: "identity not in gridmap"})
 		return
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -114,7 +115,7 @@ func (w *Wallet) SelectForTask(task string, now time.Time) (*Entry, error) {
 	defer w.mu.RUnlock()
 	var best *Entry
 	for _, e := range sortedEntries(w.entries) {
-		if e.Credential.TimeLeftAt(now) <= 0 || !hasTag(e, task) {
+		if e.Credential.TimeLeftAt(now) <= 0 || !slices.Contains(e.Tags, task) {
 			continue
 		}
 		if best == nil ||
@@ -137,15 +138,6 @@ func sortedEntries(m map[string]*Entry) []*Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-func hasTag(e *Entry, tag string) bool {
-	for _, t := range e.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }
 
 // UploadAll deposits every wallet entry in the repository under the given

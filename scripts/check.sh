@@ -20,8 +20,8 @@ fi
 echo "== go build ./..."
 go build ./...
 
-echo "== go test -race ./internal/keypool ./internal/gsi ./internal/core (hot-path concurrency)"
-go test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core
+echo "== go test -race ./internal/keypool ./internal/gsi ./internal/core ./internal/httpgate (hot-path concurrency)"
+go test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core ./internal/httpgate
 
 echo "== go test -race cluster failover smoke (kill-one-replica drill, DESIGN.md §12)"
 go test -race -count=1 ./internal/cluster
