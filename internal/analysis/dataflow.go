@@ -98,18 +98,6 @@ func (fs factSet) join(src factSet) bool {
 	return changed
 }
 
-func (fs factSet) equal(other factSet) bool {
-	if len(fs) != len(other) {
-		return false
-	}
-	for k, v := range fs {
-		if o, ok := other[k]; !ok || o != v {
-			return false
-		}
-	}
-	return true
-}
-
 // clearErrPair drops err pairings referring to obj, called when obj is
 // reassigned.
 func (fs factSet) clearErrPair(obj types.Object) {

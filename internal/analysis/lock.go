@@ -199,18 +199,6 @@ func (ls lockSet) clone() lockSet {
 	return out
 }
 
-func (ls lockSet) equal(other lockSet) bool {
-	if len(ls) != len(other) {
-		return false
-	}
-	for k, v := range ls {
-		if o, ok := other[k]; !ok || o != v {
-			return false
-		}
-	}
-	return true
-}
-
 // joinLock merges two path states: may-union, must-intersection.
 func joinLock(a, b lockInfo) lockInfo {
 	out := lockInfo{

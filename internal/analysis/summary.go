@@ -120,7 +120,6 @@ type taintSinkFlow struct {
 
 func (s *funcSummary) wipesParam(i int) bool  { return s != nil && s.wipes[i] }
 func (s *funcSummary) closesParam(i int) bool { return s != nil && s.closes[i] }
-func (s *funcSummary) leaksParam(i int) bool  { return s != nil && s.leakOnError[i] }
 
 type summaryTable map[string]*funcSummary
 

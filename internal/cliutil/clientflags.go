@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"flag"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -49,18 +48,6 @@ func RegisterClientFlags(fs *flag.FlagSet, defaultCred string) *ClientFlags {
 	}
 }
 
-// ServerAddrs returns the -s value split on commas (one element for a
-// single-node server).
-func (cf *ClientFlags) ServerAddrs() []string {
-	var out []string
-	for _, a := range strings.Split(*cf.Server, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // BuildClient loads the credential and roots and assembles the repository
 // client. A single -s address builds the classic single-node client; a
 // comma-separated list builds a cluster client that shards usernames across
@@ -86,31 +73,13 @@ func (cf *ClientFlags) BuildClient(keyPrompt string) (core.Repository, error) {
 			BaseDelay:   *cf.RetryBackoff,
 		}
 	}
-	timeout := time.Duration(*cf.TimeoutSec) * time.Second
-	addrs := cf.ServerAddrs()
-	if len(addrs) > 1 {
-		nodes := make([]cluster.NodeConfig, len(addrs))
-		for i, a := range addrs {
-			nodes[i] = cluster.NodeConfig{Addr: a}
-		}
-		return cluster.New(cluster.Config{
-			Nodes:             nodes,
-			ReplicationFactor: *cf.Replication,
-			Credential:        cred,
-			Roots:             roots,
-			ExpectedServer:    *cf.ServerDN,
-			KeyAlgorithm:      alg,
-			Timeout:           timeout,
-			Retry:             retry,
-		})
-	}
-	return &core.Client{
-		Credential:     cred,
-		Roots:          roots,
-		Addr:           *cf.Server,
-		ExpectedServer: *cf.ServerDN,
-		KeyAlgorithm:   alg,
-		Timeout:        timeout,
-		Retry:          retry,
-	}, nil
+	return cluster.Open(*cf.Server, cluster.Config{
+		ReplicationFactor: *cf.Replication,
+		Credential:        cred,
+		Roots:             roots,
+		ExpectedServer:    *cf.ServerDN,
+		KeyAlgorithm:      alg,
+		Timeout:           time.Duration(*cf.TimeoutSec) * time.Second,
+		Retry:             retry,
+	})
 }

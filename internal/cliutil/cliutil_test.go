@@ -170,8 +170,8 @@ func TestClientFlagsClusterAddress(t *testing.T) {
 	if err := fs.Parse([]string{"-s", "a:7512, b:7512,c:7512", "-ca", caPath}); err != nil {
 		t.Fatal(err)
 	}
-	if got := cf.ServerAddrs(); len(got) != 3 || got[1] != "b:7512" {
-		t.Fatalf("ServerAddrs = %v", got)
+	if got := cluster.SplitAddrs(*cf.Server); len(got) != 3 || got[1] != "b:7512" {
+		t.Fatalf("SplitAddrs = %v", got)
 	}
 	repo, err := cf.BuildClient("unused")
 	if err != nil {

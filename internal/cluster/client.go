@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -123,34 +124,64 @@ func (c *Client) Ring() *Ring { return c.router.Ring }
 // Replicas returns the replica set for username, primary first.
 func (c *Client) Replicas(username string) []NodeID { return c.router.Replicas(username) }
 
+// SplitAddrs parses a comma-separated address list, dropping empties.
+func SplitAddrs(spec string) []string {
+	var out []string
+	for _, a := range strings.Split(spec, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// Open returns the repository client for a comma-separated address list:
+// one address is served by the plain per-node client, several by a cluster
+// Client over them (cfg.Nodes is taken from the list). Every tool that
+// accepts "host:port[,host:port...]" decides here.
+func Open(spec string, cfg Config) (core.Repository, error) {
+	addrs := SplitAddrs(spec)
+	if len(addrs) < 2 {
+		return cfg.nodeClient(NodeConfig{Addr: strings.Join(addrs, "")}), nil // the one address, or none
+	}
+	cfg.Nodes = make([]NodeConfig, len(addrs))
+	for i, a := range addrs {
+		cfg.Nodes[i] = NodeConfig{Addr: a}
+	}
+	return New(cfg)
+}
+
+// nodeClient builds the repository client for one node: NewRepoClient's, or
+// a core.Client from the template fields.
+func (cfg *Config) nodeClient(n NodeConfig) core.Repository {
+	if cfg.NewRepoClient != nil {
+		return cfg.NewRepoClient(n)
+	}
+	return &core.Client{
+		Credential:     cfg.Credential,
+		Roots:          cfg.Roots,
+		Addr:           n.Addr,
+		ExpectedServer: cfg.ExpectedServer,
+		KeyAlgorithm:   cfg.KeyAlgorithm,
+		KeyBits:        cfg.KeyBits,
+		KeySource:      cfg.KeySource,
+		ProxyType:      cfg.ProxyType,
+		Timeout:        cfg.Timeout,
+		DialContext:    cfg.DialContext,
+		Retry:          cfg.Retry,
+		Stats:          cfg.Stats,
+	}
+}
+
 // node returns (building once) the repository client for id.
 func (c *Client) node(id NodeID) core.Repository {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cl, ok := c.clients[id]; ok {
-		return cl
+	cl, ok := c.clients[id]
+	if !ok {
+		cl = c.cfg.nodeClient(NodeConfig{ID: id, Addr: c.addrs[id]})
+		c.clients[id] = cl
 	}
-	nc := NodeConfig{ID: id, Addr: c.addrs[id]}
-	var cl core.Repository
-	if c.cfg.NewRepoClient != nil {
-		cl = c.cfg.NewRepoClient(nc)
-	} else {
-		cl = &core.Client{
-			Credential:     c.cfg.Credential,
-			Roots:          c.cfg.Roots,
-			Addr:           nc.Addr,
-			ExpectedServer: c.cfg.ExpectedServer,
-			KeyAlgorithm:   c.cfg.KeyAlgorithm,
-			KeyBits:        c.cfg.KeyBits,
-			KeySource:      c.cfg.KeySource,
-			ProxyType:      c.cfg.ProxyType,
-			Timeout:        c.cfg.Timeout,
-			DialContext:    c.cfg.DialContext,
-			Retry:          c.cfg.Retry,
-			Stats:          c.cfg.Stats,
-		}
-	}
-	c.clients[id] = cl
 	return cl
 }
 

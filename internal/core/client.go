@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
@@ -70,16 +69,12 @@ type Client struct {
 	// (Retries, Ambiguous); share one Stats across clients to aggregate.
 	Stats *Stats
 
-	// Connection-establishment fast-path state, built once per Client on
-	// first use: a TLS session cache (keyed per destination address) so
-	// repeat connections resume instead of full-handshaking, and a chain
-	// verification cache so the repository's unchanged credential chain is
-	// not re-walked every operation. Both are transparent to semantics —
-	// peer verification (including revocation) runs on every connection.
-	connOnce    sync.Once
-	tlsCfg      *tls.Config
-	verifyCache *proxy.VerifyCache
-	connErr     error
+	// dialer is the GSI endpoint every operation dials through, built from
+	// the fields above on first use; its TLS session cache and chain
+	// verification cache are what make a long-lived Client's repeat
+	// connections cheap.
+	dialOnce sync.Once
+	dialer   *gsi.Dialer
 }
 
 // keySpec assembles the delegation key spec from the client's settings.
@@ -133,7 +128,7 @@ func (c *Client) exchange(ctx context.Context, fn func(conn *gsi.Conn) error) er
 			return err
 		}
 		defer conn.Close()
-		return fn(conn.Conn)
+		return fn(conn)
 	})
 }
 
@@ -163,79 +158,26 @@ func ambiguous(op string, err error) error {
 	return resilience.Ambiguous(op, err)
 }
 
-// clientConn couples a GSI channel to the operation context: cancelling the
-// context aborts in-flight I/O (not just dialing) by slamming the deadline.
-type clientConn struct {
-	*gsi.Conn
-	stop chan struct{}
-	once sync.Once
-}
-
-func (cc *clientConn) Close() error {
-	cc.once.Do(func() { close(cc.stop) })
-	return cc.Conn.Close()
-}
-
-func (c *Client) connect(ctx context.Context) (*clientConn, error) {
+// connect dials the repository for one attempt: the whole operation — not
+// just the dial — runs under the attempt timeout and ctx (gsi.Dialer).
+func (c *Client) connect(ctx context.Context) (*gsi.Conn, error) {
 	if c.Credential == nil {
 		return nil, resilience.Permanent(errors.New("core: client requires a credential"))
 	}
 	if c.Roots == nil {
 		return nil, resilience.Permanent(errors.New("core: client requires trust roots"))
 	}
-	c.connOnce.Do(func() {
-		c.tlsCfg, c.connErr = gsi.NewClientTLSConfig(c.Credential, tls.NewLRUClientSessionCache(0))
-		c.verifyCache = proxy.NewVerifyCache(0)
-	})
-	if c.connErr != nil {
-		return nil, resilience.Permanent(c.connErr)
-	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	opts := gsi.AuthOptions{
-		Roots:            c.Roots,
-		ExpectedPeer:     c.ExpectedServer,
-		HandshakeTimeout: timeout,
-		Cache:            c.verifyCache,
-		TLSConfig:        c.tlsCfg,
-	}
-	var raw net.Conn
-	var err error
-	if c.DialContext != nil {
-		raw, err = c.DialContext(ctx, "tcp", c.Addr)
-	} else {
-		var d net.Dialer
-		raw, err = d.DialContext(ctx, "tcp", c.Addr)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: dial %s: %w", c.Addr, err)
-	}
-	conn, err := gsi.Client(raw, c.Credential, opts)
-	if err != nil {
-		// gsi.Client leaves the raw conn open when the handshake fails;
-		// it is still ours to close (double-close on a net.Conn is safe).
-		_ = raw.Close()
-		return nil, err
-	}
-	// The whole operation — not just the dial — respects the context: the
-	// deadline is the earlier of the per-attempt timeout and the context's,
-	// and an outright cancellation aborts in-flight I/O immediately.
-	deadline := time.Now().Add(timeout)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(deadline) {
-		deadline = dl
-	}
-	conn.SetDeadline(deadline)
-	cc := &clientConn{Conn: conn, stop: make(chan struct{})}
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Unix(1, 0)) // wake any blocked read/write
-		case <-cc.stop:
+	c.dialOnce.Do(func() {
+		c.dialer = &gsi.Dialer{
+			Credential:   c.Credential,
+			Roots:        c.Roots,
+			Addr:         c.Addr,
+			ExpectedPeer: c.ExpectedServer,
+			Timeout:      c.Timeout,
+			DialContext:  c.DialContext,
 		}
-	}()
-	return cc, nil
+	})
+	return c.dialer.Dial(ctx)
 }
 
 // roundTrip sends req and reads the server's verdict. Server-side verdicts

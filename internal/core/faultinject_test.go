@@ -340,6 +340,12 @@ func TestCloseDrainsInFlightDelegation(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// A second listener that will hand over one more connection after Close
+	// has begun.
+	late := faultnet.NewHandoff()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(late) }()
+	<-late.Accepting
 	if err := srv.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -361,11 +367,13 @@ func TestCloseDrainsInFlightDelegation(t *testing.T) {
 	}); err == nil {
 		t.Error("Get after Close succeeded")
 	}
-	// ...and direct hand-offs are refused and counted.
+	// ...and a connection accepted after Close began is refused and counted.
 	c1, c2 := net.Pipe()
 	defer c1.Close()
 	defer c2.Close()
-	srv.HandleConn(c2)
+	late.Conns <- c2
+	close(late.Conns)
+	<-served
 	if got := srv.Stats().DrainRefusals.Load(); got != 1 {
 		t.Errorf("drain refusals = %d, want 1", got)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/gsi"
 	"repro/internal/pki"
 	"repro/internal/protocol"
-	"repro/internal/proxy"
 )
 
 // exchange runs one protocol exchange on an authenticated channel — a
@@ -25,10 +24,19 @@ func (s *Server) exchange(ch gsi.Channel, sc *unsealCache) error {
 	}
 	req, err := protocol.ParseRequest(reqData)
 	if err != nil {
-		s.respond(ch, protocol.ErrorResponse("malformed request: %v", err))
-		return err
+		return s.reject(ch, protocol.ErrorResponse("malformed request: %v", err), err)
 	}
 	return s.dispatch(ch, req, sc)
+}
+
+// reject answers a request the codec cannot dispatch. The fault is counted
+// and logged before the answer is written, so a client holding the answer
+// finds the counter already moved.
+func (s *Server) reject(ch gsi.Channel, resp *protocol.Response, err error) error {
+	s.svc.stats.Errors.Add(1)
+	s.cfg.logf("request from %s rejected: %v", ch.PeerIdentity(), err)
+	_ = s.respond(ch, resp) // the exchange is over either way
+	return nil
 }
 
 // dispatch routes one parsed request to its codec: each hands the request
@@ -95,11 +103,10 @@ func (s *Server) dispatch(ch gsi.Channel, req *protocol.Request, sc *unsealCache
 		if conn, ok := ch.(*gsi.Conn); ok {
 			return s.serveMultiplexed(conn)
 		}
-		s.respond(ch, protocol.ErrorResponse("SESSION not valid here"))
-		return errors.New("nested SESSION request")
+		return s.reject(ch, protocol.ErrorResponse("SESSION not valid here"), errors.New("nested SESSION request"))
 	default:
-		s.respond(ch, protocol.ErrorResponse("unsupported command %s", req.Command))
-		return fmt.Errorf("unsupported command %d", int(req.Command))
+		return s.reject(ch, protocol.ErrorResponse("unsupported command %s", req.Command),
+			fmt.Errorf("unsupported command %d", int(req.Command)))
 	}
 }
 
@@ -259,9 +266,7 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 			s.cfg.logf("session with %s ended: %v", conn.PeerIdentity(), err)
 			return nil
 		}
-		if _, err := s.verifyCache.Verify(conn.PeerChain(), proxy.VerifyOptions{
-			Roots: s.cfg.Roots, MaxDepth: s.cfg.MaxChainDepth, IsRevoked: s.svc.revocationHook(),
-		}); err != nil {
+		if err := conn.Reverify(); err != nil {
 			s.svc.stats.AuthFailures.Add(1)
 			s.respond(st, protocol.ErrorResponse(deniedMsg))
 			return fmt.Errorf("session peer %s no longer authorized: %w", conn.PeerIdentity(), err)

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,32 +13,13 @@ import (
 	"repro/internal/proxy"
 )
 
-// Server is a MyProxy repository server (paper §4).
+// Server is a MyProxy repository server (paper §4): the repository service
+// behind the MYPROXYv2 codecs, as the handler of a GSI acceptor (which owns
+// the listeners, TLS, authentication, slots and the drain).
 type Server struct {
-	cfg ServerConfig
-	// svc makes every repository decision; this type is its MYPROXYv2
-	// front-end (listener, TLS, sessions, the request codecs).
-	svc *Service
-
-	// tlsCfg is shared across all accepted connections so TLS session
-	// tickets resume (the ticket keys live in the config); verifyCache
-	// memoizes client chain verifications across connections.
-	tlsCfg      *tls.Config
-	verifyCache *proxy.VerifyCache
-
-	// sem, when non-nil, caps concurrently served connections
-	// (cfg.MaxConcurrent); the accept loop blocks on it — backpressure
-	// rather than unbounded goroutine pileup.
-	sem chan struct{}
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{} //myproxy:guardedby mu
-	active    map[net.Conn]struct{}     //myproxy:guardedby mu
-	conns     sync.WaitGroup
-	closed    bool //myproxy:guardedby mu
-	// quit is closed (under mu) to broadcast shutdown; receives are
-	// deliberately lock-free — the channel is its own synchronization.
-	quit chan struct{}
+	cfg      ServerConfig
+	svc      *Service
+	acceptor *gsi.Acceptor
 }
 
 // Stats counts repository operations; all fields are updated atomically.
@@ -110,75 +89,68 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	tlsCfg, err := gsi.NewServerTLSConfig(cfg.Credential)
+	s := &Server{cfg: svc.cfg, svc: svc}
+	s.acceptor, err = gsi.NewAcceptor(gsi.AcceptorConfig{
+		Credential: cfg.Credential,
+		Auth: gsi.AuthOptions{
+			Roots:     cfg.Roots,
+			MaxDepth:  cfg.MaxChainDepth,
+			IsRevoked: svc.revoked,
+			Cache:     cfg.VerifyCache,
+		},
+		SessionTimeout: cfg.RequestTimeout,
+		MessageTimeout: cfg.MessageTimeout,
+		MaxConcurrent:  cfg.MaxConcurrent,
+		DrainTimeout:   cfg.DrainTimeout,
+		Handler:        s.serve,
+		Event:          s.event,
+	})
 	if err != nil {
 		return nil, err
 	}
-	verifyCache := cfg.VerifyCache
-	if verifyCache == nil {
-		verifyCache = proxy.NewVerifyCache(0)
-	}
-	s := &Server{
-		cfg:         svc.cfg,
-		svc:         svc,
-		tlsCfg:      tlsCfg,
-		verifyCache: verifyCache,
-		listeners:   make(map[net.Listener]struct{}),
-		active:      make(map[net.Conn]struct{}),
-		quit:        make(chan struct{}),
-	}
-	if cfg.MaxConcurrent > 0 {
-		s.sem = make(chan struct{}, cfg.MaxConcurrent)
-	}
 	if cfg.PurgeInterval > 0 {
-		go s.sweep(cfg.PurgeInterval)
+		go s.every(cfg.PurgeInterval, s.purge)
 	}
 	if cfg.StatsFile != "" {
-		go s.flushStats()
+		interval := cfg.StatsFlushInterval
+		if interval <= 0 {
+			interval = 30 * time.Second
+		}
+		go s.every(interval, s.flushStats)
 	}
 	return s, nil
 }
 
-// sweep periodically removes expired credentials (dead weight and residual
-// risk on the repository host, paper §5.1).
-func (s *Server) sweep(interval time.Duration) {
+// every runs fn on a period until Close begins.
+func (s *Server) every(interval time.Duration, fn func()) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.quit:
+		case <-s.acceptor.Done():
 			return
 		case <-ticker.C:
-			n, err := credstore.PurgeExpired(s.svc.cfg.Store, s.cfg.now(), false)
-			if err != nil {
-				s.cfg.logf("purge: %v", err)
-				continue
-			}
-			if n > 0 {
-				s.cfg.logf("purged %d expired credential(s)", n)
-			}
+			fn()
 		}
 	}
 }
 
-// flushStats periodically persists the counter snapshot for offline
-// inspection (myproxy-admin stats); a final flush happens in Close.
-func (s *Server) flushStats() {
-	interval := s.cfg.StatsFlushInterval
-	if interval <= 0 {
-		interval = 30 * time.Second
+// purge removes expired credentials (dead weight and residual risk on the
+// repository host, paper §5.1).
+func (s *Server) purge() {
+	n, err := credstore.PurgeExpired(s.svc.cfg.Store, s.cfg.now(), false)
+	if err != nil {
+		s.cfg.logf("purge: %v", err)
+	} else if n > 0 {
+		s.cfg.logf("purged %d expired credential(s)", n)
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-ticker.C:
-			if err := s.svc.stats.WriteFile(s.cfg.StatsFile); err != nil {
-				s.cfg.logf("stats flush: %v", err)
-			}
-		}
+}
+
+// flushStats persists the counter snapshot for offline inspection
+// (myproxy-admin stats): periodically, and a last time in Close.
+func (s *Server) flushStats() {
+	if err := s.svc.stats.WriteFile(s.cfg.StatsFile); err != nil {
+		s.cfg.logf("stats flush: %v", err)
 	}
 }
 
@@ -186,7 +158,7 @@ func (s *Server) flushStats() {
 func (s *Server) Store() credstore.Store { return s.svc.cfg.Store }
 
 // VerifyCache exposes the chain-verification cache (diagnostics, tests).
-func (s *Server) VerifyCache() *proxy.VerifyCache { return s.verifyCache }
+func (s *Server) VerifyCache() *proxy.VerifyCache { return s.acceptor.VerifyCache() }
 
 // SetRevoked atomically replaces the revocation hook — the CRL-reload
 // entry point — and invalidates the verification cache so no cached
@@ -195,7 +167,7 @@ func (s *Server) VerifyCache() *proxy.VerifyCache { return s.verifyCache }
 // session is resumed.
 func (s *Server) SetRevoked(fn func(*x509.Certificate) bool) {
 	s.svc.isRevoked.Store(fn)
-	s.verifyCache.Invalidate()
+	s.acceptor.VerifyCache().Invalidate()
 }
 
 // Stats exposes the operation counters.
@@ -215,175 +187,41 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve accepts connections on ln until Close. It always returns a non-nil
 // error; after Close the error is net.ErrClosed.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close() // refusing the listener; close is best-effort
-		return net.ErrClosed
-	}
-	s.listeners[ln] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.listeners, ln)
-		s.mu.Unlock()
-	}()
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		if !s.acquire(raw) {
-			continue
-		}
-		go func() {
-			defer s.release()
-			s.handleRaw(raw)
-		}()
-	}
-}
-
-// acquire claims a serving slot for raw, blocking while the server is at
-// MaxConcurrent (accept backpressure), and registers the session with the
-// drain WaitGroup. It refuses — closing raw and counting a drain refusal —
-// when the server shuts down first. The WaitGroup Add happens under mu
-// against the closed flag, so Close's Wait can never race a late Add.
-func (s *Server) acquire(raw net.Conn) bool {
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.quit:
-			s.refuse(raw)
-			return false
-		}
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		if s.sem != nil {
-			<-s.sem
-		}
-		s.refuse(raw)
-		return false
-	}
-	s.conns.Add(1)
-	s.mu.Unlock()
-	return true
-}
-
-func (s *Server) release() {
-	if s.sem != nil {
-		<-s.sem
-	}
-	s.conns.Done()
-}
-
-func (s *Server) refuse(raw net.Conn) {
-	s.svc.stats.DrainRefusals.Add(1)
-	s.cfg.logf("refused connection from %v: server draining", raw.RemoteAddr())
-	_ = raw.Close() // refusing the peer; close is best-effort
-}
-
-// track registers an in-flight connection so a drain timeout can cut it off.
-func (s *Server) track(raw net.Conn) {
-	s.mu.Lock()
-	s.active[raw] = struct{}{}
-	s.mu.Unlock()
-}
-
-func (s *Server) untrack(raw net.Conn) {
-	s.mu.Lock()
-	delete(s.active, raw)
-	s.mu.Unlock()
-}
+func (s *Server) Serve(ln net.Listener) error { return s.acceptor.Serve(ln) }
 
 // Close stops accepting (new connections are refused), lets in-flight
 // sessions drain for up to DrainTimeout (indefinitely when 0), then
 // force-closes stragglers. It also stops the purge sweeper and flushes the
 // stats file.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-	}
-	for ln := range s.listeners {
-		if err := ln.Close(); err != nil {
-			s.cfg.logf("close listener: %v", err)
-		}
-	}
-	s.mu.Unlock()
-
-	drained := make(chan struct{})
-	go func() {
-		s.conns.Wait()
-		close(drained)
-	}()
-	if s.cfg.DrainTimeout > 0 {
-		timer := time.NewTimer(s.cfg.DrainTimeout)
-		defer timer.Stop()
-		select {
-		case <-drained:
-		case <-timer.C:
-			s.mu.Lock()
-			for raw := range s.active {
-				s.svc.stats.ForcedCloses.Add(1)
-				s.cfg.logf("drain timeout: force-closing session with %v", raw.RemoteAddr())
-				_ = raw.Close() // cutting the session off; close is best-effort
-			}
-			s.mu.Unlock()
-			<-drained
-		}
-	} else {
-		<-drained
-	}
+	err := s.acceptor.Close()
 	if s.cfg.StatsFile != "" {
-		if err := s.svc.stats.WriteFile(s.cfg.StatsFile); err != nil {
-			s.cfg.logf("stats flush: %v", err)
-		}
+		s.flushStats()
 	}
-	return nil
+	return err
 }
 
-// handleRaw authenticates and serves one client session.
-func (s *Server) handleRaw(raw net.Conn) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.svc.stats.Errors.Add(1)
-			s.cfg.logf("panic serving %v: %v", raw.RemoteAddr(), r)
-			_ = raw.Close() // session is already broken; close is best-effort
-		}
-	}()
-	s.track(raw)
-	defer s.untrack(raw)
-	timeout := s.cfg.RequestTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	msgTimeout := s.cfg.MessageTimeout
-	if msgTimeout <= 0 || msgTimeout > timeout {
-		msgTimeout = timeout
-	}
-	conn, err := gsi.Server(raw, s.cfg.Credential, gsi.AuthOptions{
-		Roots:            s.cfg.Roots,
-		MaxDepth:         s.cfg.MaxChainDepth,
-		IsRevoked:        s.svc.revocationHook(),
-		HandshakeTimeout: msgTimeout,
-		Cache:            s.verifyCache,
-		TLSConfig:        s.tlsCfg,
-	})
-	if err != nil {
+// event keeps the acceptor's reports in the repository's counters and log.
+func (s *Server) event(ev gsi.Event, peer net.Addr, err error) {
+	switch ev {
+	case gsi.EventAuthFailed:
 		s.svc.stats.AuthFailures.Add(1)
-		s.cfg.logf("authentication failed from %v: %v", raw.RemoteAddr(), err)
-		return
+		s.cfg.logf("authentication failed from %v: %v", peer, err)
+	case gsi.EventRefused:
+		s.svc.stats.DrainRefusals.Add(1)
+		s.cfg.logf("refused connection from %v: server draining", peer)
+	case gsi.EventForceClosed:
+		s.svc.stats.ForcedCloses.Add(1)
+		s.cfg.logf("drain timeout: force-closing session with %v", peer)
+	case gsi.EventPanic:
+		s.svc.stats.Errors.Add(1)
+		s.cfg.logf("panic serving %v: %v", peer, err)
 	}
-	defer conn.Close()
+}
+
+// serve runs one authenticated client session.
+func (s *Server) serve(conn *gsi.Conn) {
 	s.svc.stats.Connections.Add(1)
-	// Per-message deadlines inside the session cap (slowloris guard): each
-	// message must complete within msgTimeout, the session within timeout.
-	conn.SetSessionDeadline(time.Now().Add(timeout))
-	conn.SetMessageTimeout(msgTimeout)
 	if err := s.exchange(conn, nil); err != nil {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
@@ -394,15 +232,4 @@ func (s *Server) handleRaw(raw net.Conn) {
 		s.svc.stats.Errors.Add(1)
 		s.cfg.logf("session with %s: %v", conn.PeerIdentity(), err)
 	}
-}
-
-// HandleConn serves one pre-established raw connection synchronously
-// (used by tests and the simulation harness). It obeys the same slot and
-// drain rules as accepted connections.
-func (s *Server) HandleConn(raw net.Conn) {
-	if !s.acquire(raw) {
-		return
-	}
-	defer s.release()
-	s.handleRaw(raw)
 }

@@ -56,9 +56,10 @@ func (s *Service) Backend() credstore.Store { return s.cfg.Store }
 // front-end carried the request.
 func (s *Service) Stats() *Stats { return &s.stats }
 
-func (s *Service) revocationHook() func(*x509.Certificate) bool {
+// revoked consults the revocation hook current at the time of the call.
+func (s *Service) revoked(c *x509.Certificate) bool {
 	fn, _ := s.isRevoked.Load().(func(*x509.Certificate) bool)
-	return fn
+	return fn != nil && fn(c)
 }
 
 // VerdictKind classes a refusal. Front-ends map the class onto their own
@@ -256,7 +257,7 @@ func (s *Service) Put(peer string, req *protocol.Request, receive func(pki.KeySp
 	// clients may only deposit their own credentials. The chain's leaf is
 	// freshly minted, so this verification is never cache-served.
 	res, err := proxy.Verify(cred.CertChain(), proxy.VerifyOptions{
-		Roots: s.cfg.Roots, MaxDepth: s.cfg.MaxChainDepth, IsRevoked: s.revocationHook(),
+		Roots: s.cfg.Roots, MaxDepth: s.cfg.MaxChainDepth, IsRevoked: s.revoked,
 	})
 	if err != nil {
 		return &Verdict{Kind: VerdictInvalid, Public: "delegated chain invalid: " + err.Error(), Err: err}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"repro/internal/gsi"
 	"repro/internal/pki"
@@ -25,9 +23,8 @@ import (
 // connection per exchange — same results, original cost profile.
 type Session struct {
 	c *Client
-	// conn and mux are nil in a degraded session.
-	conn *clientConn
-	mux  *gsi.Session
+	// mux is nil in a degraded session.
+	mux *gsi.Session
 }
 
 // NewSession opens a multiplexed session with the repository. The context
@@ -43,7 +40,7 @@ func (c *Client) NewSession(ctx context.Context) (*Session, error) {
 	// The hello carries no operation; USERNAME is required by the message
 	// format, so the placeholder "-" goes on the wire.
 	hello := &protocol.Request{Command: protocol.CmdSession, Username: "-"}
-	if _, err := c.roundTrip(conn.Conn, hello, ""); err != nil {
+	if _, err := c.roundTrip(conn, hello, ""); err != nil {
 		_ = conn.Close() // single-purpose conn; close is best-effort
 		if protocol.IsServerVerdict(err) {
 			// "Unsupported command" from a legacy server or "session mode
@@ -52,21 +49,11 @@ func (c *Client) NewSession(ctx context.Context) (*Session, error) {
 		}
 		return nil, err
 	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
+	mux, err := conn.Multiplex()
+	if err != nil {
+		return nil, err
 	}
-	// Streams inherit the per-message budget; the connection-wide absolute
-	// deadline connect() armed for a single exchange would cut the session
-	// short, so it is lifted — the context (via connect's watchdog) and the
-	// server's session cap bound the lifetime instead.
-	conn.SetMessageTimeout(timeout)
-	mux := gsi.NewClientSession(conn.Conn)
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		_ = conn.Close() // already failing; close is best-effort
-		return nil, fmt.Errorf("core: lift session deadline: %w", err)
-	}
-	return &Session{c: c, conn: conn, mux: mux}, nil
+	return &Session{c: c, mux: mux}, nil
 }
 
 // Multiplexed reports whether the session actually multiplexes; false
@@ -79,11 +66,7 @@ func (s *Session) Close() error {
 	if s.mux == nil {
 		return nil
 	}
-	_ = s.mux.Close() // closes the transport below too
-	if err := s.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-		return err
-	}
-	return nil
+	return s.mux.Close() // closes the connection below too
 }
 
 // Get retrieves a delegated proxy credential over the session (one stream;

@@ -178,6 +178,38 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
+// Handoff is a listener the test feeds by hand: Accept returns what is sent
+// on Conns, and keeps doing so after Close — the connection the kernel had
+// already queued when the listener went down — until Conns is closed.
+type Handoff struct {
+	Conns chan net.Conn
+	// Accepting is closed on the first Accept: whoever serves the listener
+	// has registered it by then.
+	Accepting chan struct{}
+	once      sync.Once
+}
+
+// NewHandoff builds an empty hand-fed listener.
+func NewHandoff() *Handoff {
+	return &Handoff{Conns: make(chan net.Conn), Accepting: make(chan struct{})}
+}
+
+// Accept blocks for the next hand-fed connection.
+func (h *Handoff) Accept() (net.Conn, error) {
+	h.once.Do(func() { close(h.Accepting) })
+	c, ok := <-h.Conns
+	if !ok {
+		return nil, net.ErrClosed
+	}
+	return c, nil
+}
+
+// Close is a no-op: only closing Conns ends Accept.
+func (h *Handoff) Close() error { return nil }
+
+// Addr reports a placeholder address.
+func (h *Handoff) Addr() net.Addr { return &net.UnixAddr{Name: "handoff", Net: "pipe"} }
+
 // Conn wraps a net.Conn and applies one Plan.
 type Conn struct {
 	net.Conn
@@ -195,6 +227,14 @@ type Conn struct {
 // WrapConn applies plan to an existing connection.
 func WrapConn(raw net.Conn, plan Plan) *Conn {
 	return &Conn{Conn: raw, plan: plan, closed: make(chan struct{})}
+}
+
+// Stall makes every later Read stall, as if Plan.StallReads had tripped now:
+// the link goes silent under a peer that keeps it open.
+func (c *Conn) Stall() {
+	c.mu.Lock()
+	c.plan.StallReads, c.plan.StallAfterReads = true, 0
+	c.mu.Unlock()
 }
 
 // reset tears down the underlying connection and reports the injected error.

@@ -3,7 +3,6 @@ package gram
 import (
 	"context"
 	"crypto/x509"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -31,104 +30,52 @@ type Client struct {
 	// it; nil selects net.Dialer).
 	DialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 
+	// conn is the held-connection GSI caller every operation goes through,
+	// built from the fields above on first use.
 	mu   sync.Mutex
-	conn *gsi.Conn
+	conn *gsi.Caller
 }
 
-// timeout is the per-exchange I/O bound (dial, handshake, and each
-// request/reply round trip).
-func (c *Client) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
-}
-
-func (c *Client) connection() (*gsi.Conn, error) {
-	if c.conn != nil {
-		return c.conn, nil
-	}
-	timeout := c.timeout()
-	dial := c.DialContext
-	if dial == nil {
-		dial = (&net.Dialer{}).DialContext
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	raw, err := dial(ctx, "tcp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("gram: dial %s: %w", c.Addr, err)
-	}
-	conn, err := gsi.Client(raw, c.Credential, gsi.AuthOptions{
-		Roots:            c.Roots,
-		ExpectedPeer:     c.ExpectedServer,
-		HandshakeTimeout: timeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	conn.SetDeadline(time.Now().Add(timeout))
-	c.conn = conn
-	return conn, nil
-}
-
-// Close terminates the client's session.
-func (c *Client) Close() error {
+func (c *Client) caller() *gsi.Caller {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		return nil
+		c.conn = &gsi.Caller{Dialer: gsi.Dialer{
+			Credential:   c.Credential,
+			Roots:        c.Roots,
+			Addr:         c.Addr,
+			ExpectedPeer: c.ExpectedServer,
+			Timeout:      c.Timeout,
+			DialContext:  c.DialContext,
+		}}
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return c.conn
 }
 
+// Close terminates the client's session.
+func (c *Client) Close() error { return c.caller().Close() }
+
+// call runs one request/reply exchange — with the job's delegation between
+// the two when delegate is set — on the held session.
 func (c *Client) call(req *Request, delegate bool) (*Reply, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	conn, err := c.connection()
-	if err != nil {
-		return nil, err
-	}
-	// Re-arm the I/O deadline for this exchange: the deadline set at dial
-	// time is absolute, so on a long-lived client every later call would
-	// otherwise run against an already-expired (or imminently expiring)
-	// bound and fail spuriously — or, with no deadline, block forever
-	// under c.mu.
-	if err := conn.SetDeadline(time.Now().Add(c.timeout())); err != nil {
-		c.conn = nil
-		return nil, fmt.Errorf("gram: arm deadline: %w", err)
-	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.WriteMessage(data); err != nil {
-		c.conn = nil
-		return nil, err
-	}
+	var between func(*gsi.Conn) error
 	if delegate {
-		lifetime := c.DelegationLifetime
-		if lifetime <= 0 {
-			lifetime = 2 * time.Hour
+		between = func(conn *gsi.Conn) error {
+			lifetime := c.DelegationLifetime
+			if lifetime <= 0 {
+				lifetime = 2 * time.Hour
+			}
+			if _, err := gsi.Delegate(conn, c.Credential, proxy.Options{
+				Type:     c.DelegationType,
+				Lifetime: lifetime,
+			}); err != nil {
+				return fmt.Errorf("gram: delegate to job: %w", err)
+			}
+			return nil
 		}
-		//myproxy:allow lockcheck c.mu intentionally serializes the shared conn for the whole request/reply exchange; the per-call deadline armed above bounds it
-		if _, err := gsi.Delegate(conn, c.Credential, proxy.Options{
-			Type:     c.DelegationType,
-			Lifetime: lifetime,
-		}); err != nil {
-			c.conn = nil
-			return nil, fmt.Errorf("gram: delegate to job: %w", err)
-		}
-	}
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		c.conn = nil
-		return nil, err
 	}
 	var reply Reply
-	if err := json.Unmarshal(msg, &reply); err != nil {
+	if err := c.caller().Exchange(req, &reply, between); err != nil {
 		return nil, err
 	}
 	if !reply.OK {

@@ -1,7 +1,9 @@
 package gram
 
 import (
+	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -70,5 +72,36 @@ func TestClientToleratesDegradedLink(t *testing.T) {
 	}
 	if _, err := c.Wait(job.ID, 5*time.Second); err != nil {
 		t.Fatalf("Wait over degraded link: %v", err)
+	}
+}
+
+// A call that fails mid-exchange gives its session up: the client closes the
+// connection it failed on, so the server has no session left to wait out and
+// its Close returns at once rather than at the session cap.
+func TestFailedCallReleasesServerSession(t *testing.T) {
+	srv, addr := startGRAM(t, nil)
+	c := newGRAMClient(t, userProxy(t, proxy.Options{}), addr)
+	c.Timeout = 500 * time.Millisecond
+	var link *faultnet.Conn
+	c.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		var nd net.Dialer
+		raw, err := nd.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		link = faultnet.WrapConn(raw, faultnet.Plan{})
+		return link, nil
+	}
+	if _, err := c.List(); err != nil {
+		t.Fatal(err)
+	}
+	link.Stall() // the link goes silent; the transport stays open
+	if _, err := c.List(); err == nil {
+		t.Fatal("call over a silent link succeeded")
+	}
+	start := time.Now()
+	srv.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("server Close took %v: the failed call left its session open", elapsed)
 	}
 }

@@ -111,20 +111,16 @@ type RenewalOptions struct {
 	KeyBits int
 }
 
-// Server is the job manager.
+// Server is the job manager: the handler of a GSI acceptor.
 type Server struct {
-	cfg     Config
-	runners map[string]Runner
+	cfg      Config
+	runners  map[string]Runner
+	acceptor *gsi.Acceptor
 
 	mu     sync.Mutex
 	nextID int
 	jobs   map[string]*job
-
-	lnMu      sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     sync.WaitGroup
-	jobsWG    sync.WaitGroup
-	closed    bool
+	jobsWG sync.WaitGroup
 }
 
 type job struct {
@@ -141,45 +137,27 @@ func NewServer(cfg Config) (*Server, error) {
 	if runners == nil {
 		runners = BuiltinRunners(cfg.Roots)
 	}
-	return &Server{
-		cfg:       cfg,
-		runners:   runners,
-		jobs:      make(map[string]*job),
-		listeners: make(map[net.Listener]struct{}),
-	}, nil
+	s := &Server{cfg: cfg, runners: runners, jobs: make(map[string]*job)}
+	var err error
+	s.acceptor, err = gsi.NewAcceptor(gsi.AcceptorConfig{
+		Credential:     cfg.Credential,
+		Auth:           gsi.AuthOptions{Roots: cfg.Roots},
+		SessionTimeout: cfg.SessionTimeout,
+		Handler:        s.serve,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Serve accepts sessions until Close.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	if s.closed {
-		s.lnMu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	s.listeners[ln] = struct{}{}
-	s.lnMu.Unlock()
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		s.conns.Add(1)
-		go func() {
-			defer s.conns.Done()
-			s.handle(raw)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.acceptor.Serve(ln) }
 
-// Close stops listeners, cancels jobs, and waits for everything to drain.
+// Close stops accepting, waits for sessions to end, cancels jobs, and waits
+// for those to finish.
 func (s *Server) Close() error {
-	s.lnMu.Lock()
-	s.closed = true
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	s.lnMu.Unlock()
+	err := s.acceptor.Close()
 	s.mu.Lock()
 	for _, j := range s.jobs {
 		if j.cancel != nil {
@@ -187,9 +165,8 @@ func (s *Server) Close() error {
 		}
 	}
 	s.mu.Unlock()
-	s.conns.Wait()
 	s.jobsWG.Wait()
-	return nil
+	return err
 }
 
 // WaitIdle blocks until no jobs are pending or active (tests, examples).
@@ -214,61 +191,26 @@ func (s *Server) WaitIdle(timeout time.Duration) error {
 	}
 }
 
-func (s *Server) handle(raw net.Conn) {
-	timeout := s.cfg.SessionTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	conn, err := gsi.Server(raw, s.cfg.Credential, gsi.AuthOptions{
-		Roots:            s.cfg.Roots,
-		HandshakeTimeout: timeout,
-	})
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-
-	account, ok := s.cfg.Gridmap.Lookup(conn.PeerIdentity())
-	if !ok {
-		s.reply(conn, &Reply{Error: "identity not in gridmap"})
-		return
-	}
-	for {
-		msg, err := conn.ReadMessage()
-		if err != nil {
-			return
-		}
+// serve runs one authenticated session: any number of operations.
+func (s *Server) serve(conn *gsi.Conn) {
+	owner := conn.PeerIdentity()
+	s.cfg.Gridmap.Serve(conn, &Reply{Error: "identity not in gridmap"}, func(account string, msg []byte) (any, bool) {
 		var req Request
 		if err := json.Unmarshal(msg, &req); err != nil {
-			s.reply(conn, &Reply{Error: "malformed request"})
-			return
+			return &Reply{Error: "malformed request"}, true
 		}
-		var r *Reply
 		switch req.Op {
 		case "submit":
-			r = s.handleSubmit(conn, account, &req)
+			return s.handleSubmit(conn, account, &req), false
 		case "status":
-			r = s.handleStatus(conn.PeerIdentity(), req.JobID)
+			return s.handleStatus(owner, req.JobID), false
 		case "list":
-			r = s.handleList(conn.PeerIdentity())
+			return s.handleList(owner), false
 		case "cancel":
-			r = s.handleCancel(conn.PeerIdentity(), req.JobID)
-		default:
-			r = &Reply{Error: fmt.Sprintf("unknown op %q", req.Op)}
+			return s.handleCancel(owner, req.JobID), false
 		}
-		if err := s.reply(conn, r); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) reply(conn *gsi.Conn, r *Reply) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return conn.WriteMessage(data)
+		return &Reply{Error: fmt.Sprintf("unknown op %q", req.Op)}, false
+	})
 }
 
 func (s *Server) handleSubmit(conn *gsi.Conn, account string, req *Request) *Reply {

@@ -29,7 +29,7 @@ type AuthOptions struct {
 	// "MyProxy clients also require mutual authentication of the
 	// repository").
 	ExpectedPeer string
-	// HandshakeTimeout bounds the TLS handshake (0 = 30s).
+	// HandshakeTimeout bounds the TLS handshake (0 = DefaultTimeout).
 	HandshakeTimeout time.Duration
 	// Cache, when non-nil, memoizes peer chain verifications (see
 	// proxy.VerifyCache). Revocation is re-checked on every hit, so a CRL
@@ -84,6 +84,13 @@ type Conn struct {
 	// exchange regardless of per-message progress.
 	msgTimeout      time.Duration
 	sessionDeadline time.Time
+
+	// auth is what the peer was authenticated under, kept for Reverify.
+	auth AuthOptions
+	// timeout is the per-use budget of a dialed connection (see Dialer);
+	// stop, when non-nil, detaches it from the context it was dialed under.
+	timeout time.Duration
+	stop    func() bool
 }
 
 // tlsCertificate assembles the TLS leaf+chain from a Grid credential. The
@@ -172,12 +179,15 @@ func authenticatePeer(tc *tls.Conn, opts AuthOptions) (*proxy.Result, error) {
 	return res, nil
 }
 
-func handshakeDeadline(opts AuthOptions) time.Time {
-	d := opts.HandshakeTimeout
+// DefaultTimeout bounds a handshake, an accepted session and one use of a
+// dialed connection wherever the configured bound is left at zero.
+const DefaultTimeout = 30 * time.Second
+
+func orDefault(d time.Duration) time.Duration {
 	if d <= 0 {
-		d = 30 * time.Second
+		return DefaultTimeout
 	}
-	return time.Now().Add(d)
+	return d
 }
 
 // Dial opens a GSI channel to addr, authenticating with cred and verifying
@@ -188,72 +198,51 @@ func Dial(ctx context.Context, network, addr string, cred *pki.Credential, opts 
 	if err != nil {
 		return nil, fmt.Errorf("gsi: dial %s: %w", addr, err)
 	}
-	conn, err := Client(raw, cred, opts)
-	if err != nil {
-		_ = raw.Close() // already failing; close is best-effort
-		return nil, err
-	}
-	return conn, nil
+	return Client(raw, cred, opts)
 }
 
 // Client wraps an established net.Conn as the initiating side of a GSI
 // channel.
 func Client(raw net.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
-	cfg := opts.TLSConfig
-	if cfg == nil {
-		var err error
-		cfg, err = baseTLSConfig(cred)
-		if err != nil {
-			return nil, err
-		}
-	}
-	tc := tls.Client(raw, cfg)
-	if err := completeHandshake(tc, raw, opts); err != nil {
-		return nil, err
-	}
-	peer, err := authenticatePeer(tc, opts)
-	if err != nil {
-		// Close the raw conn, not the TLS conn: writing close_notify can
-		// block when the rejected peer is not reading.
-		_ = raw.Close() // rejecting the peer; close is best-effort
-		return nil, err
-	}
-	return &Conn{tls: tc, Peer: peer, Local: cred, Resumed: tc.ConnectionState().DidResume, maxFrame: DefaultMaxFrame}, nil
+	return handshake(raw, cred, opts, tls.Client)
 }
 
 // Server wraps an accepted net.Conn as the responding side of a GSI channel,
 // requiring and verifying a client certificate chain.
 func Server(raw net.Conn, cred *pki.Credential, opts AuthOptions) (*Conn, error) {
+	return handshake(raw, cred, opts, tls.Server)
+}
+
+// handshake runs the TLS handshake in the given role under its timeout and
+// authenticates the peer. On failure it closes raw — not the TLS conn, whose
+// close_notify can block on a rejected peer that is not reading.
+func handshake(raw net.Conn, cred *pki.Credential, opts AuthOptions, role func(net.Conn, *tls.Config) *tls.Conn) (conn *Conn, err error) {
+	defer func() {
+		if err != nil {
+			_ = raw.Close() // already failing; close is best-effort
+		}
+	}()
 	cfg := opts.TLSConfig
 	if cfg == nil {
-		var err error
-		cfg, err = baseTLSConfig(cred)
-		if err != nil {
+		if cfg, err = baseTLSConfig(cred); err != nil {
 			return nil, err
 		}
 	}
-	tc := tls.Server(raw, cfg)
-	if err := completeHandshake(tc, raw, opts); err != nil {
+	tc := role(raw, cfg)
+	if err := tc.SetDeadline(time.Now().Add(orDefault(opts.HandshakeTimeout))); err != nil {
+		return nil, err
+	}
+	if err := tc.Handshake(); err != nil {
+		return nil, fmt.Errorf("gsi: handshake: %w", err)
+	}
+	if err := tc.SetDeadline(time.Time{}); err != nil {
 		return nil, err
 	}
 	peer, err := authenticatePeer(tc, opts)
 	if err != nil {
-		_ = raw.Close() // rejecting the peer; close is best-effort
 		return nil, err
 	}
-	return &Conn{tls: tc, Peer: peer, Local: cred, Resumed: tc.ConnectionState().DidResume, maxFrame: DefaultMaxFrame}, nil
-}
-
-func completeHandshake(tc *tls.Conn, raw net.Conn, opts AuthOptions) error {
-	if err := tc.SetDeadline(handshakeDeadline(opts)); err != nil {
-		_ = raw.Close() // already failing; close is best-effort
-		return err
-	}
-	if err := tc.Handshake(); err != nil {
-		_ = raw.Close() // already failing; close is best-effort
-		return fmt.Errorf("gsi: handshake: %w", err)
-	}
-	return tc.SetDeadline(time.Time{})
+	return &Conn{tls: tc, Peer: peer, Local: cred, Resumed: tc.ConnectionState().DidResume, maxFrame: DefaultMaxFrame, auth: opts}, nil
 }
 
 // SetMessageTimeout arms a per-message deadline: every subsequent
@@ -302,21 +291,28 @@ func (c *Conn) ReadMessage() ([]byte, error) {
 func (c *Conn) SetDeadline(t time.Time) error { return c.tls.SetDeadline(t) }
 
 // Close terminates the channel.
-func (c *Conn) Close() error { return c.tls.Close() }
+func (c *Conn) Close() error {
+	if c.stop != nil {
+		c.stop()
+	}
+	return c.tls.Close()
+}
+
+// Reverify re-runs peer verification on the chain presented at the
+// handshake, under the options the connection was authenticated with: the
+// verify cache keeps it cheap, the revocation hook is consulted afresh.
+// Multiplexed sessions call it per stream so a revocation takes effect
+// mid-session.
+func (c *Conn) Reverify() error {
+	_, err := authenticatePeer(c.tls, c.auth)
+	return err
+}
 
 // PeerIdentity returns the authenticated Grid identity of the remote side.
 func (c *Conn) PeerIdentity() string { return c.Peer.IdentityString() }
 
 // LocalCredential returns the credential this side authenticated with.
 func (c *Conn) LocalCredential() *pki.Credential { return c.Local }
-
-// PeerChain returns the raw certificate chain the peer presented in the
-// TLS handshake (or, on a resumed session, the chain restored from session
-// state). Multiplexed sessions re-verify it per stream so a revocation
-// takes effect mid-session.
-func (c *Conn) PeerChain() []*x509.Certificate {
-	return c.tls.ConnectionState().PeerCertificates
-}
 
 // RemoteAddr reports the remote network address.
 func (c *Conn) RemoteAddr() net.Addr { return c.tls.RemoteAddr() }

@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,6 +42,32 @@ func (g *Gridmap) Lookup(dn string) (account string, ok bool) {
 	defer g.mu.RUnlock()
 	account, ok = g.entries[dn]
 	return account, ok
+}
+
+// Serve is the front door of a gridmap-authorized service (paper §2.1) on
+// one authenticated connection, speaking JSON messages. An unmapped identity
+// is refused with unmapped; a mapped one has its requests handed to handle
+// one at a time, each answered with the reply handle returns, until the peer
+// hangs up or handle calls a reply the session's last.
+func (g *Gridmap) Serve(conn *Conn, unmapped any, handle func(account string, request []byte) (reply any, last bool)) {
+	account, ok := g.Lookup(conn.PeerIdentity())
+	if !ok {
+		if refusal, err := json.Marshal(unmapped); err == nil {
+			_ = conn.Refuse(refusal) // the peer is refused either way
+		}
+		return
+	}
+	for {
+		request, err := conn.ReadMessage()
+		if err != nil {
+			return
+		}
+		reply, last := handle(account, request)
+		data, err := json.Marshal(reply)
+		if err != nil || conn.WriteMessage(data) != nil || last {
+			return
+		}
+	}
 }
 
 // Len reports the number of mappings.

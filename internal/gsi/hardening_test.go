@@ -87,10 +87,11 @@ func TestRequestDelegationRejectsUntrustedChain(t *testing.T) {
 func TestConnAfterCloseFails(t *testing.T) {
 	user := testpki.User(t, "harden-alice")
 	portal := testpki.Host(t, "harden-portal.test")
-	cli, _, err := connectPair(t, user, portal, defaultOpts(t), defaultOpts(t))
+	cli, srv, err := connectPair(t, user, portal, defaultOpts(t), defaultOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.ReadMessage() // a pipe has no buffer: Close's close_notify needs a reader
 	cli.Close()
 	if err := cli.WriteMessage([]byte("after close")); err == nil {
 		t.Error("write after close succeeded")

@@ -20,11 +20,12 @@ import (
 // Roles are asymmetric, matching the protocol: the initiating side opens
 // streams (Open), the accepting side receives them (Accept). A stream is
 // opened implicitly by its first frame — no open/ack round trip — so a
-// pipelined exchange costs zero extra flights.
+// pipelined exchange costs zero extra flights. That frame is also where the
+// stream takes its id, so ids are sequential on the wire by construction.
 //
 // Authentication happens once, at connection setup; revocation must not.
 // The accepting side is expected to re-verify the peer chain (Conn's
-// PeerChain, through a VerifyCache whose hits re-check revocation) before
+// Reverify, through a VerifyCache whose hits re-check revocation) before
 // serving each accepted stream, so a CRL reload refuses a revoked peer on
 // the very next stream of an already-open session.
 
@@ -54,8 +55,8 @@ type Session struct {
 
 	mu      sync.Mutex
 	streams map[uint32]*Stream
-	nextID  uint32 // initiator: next stream id to allocate
-	maxSeen uint32 // acceptor: highest id seen, to refuse id reuse
+	nextID  uint32 // initiator: id the next stream takes at its first write
+	maxSeen uint32 // acceptor: highest id seen; the next stream is maxSeen+1
 	err     error  // first fatal error; set once
 
 	accept chan *Stream
@@ -93,11 +94,6 @@ func NewClientSession(conn *Conn) *Session { return newSession(conn, true) }
 // NewServerSession starts multiplexed mode on the accepting side.
 func NewServerSession(conn *Conn) *Session { return newSession(conn, false) }
 
-// Conn exposes the underlying connection (peer chain re-verification,
-// deadline management). The caller must not read or write raw frames on
-// it while the session is live.
-func (s *Session) Conn() *Conn { return s.conn }
-
 // readLoop is the single reader: it routes each incoming frame to its
 // stream, creating acceptor-side streams on first sight of a new id.
 func (s *Session) readLoop() {
@@ -114,16 +110,24 @@ func (s *Session) readLoop() {
 	}
 }
 
-// route delivers one frame. Frames for ids the local side has already
-// released are dropped: with strict request/response streams that only
-// happens in benign shutdown races, never as lost protocol state.
+// route delivers one frame. The initiator takes ids in wire order (see
+// writeFrame), so the accepting side's next stream is always maxSeen+1: an
+// id that skips ahead would leave a never-seen id below the high-water
+// mark, and ends the session instead. Frames for ids the local side has
+// already released are dropped: with strict request/response streams that
+// only happens in benign shutdown races, never as lost protocol state.
 func (s *Session) route(id uint32, payload []byte) error {
 	s.mu.Lock()
 	st, ok := s.streams[id]
 	if !ok && !s.client && id > s.maxSeen {
+		if id != s.maxSeen+1 {
+			s.mu.Unlock()
+			return fmt.Errorf("gsi: stream %d opened before stream %d", id, s.maxSeen+1)
+		}
 		// First frame of a new stream on the accepting side.
 		s.maxSeen = id
-		st = s.newStreamLocked(id)
+		st = s.newStream(id)
+		s.streams[id] = st
 		ok = true
 		select {
 		case s.accept <- st:
@@ -146,31 +150,25 @@ func (s *Session) route(id uint32, payload []byte) error {
 	}
 }
 
-func (s *Session) newStreamLocked(id uint32) *Stream {
-	st := &Stream{
+func (s *Session) newStream(id uint32) *Stream {
+	return &Stream{
 		s:       s,
 		id:      id,
 		inbox:   make(chan []byte, streamInboxSize),
 		timeout: s.msgTimeout,
 	}
-	s.streams[id] = st
-	return st
 }
 
-// Open starts a new stream (initiating side only). The stream exists on
-// the peer once its first message arrives there.
+// Open starts a new stream (initiating side only). It takes its id, and
+// exists on the peer, once its first message is written.
 func (s *Session) Open() (*Stream, error) {
 	if !s.client {
 		return nil, errors.New("gsi: accepting side cannot open streams")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil, s.err
+	if err := s.Err(); err != nil {
+		return nil, err
 	}
-	id := s.nextID
-	s.nextID++
-	return s.newStreamLocked(id), nil
+	return s.newStream(0), nil
 }
 
 // Accept waits for the peer to open a stream (accepting side only).
@@ -184,9 +182,11 @@ func (s *Session) Accept() (*Stream, error) {
 }
 
 // writeFrame sends one frame on behalf of a stream, serialized across
-// streams. The write deadline is armed per frame so one stalled peer
-// window cannot hold the write lock forever.
-func (s *Session) writeFrame(id uint32, payload []byte) error {
+// streams. An initiator's stream takes its id here, at its first frame and
+// under the write lock, so ids reach the peer in the order they were taken.
+// The write deadline is armed per frame so one stalled peer window cannot
+// hold the write lock forever.
+func (s *Session) writeFrame(st *Stream, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	select {
@@ -194,13 +194,20 @@ func (s *Session) writeFrame(id uint32, payload []byte) error {
 		return s.Err()
 	default:
 	}
+	if st.id == 0 {
+		s.mu.Lock()
+		st.id = s.nextID
+		s.nextID++
+		s.streams[st.id] = st
+		s.mu.Unlock()
+	}
 	if s.msgTimeout > 0 {
 		if err := s.conn.tls.SetWriteDeadline(time.Now().Add(s.msgTimeout)); err != nil {
 			return fmt.Errorf("gsi: arm stream write deadline: %w", err)
 		}
 	}
 	//myproxy:allow hotblock frames must serialize on wmu by design; the per-frame write deadline above bounds the hold
-	if err := WriteStreamFrame(s.conn.tls, id, payload); err != nil {
+	if err := WriteStreamFrame(s.conn.tls, st.id, payload); err != nil {
 		s.fail(err)
 		return err
 	}
@@ -254,16 +261,10 @@ type Stream struct {
 	timeout time.Duration
 }
 
-// ID reports the stream's wire identifier.
-func (st *Stream) ID() uint32 { return st.id }
-
-// SetMessageTimeout adjusts the per-message read budget for this stream.
-func (st *Stream) SetMessageTimeout(d time.Duration) { st.timeout = d }
-
 // WriteMessage sends one framed message on this stream.
 //myproxy:hotpath
 func (st *Stream) WriteMessage(payload []byte) error {
-	return st.s.writeFrame(st.id, payload)
+	return st.s.writeFrame(st, payload)
 }
 
 // ReadMessage receives the next message routed to this stream.

@@ -2,8 +2,11 @@ package mss
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/faultnet"
 	"repro/internal/testpki"
@@ -72,5 +75,36 @@ func TestClientRecoversAfterMidSessionReset(t *testing.T) {
 	}
 	if !bytes.Equal(got, []byte("stable")) {
 		t.Errorf("Get = %q", got)
+	}
+}
+
+// A call that fails mid-exchange gives its session up: the client closes the
+// connection it failed on, so the server has no session left to wait out and
+// its Close returns at once rather than at the session cap.
+func TestFailedCallReleasesServerSession(t *testing.T) {
+	srv, addr := startMSS(t, defaultGridmap(t))
+	c := newMSSClient(t, testpki.User(t, "mss-alice"), addr)
+	c.Timeout = 500 * time.Millisecond
+	var link *faultnet.Conn
+	c.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		var nd net.Dialer
+		raw, err := nd.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		link = faultnet.WrapConn(raw, faultnet.Plan{})
+		return link, nil
+	}
+	if _, err := c.List(); err != nil {
+		t.Fatal(err)
+	}
+	link.Stall() // the link goes silent; the transport stays open
+	if _, err := c.List(); err == nil {
+		t.Fatal("call over a silent link succeeded")
+	}
+	start := time.Now()
+	srv.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("server Close took %v: the failed call left its session open", elapsed)
 	}
 }

@@ -54,17 +54,14 @@ type Config struct {
 	SessionTimeout time.Duration
 }
 
-// Server is an in-memory mass storage service.
+// Server is an in-memory mass storage service: the handler of a GSI
+// acceptor.
 type Server struct {
-	cfg Config
+	cfg      Config
+	acceptor *gsi.Acceptor
 
 	mu      sync.Mutex
 	objects map[string]map[string][]byte // account -> name -> data
-
-	lnMu      sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     sync.WaitGroup
-	closed    bool
 }
 
 // NewServer builds a storage server.
@@ -78,47 +75,25 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Gridmap == nil {
 		return nil, errors.New("mss: gridmap required")
 	}
-	return &Server{
-		cfg:       cfg,
-		objects:   make(map[string]map[string][]byte),
-		listeners: make(map[net.Listener]struct{}),
-	}, nil
+	s := &Server{cfg: cfg, objects: make(map[string]map[string][]byte)}
+	var err error
+	s.acceptor, err = gsi.NewAcceptor(gsi.AcceptorConfig{
+		Credential:     cfg.Credential,
+		Auth:           gsi.AuthOptions{Roots: cfg.Roots},
+		SessionTimeout: cfg.SessionTimeout,
+		Handler:        s.serve,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Serve accepts sessions until Close.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	if s.closed {
-		s.lnMu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	s.listeners[ln] = struct{}{}
-	s.lnMu.Unlock()
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		s.conns.Add(1)
-		go func() {
-			defer s.conns.Done()
-			s.handle(raw)
-		}()
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.acceptor.Serve(ln) }
 
 // Close stops the server and waits for sessions to finish.
-func (s *Server) Close() error {
-	s.lnMu.Lock()
-	s.closed = true
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	s.lnMu.Unlock()
-	s.conns.Wait()
-	return nil
-}
+func (s *Server) Close() error { return s.acceptor.Close() }
 
 // Objects returns a snapshot of one account's stored object names (tests).
 func (s *Server) Objects(account string) []string {
@@ -132,54 +107,15 @@ func (s *Server) Objects(account string) []string {
 	return names
 }
 
-func (s *Server) handle(raw net.Conn) {
-	timeout := s.cfg.SessionTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	conn, err := gsi.Server(raw, s.cfg.Credential, gsi.AuthOptions{
-		Roots:            s.cfg.Roots,
-		HandshakeTimeout: timeout,
-	})
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-
-	account, ok := s.cfg.Gridmap.Lookup(conn.PeerIdentity())
-	if !ok {
-		// Take the request off the wire before refusing: closing on a
-		// client that is still writing it turns the verdict into a broken
-		// pipe on its side.
-		_, _ = conn.ReadMessage()
-		writeReply(conn, &Reply{Error: "identity not in gridmap"})
-		return
-	}
-	// One session may carry several operations.
-	for {
-		msg, err := conn.ReadMessage()
-		if err != nil {
-			return
-		}
+// serve runs one authenticated session: any number of operations.
+func (s *Server) serve(conn *gsi.Conn) {
+	s.cfg.Gridmap.Serve(conn, &Reply{Error: "identity not in gridmap"}, func(account string, msg []byte) (any, bool) {
 		var req Request
 		if err := json.Unmarshal(msg, &req); err != nil {
-			writeReply(conn, &Reply{Error: "malformed request"})
-			return
+			return &Reply{Error: "malformed request"}, true
 		}
-		reply := s.dispatch(account, conn.Peer, &req)
-		if err := writeReply(conn, reply); err != nil {
-			return
-		}
-	}
-}
-
-func writeReply(conn *gsi.Conn, r *Reply) error {
-	data, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return conn.WriteMessage(data)
+		return s.dispatch(account, conn.Peer, &req), false
+	})
 }
 
 func (s *Server) dispatch(account string, peer *proxy.Result, req *Request) *Reply {
@@ -252,75 +188,35 @@ type Client struct {
 	// it; nil selects net.Dialer).
 	DialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 
+	// conn is the held-connection GSI caller every operation goes through,
+	// built from the fields above on first use.
 	mu   sync.Mutex
-	conn *gsi.Conn
+	conn *gsi.Caller
 }
 
-func (c *Client) connection() (*gsi.Conn, error) {
-	if c.conn != nil {
-		return c.conn, nil
-	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	dial := c.DialContext
-	if dial == nil {
-		dial = (&net.Dialer{}).DialContext
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	raw, err := dial(ctx, "tcp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("mss: dial %s: %w", c.Addr, err)
-	}
-	conn, err := gsi.Client(raw, c.Credential, gsi.AuthOptions{
-		Roots:            c.Roots,
-		ExpectedPeer:     c.ExpectedServer,
-		HandshakeTimeout: timeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	conn.SetDeadline(time.Now().Add(timeout))
-	c.conn = conn
-	return conn, nil
-}
-
-// Close shuts the client's session down.
-func (c *Client) Close() error {
+func (c *Client) caller() *gsi.Caller {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		return nil
+		c.conn = &gsi.Caller{Dialer: gsi.Dialer{
+			Credential:   c.Credential,
+			Roots:        c.Roots,
+			Addr:         c.Addr,
+			ExpectedPeer: c.ExpectedServer,
+			Timeout:      c.Timeout,
+			DialContext:  c.DialContext,
+		}}
 	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return c.conn
 }
 
+// Close shuts the client's session down.
+func (c *Client) Close() error { return c.caller().Close() }
+
+// call runs one request/reply exchange on the held session.
 func (c *Client) call(req *Request) (*Reply, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	conn, err := c.connection()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.WriteMessage(data); err != nil {
-		c.conn = nil
-		return nil, err
-	}
-	msg, err := conn.ReadMessage()
-	if err != nil {
-		c.conn = nil
-		return nil, err
-	}
 	var reply Reply
-	if err := json.Unmarshal(msg, &reply); err != nil {
+	if err := c.caller().Exchange(req, &reply, nil); err != nil {
 		return nil, err
 	}
 	if !reply.OK {

@@ -210,3 +210,19 @@ func TestNewServerValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 }
+
+// TestReusedConnectionOutlivesFirstDeadline is the twin of gram's: a deadline
+// is absolute, so the one armed when the session was dialed must be re-armed
+// for every later call on it.
+func TestReusedConnectionOutlivesFirstDeadline(t *testing.T) {
+	_, addr := startMSS(t, defaultGridmap(t))
+	c := newMSSClient(t, testpki.User(t, "mss-alice"), addr)
+	c.Timeout = 250 * time.Millisecond
+	if _, err := c.List(); err != nil {
+		t.Fatalf("first call: %v", err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if _, err := c.List(); err != nil {
+		t.Fatalf("call on reused connection after the dial-time deadline passed: %v", err)
+	}
+}

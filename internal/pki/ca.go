@@ -240,17 +240,6 @@ func (ca *CA) RevokeSerial(serial *big.Int, when time.Time) {
 	ca.revoked[serial.String()] = when
 }
 
-// Revocations returns the revoked serials (decimal) and their times.
-func (ca *CA) Revocations() map[string]time.Time {
-	ca.mu.Lock()
-	defer ca.mu.Unlock()
-	out := make(map[string]time.Time, len(ca.revoked))
-	for s, when := range ca.revoked {
-		out[s] = when
-	}
-	return out
-}
-
 // IsRevoked reports whether the certificate serial appears on the CRL.
 func (ca *CA) IsRevoked(cert *x509.Certificate) bool {
 	ca.mu.Lock()

@@ -149,50 +149,20 @@ func (p *Portal) repoClient(repoAddr string) (core.Repository, error) {
 	if c, ok := p.clients[repoAddr]; ok {
 		return c, nil
 	}
-	var c core.Repository
-	if addrs := splitAddrs(repoAddr); len(addrs) > 1 {
-		nodes := make([]cluster.NodeConfig, len(addrs))
-		for i, a := range addrs {
-			nodes[i] = cluster.NodeConfig{Addr: a}
-		}
-		cc, err := cluster.New(cluster.Config{
-			Nodes:             nodes,
-			ReplicationFactor: p.cfg.ReplicationFactor,
-			Credential:        p.cfg.Credential,
-			Roots:             p.cfg.Roots,
-			ExpectedServer:    p.cfg.ExpectedMyProxy,
-			KeyAlgorithm:      p.cfg.KeyAlgorithm,
-			KeyBits:           p.cfg.KeyBits,
-			KeySource:         p.cfg.KeySource,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("portal: repository cluster %q: %w", repoAddr, err)
-		}
-		c = cc
-	} else {
-		c = &core.Client{
-			Credential:     p.cfg.Credential,
-			Roots:          p.cfg.Roots,
-			Addr:           repoAddr,
-			ExpectedServer: p.cfg.ExpectedMyProxy,
-			KeyAlgorithm:   p.cfg.KeyAlgorithm,
-			KeyBits:        p.cfg.KeyBits,
-			KeySource:      p.cfg.KeySource,
-		}
+	c, err := cluster.Open(repoAddr, cluster.Config{
+		ReplicationFactor: p.cfg.ReplicationFactor,
+		Credential:        p.cfg.Credential,
+		Roots:             p.cfg.Roots,
+		ExpectedServer:    p.cfg.ExpectedMyProxy,
+		KeyAlgorithm:      p.cfg.KeyAlgorithm,
+		KeyBits:           p.cfg.KeyBits,
+		KeySource:         p.cfg.KeySource,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("portal: repository cluster %q: %w", repoAddr, err)
 	}
 	p.clients[repoAddr] = c
 	return c, nil
-}
-
-// splitAddrs parses a comma-separated address spec, dropping empties.
-func splitAddrs(spec string) []string {
-	var out []string
-	for _, a := range strings.Split(spec, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 const sessionCookie = "portal_session"

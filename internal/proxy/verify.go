@@ -359,5 +359,4 @@ const (
 	OpJobSubmit = "job-submit"
 	OpFileRead  = "file-read"
 	OpFileWrite = "file-write"
-	OpDelegate  = "delegate"
 )

@@ -418,22 +418,7 @@ func (d *Deployment) ClusterClient(p int) (*cluster.Client, error) {
 	if c, ok := d.clusterClients[p]; ok {
 		return c, nil
 	}
-	nodes := make([]cluster.NodeConfig, len(d.RepoAddrs))
-	for i, addr := range d.RepoAddrs {
-		nodes[i] = cluster.NodeConfig{ID: cluster.NodeID(fmt.Sprintf("repo%02d", i)), Addr: addr}
-	}
-	c, err := cluster.New(cluster.Config{
-		Nodes:             nodes,
-		ReplicationFactor: d.replication,
-		Probation:         d.probation,
-		Credential:        d.Portals[p],
-		Roots:             d.Roots,
-		ExpectedServer:    "/C=US/O=Sim Grid/CN=myproxy*",
-		KeyAlgorithm:      d.keyAlg,
-		KeyBits:           d.keyBits,
-		KeySource:         d.keys,
-		DialContext:       d.dialContext,
-	})
+	c, err := cluster.New(d.clusterConfig(d.Portals[p]))
 	if err != nil {
 		return nil, err
 	}
@@ -444,22 +429,27 @@ func (d *Deployment) ClusterClient(p int) (*cluster.Client, error) {
 // ClusterUserClient returns a cluster client authenticating as user u (for
 // seeding deposits through the ring).
 func (d *Deployment) ClusterUserClient(u int) (*cluster.Client, error) {
+	return cluster.New(d.clusterConfig(d.Users[u]))
+}
+
+// clusterConfig is the deployment's cluster client configuration for cred.
+func (d *Deployment) clusterConfig(cred *pki.Credential) cluster.Config {
 	nodes := make([]cluster.NodeConfig, len(d.RepoAddrs))
 	for i, addr := range d.RepoAddrs {
 		nodes[i] = cluster.NodeConfig{ID: cluster.NodeID(fmt.Sprintf("repo%02d", i)), Addr: addr}
 	}
-	return cluster.New(cluster.Config{
+	return cluster.Config{
 		Nodes:             nodes,
 		ReplicationFactor: d.replication,
 		Probation:         d.probation,
-		Credential:        d.Users[u],
+		Credential:        cred,
 		Roots:             d.Roots,
 		ExpectedServer:    "/C=US/O=Sim Grid/CN=myproxy*",
 		KeyAlgorithm:      d.keyAlg,
 		KeyBits:           d.keyBits,
 		KeySource:         d.keys,
 		DialContext:       d.dialContext,
-	})
+	}
 }
 
 // UserClient returns a repository client authenticating as user u against
