@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-self vet-stats lint test race race-hotpath race-failover fuzz-smoke stress check bench bench-compare bench-pairs clean
+.PHONY: all build vet vet-self vet-stats lint test race race-hotpath race-failover fuzz-smoke stress check bench bench-pairs clean
 
 all: build
 
@@ -14,32 +14,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own analyzer suite (see internal/analysis and
-# DESIGN.md "Static-analysis gate" through "Trust-boundary taint engine") —
-# all twenty-three passes: the five syntactic ones, the flow-sensitive
-# connleak, zeroize, ctxdeadline and deferclose, the concurrency trio
-# lockcheck, guardedby and goroleak, the distributed-protocol quartet
-# retrysafe, wgbalance, verdict and nilness, the hot-path cost trio
-# secretescape, hotalloc and hotblock, and the trust-boundary taint quartet
-# pathtaint, alloctaint, logtaint and hdrtaint, with obligations propagated
-# interprocedurally over the call graph. Exits nonzero on any finding not
-# covered by a
-# //myproxy:allow pragma, the checked-in baseline (currently empty: the
-# repo self-check is clean), or the cost budget (vet-cost-budget.txt, the
-# grandfathered allocation profile of the hot path — new hot-cone
-# allocation sites fail the gate). The baseline itself must stay empty: a
-# real finding is fixed or pragma'd with its rationale, never baselined.
+# lint is the static-analysis gate (DESIGN.md "Static-analysis gate"): the
+# repo's own analyzer suite over the whole module, which exits nonzero on
+# any finding without a //myproxy:allow <pass> <reason> pragma at its site,
+# then the kill matrix (internal/analysis/killmatrix_test.go), which plants
+# each recorded defect in a copy of the module and fails when the pass or
+# test recorded as its catcher no longer catches it — or when a pass is no
+# row's catcher.
 lint:
-	$(GO) run ./cmd/myproxy-vet -baseline vet-baseline.txt -budget vet-cost-budget.txt ./...
-	@if grep -v '^#' vet-baseline.txt | grep -q '[^[:space:]]'; then \
-		echo "error: vet-baseline.txt carries entries; fix the findings or add //myproxy:allow pragmas with rationale" >&2; \
-		exit 1; \
-	fi
+	$(GO) run ./cmd/myproxy-vet ./...
+	$(GO) test ./internal/analysis -run 'TestKillMatrix' -count=1 -timeout 30m -killmatrix
 
 # vet-stats runs the same suite and reports per-pass wall time and finding
 # counts as JSON (on stderr, after any findings).
 vet-stats:
-	$(GO) run ./cmd/myproxy-vet -stats -baseline vet-baseline.txt -budget vet-cost-budget.txt ./...
+	$(GO) run ./cmd/myproxy-vet -stats ./...
 
 # vet-self is the fast loop when developing an analyzer pass: the CFG and
 # call-graph unit tests and the golden fixtures only, no repo-wide load.
@@ -92,13 +81,6 @@ check: vet lint build race-hotpath race-failover fuzz-smoke stress race
 # is `go run ./bench` (BENCHMARK.json, bench-pairs below).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# bench-compare diffs the two most recent BENCH_<n>.json trajectory
-# points and fails on any shared benchmark regressing >10% in ns/op or
-# allocs/op (scripts/bench-compare.sh; scripts/bench.sh produces the
-# points).
-bench-compare:
-	sh scripts/bench-compare.sh
 
 # bench-pairs is how a performance claim on the bench/ benchmark is checked:
 # ten alternating runs of one workload on PARENT (exported to a temp

@@ -85,8 +85,8 @@ func main() {
 	retrievers := loadACL(*retrieversFile, "retrievers", true)
 	renewers := loadACL(*renewersFile, "renewers", false)
 
-	// -backend selects any registered storage engine through the backend
-	// registry; the default remains a file store rooted at -store.
+	// -backend selects the storage engine; the default remains a file store
+	// rooted at -store.
 	spec := *backendSpec
 	if spec == "" {
 		spec = "file:" + *storeDir

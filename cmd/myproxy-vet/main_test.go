@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -21,7 +19,7 @@ func TestSelectPassesDefault(t *testing.T) {
 }
 
 func TestSelectPassesFilter(t *testing.T) {
-	passes, err := selectPasses("secretescape, hotalloc,hotblock,hotalloc")
+	passes, err := selectPasses("secretescape, zeroize,hotblock,zeroize")
 	if err != nil {
 		t.Fatalf("selectPasses: %v", err)
 	}
@@ -30,13 +28,13 @@ func TestSelectPassesFilter(t *testing.T) {
 		names = append(names, p.Name)
 	}
 	// Whitespace is trimmed and duplicates collapse; order is the caller's.
-	if got := strings.Join(names, ","); got != "secretescape,hotalloc,hotblock" {
-		t.Fatalf("selected %q, want secretescape,hotalloc,hotblock", got)
+	if got := strings.Join(names, ","); got != "secretescape,zeroize,hotblock" {
+		t.Fatalf("selected %q, want secretescape,zeroize,hotblock", got)
 	}
 }
 
 func TestSelectPassesUnknown(t *testing.T) {
-	if _, err := selectPasses("hotalloc,nosuchpass"); err == nil {
+	if _, err := selectPasses("zeroize,nosuchpass"); err == nil {
 		t.Fatal("unknown pass name should error")
 	} else if !strings.Contains(err.Error(), "nosuchpass") {
 		t.Fatalf("error should name the bad pass: %v", err)
@@ -44,14 +42,14 @@ func TestSelectPassesUnknown(t *testing.T) {
 }
 
 // TestPassFilterScopesRun pins the behavioral contract of -pass: a filtered
-// run reports only the named passes' findings. The hotalloc fixture trips
-// hotalloc (five sites) but nothing from, say, weakrand.
+// run reports only the named passes' findings. The zeroize fixture trips
+// zeroize but nothing from, say, weakrand.
 func TestPassFilterScopesRun(t *testing.T) {
 	passes, err := selectPasses("weakrand")
 	if err != nil {
 		t.Fatalf("selectPasses: %v", err)
 	}
-	rep, err := analysis.Run([]string{"repro/internal/analysis/testdata/src/hotalloc"}, passes)
+	rep, err := analysis.Run([]string{"repro/internal/analysis/testdata/src/zeroize"}, passes)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -59,30 +57,5 @@ func TestPassFilterScopesRun(t *testing.T) {
 		if d.Pass != "weakrand" && d.Pass != "pragma" {
 			t.Errorf("filtered run leaked a %s finding: %s", d.Pass, d)
 		}
-	}
-}
-
-// TestBudgetFileAbsorbs pins the -budget plumbing: a finding whose
-// "file: pass: message" key is recorded in a budget file is absorbed and
-// the remaining findings survive.
-func TestBudgetFileAbsorbs(t *testing.T) {
-	rep := &analysis.Report{Findings: []analysis.Diagnostic{
-		{File: "a/b.go", Pass: "hotalloc", Message: "grandfathered site"},
-		{File: "a/b.go", Pass: "hotalloc", Message: "new site"},
-	}}
-	dir := t.TempDir()
-	budget := filepath.Join(dir, "budget.txt")
-	if err := os.WriteFile(budget, []byte("a/b.go: hotalloc: grandfathered site\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	absorbed, err := applyBaseline(budget, rep, map[string]bool{"a/b.go": true})
-	if err != nil {
-		t.Fatalf("applyBaseline: %v", err)
-	}
-	if absorbed != 1 {
-		t.Fatalf("absorbed %d findings, want 1", absorbed)
-	}
-	if len(rep.Findings) != 1 || rep.Findings[0].Message != "new site" {
-		t.Fatalf("surviving findings = %+v, want only the new site", rep.Findings)
 	}
 }

@@ -4,10 +4,11 @@
 // table). It exists because MyProxy's value proposition is careful handling
 // of long-term secrets (paper §2–§3): the invariants that make that story
 // true — crypto-grade randomness near key material, no secret values in
-// format strings, constant-time comparisons, every chain check routed
-// through the proxy-aware verifier, error wrapping that preserves
+// log lines, constant-time comparisons, error wrapping that preserves
 // classification — are enforced mechanically here, in CI, rather than by
-// review.
+// review. Which passes exist is decided by the kill matrix
+// (killmatrix_test.go): a pass stays only while it is the cheapest catcher
+// of a defect planted at a real site.
 //
 // The framework loads packages with full type information (see loader.go),
 // runs a set of Passes over each package unit, and filters the resulting
@@ -103,7 +104,7 @@ type Context struct {
 	// interprocedural summary sweep orders its work by the graph's SCCs.
 	CallGraph *CallGraph
 	// HotCone holds the qualified names reachable from //myproxy:hotpath
-	// annotations (hotpath.go); the cost passes gate on membership.
+	// annotations (hotpath.go); hotblock gates on membership.
 	HotCone map[string]bool
 	// HotCostly maps qualified names to a short description of the blocking
 	// or costly work they (transitively) perform, for hotblock.
@@ -113,7 +114,7 @@ type Context struct {
 	// //myproxy:untrusted marker plus the seeded net/http frontier).
 	UntrustedTypes map[string]string
 	// taintMu/taintFacts memoize the taint-lattice findings per function
-	// body: the four taint passes share one flow computation and filter by
+	// body: the two taint passes share one flow computation and filter by
 	// sink kind (see taint.go).
 	taintMu    sync.Mutex
 	taintFacts map[*ast.BlockStmt][]taintFinding

@@ -33,7 +33,7 @@ import (
 //   - Interface dispatch is NOT devirtualized: a call through an interface
 //     method resolves to the interface method's own key, which has no body
 //     and therefore an empty (unknown) summary. This is the documented
-//     soundness choice (DESIGN.md §13): the dataflow passes already treat
+//     soundness choice (DESIGN.md §8): the dataflow passes already treat
 //     unknown callees conservatively (an argument passed to an unknown
 //     callee discharges the caller's obligation rather than guessing), and
 //     devirtualizing without whole-program points-to would manufacture

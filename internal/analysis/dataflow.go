@@ -8,26 +8,27 @@ import (
 
 // Forward may-analysis over CFGs. A fact attaches to a variable (its
 // types.Object) and means "on some path reaching this point, the variable is
-// in the tracked state" — holds an unclosed connection, holds unwiped secret
-// bytes, holds an un-armed conn. Passes supply a transfer function (how
-// statements create/kill/move facts) and a report hook; the engine supplies
-// the fixpoint iteration, the path-union join, and err-branch refinement.
+// in the tracked state" — holds unwiped secret bytes, may be nil, carries
+// wire data. Passes supply a transfer function (how statements
+// create/kill/move facts) and a report hook; the engine supplies the
+// fixpoint iteration, the path-union join, and err-branch refinement.
 
 // fact is one tracked obligation.
 type fact struct {
 	// acquired locates where the obligation was created; diagnostics anchor
 	// here so //myproxy:allow pragmas have a stable target line.
 	acquired token.Pos
-	// desc names what was acquired ("gsi.Client connection", ...).
+	// desc names what was acquired ("secret bytes from kdf.Key", ...).
 	desc string
 	// err, when non-nil, pairs the fact with an error variable assigned by
-	// the same (or the discharging) call, enabling branch pruning:
+	// the same call, enabling branch pruning:
 	//
-	//   - errLive == errIsNil (the default, "acquired"): the resource only
+	//   - errLive == errIsNil (the default, "acquired"): the value only
 	//     exists when err == nil, so the fact dies on every err != nil edge.
-	//   - errLive == errNonNil ("transferred on success"): a callee summary
-	//     says ownership passes to the callee unless it failed, so the fact
-	//     dies on err == nil edges and survives err != nil edges.
+	//   - errLive == errNonNil: the fact holds only where the call failed
+	//     (a result that may be nil, an argument a validator did not prove
+	//     clean), so it dies on err == nil edges and survives err != nil
+	//     edges.
 	//
 	// Reassigning the error variable clears the pairing (see clearErrPair):
 	// Go reuses the same object for `x, err := ...` redeclarations, so a
@@ -37,9 +38,9 @@ type fact struct {
 	// mayNil inverts the edge-refinement sense for the fact's own variable:
 	// the tracked state is "may be nil", so the fact dies where the variable
 	// is proven non-nil and survives where it compares equal to nil —
-	// exactly opposite to a resource obligation, which dies on nil (a nil
-	// conn needs no Close). Set only by the nilness pass; a pass never mixes
-	// mayNil and obligation facts in one flow.
+	// exactly opposite to an obligation on a value, which dies on nil (a nil
+	// buffer holds nothing to wipe). Set only by the nilness pass; a pass
+	// never mixes mayNil and obligation facts in one flow.
 	mayNil bool
 	// taintSrc is the taint-origin bitmask used by the trust-boundary taint
 	// lattice (taint.go): bit i (< 62) means "carries data derived from the
@@ -120,11 +121,6 @@ type flowHooks struct {
 	// each node during the final stable walk — the place to flag "fact still
 	// live at this return".
 	report func(n ast.Node, fs factSet)
-	// refine, when non-nil, applies pass-specific knowledge of a branch
-	// condition to the facts on a conditional edge, after the engine's own
-	// nil/err refinement. The taint lattice uses it to kill integer taint on
-	// edges where an upper-bound comparison holds (see taint.go).
-	refine func(cond ast.Expr, val bool, fs factSet)
 }
 
 // runFlow iterates the CFG to a fixpoint and then replays each block once
@@ -167,9 +163,6 @@ func runFlow(pkg *Package, cfg *CFG, seed factSet, hooks flowHooks) []factSet {
 			if e.Cond != nil {
 				edgeFacts = out.clone()
 				refineCond(pkg, e.Cond, e.Val, edgeFacts)
-				if hooks.refine != nil {
-					hooks.refine(e.Cond, e.Val, edgeFacts)
-				}
 			}
 			if in[e.To.Index].join(edgeFacts) && !queued[e.To.Index] {
 				work = append(work, e.To)
@@ -226,9 +219,9 @@ func refineCond(pkg *Package, cond ast.Expr, val bool, fs factSet) {
 }
 
 // refineNilFact applies the knowledge "obj ==/!= nil" to the set: facts on
-// obj itself die when obj is nil (a nil conn needs no Close) — or, for
-// mayNil facts, when obj is proven non-nil — and facts paired with obj as
-// their error die per their errLive sense.
+// obj itself die when obj is nil (a nil buffer holds nothing to wipe) — or,
+// for mayNil facts, when obj is proven non-nil — and facts paired with obj
+// as their error die per their errLive sense.
 func refineNilFact(fs factSet, obj types.Object, objIsNil bool) {
 	if f, tracked := fs[obj]; tracked && objIsNil != f.mayNil {
 		delete(fs, obj)
@@ -376,4 +369,27 @@ func identObj(pkg *Package, e ast.Expr) types.Object {
 		return nil
 	}
 	return obj
+}
+
+// calleeFunc resolves the *types.Func a call invokes, when statically
+// known (package functions and methods; not function values).
+func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := pkg.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// namedOf unwraps pointers to reach a named type, if any.
+func namedOf(t types.Type) *types.Named {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		return namedOf(ptr.Elem())
+	}
+	named, _ := t.(*types.Named)
+	return named
 }

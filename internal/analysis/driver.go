@@ -10,12 +10,12 @@ import (
 // Passes is the full analyzer suite, in documentation order: the syntactic
 // passes first, then the flow-sensitive ones built on the CFG/dataflow
 // engine.
-var Passes = []*Pass{WeakRand, SecretFlow, ConstTime, RawVerify, ErrWrap,
-	ConnLeak, Zeroize, CtxDeadline, DeferClose,
+var Passes = []*Pass{WeakRand, ConstTime, ErrWrap,
+	Zeroize,
 	LockCheck, GuardedBy, GoroLeak,
-	RetrySafe, WgBalance, Verdict, Nilness,
-	SecretEscape, HotAlloc, HotBlock,
-	PathTaint, AllocTaint, LogTaint, HdrTaint}
+	RetrySafe, Verdict, Nilness,
+	SecretEscape, HotBlock,
+	LogTaint, HdrTaint}
 
 // Report is the outcome of one analyzer run.
 type Report struct {
@@ -24,10 +24,6 @@ type Report struct {
 	// Suppressed are diagnostics covered by a //myproxy:allow pragma,
 	// kept for inspection and tests.
 	Suppressed []Diagnostic
-	// Files lists every source file that was analyzed (sorted, deduplicated,
-	// as recorded in the FileSet). Baseline pruning uses it to tell "this
-	// finding is fixed" apart from "this file was not in the run".
-	Files []string
 	// PassStats records per-pass wall time (summed across packages and
 	// workers, so it can exceed the run's elapsed time) and unsuppressed
 	// finding counts, in pass registration order.
@@ -121,7 +117,7 @@ func RunPackages(pkgs []*Package, passes []*Pass) *Report {
 		all = append(all, ds...)
 	}
 
-	rep := &Report{Findings: pragmaDiags, Files: analyzedFiles(pkgs)}
+	rep := &Report{Findings: pragmaDiags}
 	for _, d := range all {
 		if pragmas.suppressed(d) {
 			rep.Suppressed = append(rep.Suppressed, d)
@@ -152,26 +148,9 @@ func RunPackages(pkgs []*Package, passes []*Pass) *Report {
 	return rep
 }
 
-// analyzedFiles collects the distinct source file names of the load.
-func analyzedFiles(pkgs []*Package) []string {
-	seen := make(map[string]bool)
-	var files []string
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			name := pkg.Fset.Position(file.Pos()).Filename
-			if name != "" && !seen[name] {
-				seen[name] = true
-				files = append(files, name)
-			}
-		}
-	}
-	sort.Strings(files)
-	return files
-}
-
 // sortDiags orders diagnostics fully deterministically — position, pass,
-// then message — so -json/SARIF output and baseline files are stable
-// byte-for-byte across the parallel driver's scheduling.
+// then message — so -json/SARIF output is stable byte-for-byte across the
+// parallel driver's scheduling.
 func sortDiags(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]

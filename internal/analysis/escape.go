@@ -6,11 +6,10 @@ import (
 	"go/types"
 )
 
-// Intraprocedural escape analysis. The cost passes need to know, per local
+// Intraprocedural escape analysis. secretescape needs to know, per local
 // variable, whether its backing storage can outlive (or leave) the frame:
-// hotalloc suppresses allocation findings for values the compiler could
-// keep on the stack, and secretescape flags secret buffers whose bytes
-// escape to places pki.WipeBytes can never reach.
+// it flags secret buffers whose bytes escape to places pki.WipeBytes can
+// never reach.
 //
 // The lattice is five independent facts per local:
 //
@@ -32,7 +31,7 @@ import (
 // model nor moves the wipe obligation (matching zeroize's rule that an
 // argument pass does not discharge). That is optimistic against the real
 // compiler — an un-inlined callee could retain the slice — and the
-// soundness trade is documented in DESIGN.md §15.
+// soundness trade is documented in DESIGN.md ("Static-analysis gate").
 //
 // One-level aliasing is closed over: `y := x`, `y := x[:n]`, and
 // `y := append(x, ...)` record that y views x's backing array, and after
@@ -74,27 +73,15 @@ func (f escFact) describe() string {
 // escapeInfo holds the per-function results.
 type escapeInfo struct {
 	facts map[types.Object]escFact
-	// locals is the set of variables the function itself declares
-	// (receiver, parameters, body locals) — the only storage the analysis
-	// can prove anything about.
-	locals map[types.Object]bool
 }
 
 // fact returns the computed bitset for obj (zero when never seen).
 func (e *escapeInfo) fact(obj types.Object) escFact { return e.facts[obj] }
 
-// stackLocal reports whether obj is a variable of this function carrying
-// no escape fact at all — the compiler is free to keep its storage on the
-// stack. Package-level variables, fields, and outer-function locals are
-// never stack-local: their storage outlives (or is not owned by) the frame.
-func (e *escapeInfo) stackLocal(obj types.Object) bool {
-	return obj != nil && e.locals[obj] && e.facts[obj] == 0
-}
-
 // escapeFacts computes the lattice for one function: an *ast.FuncDecl
 // (parameters and receiver included) or an *ast.FuncLit.
 func escapeFacts(pkg *Package, fn ast.Node) *escapeInfo {
-	e := &escapeInfo{facts: make(map[types.Object]escFact), locals: make(map[types.Object]bool)}
+	e := &escapeInfo{facts: make(map[types.Object]escFact)}
 	var body *ast.BlockStmt
 	switch fn := fn.(type) {
 	case *ast.FuncDecl:
@@ -131,7 +118,6 @@ func escapeFacts(pkg *Package, fn ast.Node) *escapeInfo {
 		if obj := pkg.Info.Defs[id]; obj != nil {
 			if v, ok := obj.(*types.Var); ok && !v.IsField() {
 				defDepth[obj] = litDepth
-				e.locals[obj] = true
 			}
 			return true
 		}

@@ -266,9 +266,6 @@ func TestEscapeFacts(t *testing.T) {
 				if got := esc.fact(obj); got != want {
 					t.Errorf("%s: fact = %s (bits %#x), want bits %#x", name, got.describe(), got, want)
 				}
-				if wantLocal, gotLocal := want == 0, esc.stackLocal(obj); wantLocal != gotLocal {
-					t.Errorf("%s: stackLocal = %v, want %v", name, gotLocal, wantLocal)
-				}
 			}
 		})
 	}

@@ -15,12 +15,12 @@ var update = flag.Bool("update", false, "rewrite the golden expect.txt files")
 // fixture. Each directory holds an expect.txt golden with the unsuppressed
 // findings in "file:line:col: pass: message" form.
 var fixtures = []string{
-	"weakrand", "secretflow", "consttime", "rawverify", "errwrap", "pragma",
-	"connleak", "zeroize", "ctxdeadline", "deferclose",
+	"weakrand", "consttime", "errwrap", "pragma",
+	"zeroize",
 	"lockcheck", "guardedby", "goroleak",
-	"retrysafe", "wgbalance", "verdict", "nilness",
-	"secretescape", "hotalloc", "hotblock",
-	"pathtaint", "alloctaint", "logtaint", "hdrtaint",
+	"retrysafe", "verdict", "nilness",
+	"secretescape", "hotblock",
+	"logtaint", "hdrtaint",
 }
 
 func TestGolden(t *testing.T) {
@@ -84,7 +84,7 @@ func TestPragmaScoping(t *testing.T) {
 		return false
 	}
 
-	// Line 14 triggers both weakrand and secretflow; the trailing pragma
+	// Line 14 triggers both weakrand and logtaint; the trailing pragma
 	// names only weakrand.
 	if find(rep.Findings, "weakrand", 14) {
 		t.Errorf("weakrand on line 14 should be suppressed by its pragma")
@@ -92,8 +92,8 @@ func TestPragmaScoping(t *testing.T) {
 	if !find(rep.Suppressed, "weakrand", 14) {
 		t.Errorf("weakrand on line 14 should appear in Suppressed")
 	}
-	if !find(rep.Findings, "secretflow", 14) {
-		t.Errorf("secretflow on line 14 must survive a weakrand-only pragma")
+	if !find(rep.Findings, "logtaint", 14) {
+		t.Errorf("logtaint on line 14 must survive a weakrand-only pragma")
 	}
 
 	// Line 20's finding is covered by the standalone pragma on line 19.

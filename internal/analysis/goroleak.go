@@ -372,7 +372,7 @@ func checkLitConnReads(ctx *Context, pkg *Package, lit *ast.FuncLit, enclosing *
 			return true
 		}
 		if definedWithin(pkg, lit.Body, obj) {
-			return true // the goroutine's own conn: connleak/ctxdeadline turf
+			return true // the goroutine's own conn: it decides when to stop reading
 		}
 		if armsObjDeadline(pkg, lit.Body, obj) || armsObjDeadline(pkg, enclosing, obj) {
 			return true
@@ -387,6 +387,16 @@ func checkLitConnReads(ctx *Context, pkg *Package, lit *ast.FuncLit, enclosing *
 		return true
 	})
 	return diags
+}
+
+// isDeadlineConn: armable with SetDeadline, excluding *os.File (whose
+// deadlines only apply to pollable files).
+func isDeadlineConn(t types.Type) bool {
+	if named := namedOf(t); named != nil && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "os" && named.Obj().Name() == "File" {
+		return false
+	}
+	return hasDeadline(t)
 }
 
 // definedWithin reports whether obj's declaration lies inside the body.
@@ -410,7 +420,7 @@ func armsObjDeadline(pkg *Package, body *ast.BlockStmt, obj types.Object) bool {
 		if fn == nil || !deadlineMethodNames[fn.Name()] {
 			return true
 		}
-		if recvObj(pkg, call) == obj {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && identObj(pkg, sel.X) == obj {
 			found = true
 			return false
 		}

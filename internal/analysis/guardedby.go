@@ -15,7 +15,7 @@ import (
 // the contract the PR-3 concurrency work relies on — the verification cache
 // map, the portal session table, server drain state — made checkable.
 //
-// Grammar (see DESIGN.md §11):
+// Grammar (see DESIGN.md §8):
 //
 //	type Sessions struct {
 //		mu      sync.Mutex

@@ -63,6 +63,14 @@ var hotCostlySeeds = map[string]string{
 	"crypto/rand.Read":                   "entropy read",
 }
 
+// ctxlessDialKeys are dials that can block without any cancellation handle.
+var ctxlessDialKeys = map[string]bool{
+	"net.Dial":                 true,
+	"crypto/tls.Dial":          true,
+	"(net.Dialer).Dial":        true,
+	"(crypto/tls.Dialer).Dial": true,
+}
+
 func runHotBlock(ctx *Context, pkg *Package) []Diagnostic {
 	if len(ctx.HotCone) == 0 {
 		return nil

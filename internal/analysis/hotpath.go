@@ -7,10 +7,9 @@ import (
 	"sort"
 )
 
-// Hot-cone computation. The performance passes (hotalloc, hotblock) only
-// make sense on the code the paper's Figure 2 loop actually executes:
-// authenticate, unseal, delegate. That path is named in source with a
-// standalone
+// Hot-cone computation. hotblock only makes sense on the code the paper's
+// Figure 2 loop actually executes: authenticate, unseal, delegate. That
+// path is named in source with a standalone
 //
 //	//myproxy:hotpath
 //
@@ -18,7 +17,7 @@ import (
 // function reachable from a marked root through the load's call graph
 // (callgraph.go): direct calls, method and function values taken, and the
 // function literals a cone member creates. Interface dispatch is not
-// devirtualized (DESIGN.md §13), so a call through an interface leaves the
+// devirtualized (DESIGN.md §8), so a call through an interface leaves the
 // cone — the Fig. 2 roots are therefore annotated on both sides of each
 // interface seam (the core handlers AND keypool.Get, proxy.VerifyCache,
 // credstore.UnsealDelegated, the gsi framing layer) rather than trusting

@@ -17,17 +17,15 @@ import (
 // iteration is confined to components that actually recurse.
 //
 // The facts propagated across call boundaries are the dataflow passes'
-// obligations: connection ownership (acquiresConn / closesParam /
-// leakOnError), secret taint (secretResult, wipesParam), deadline arming
-// (armsResult, freshConn), retry-safety marking (retryMarks, consumed by
-// the retrysafe pass), and — via computeLockSummaries, which consumes the
-// same bottom-up order — lock acquisition and lock-requirement facts.
+// obligations: secret taint (secretResult, wipesParam), termination
+// (noReturn), retry-safety marking (retryMarks, consumed by the retrysafe
+// pass), and — via computeLockSummaries, which consumes the same bottom-up
+// order — lock acquisition and lock-requirement facts.
 //
 // The only remaining seeds (seedSummaries) are the standard-library
-// primitive frontier: net.Dial, os.Open, the DER marshalers and friends
-// have no source in the load, so their facts cannot be derived. Every
-// repository-internal acquirer, wiper, closer and retry-marker summary is
-// derived from its body through the graph.
+// primitive frontier: the DER marshalers have no source in the load, so
+// their facts cannot be derived. Every repository-internal wiper and
+// retry-marker summary is derived from its body through the graph.
 
 // maxSCCRounds bounds fixpoint iteration within one recursive component.
 // The fact lattices are small and monotone in practice; the cap is a
@@ -84,13 +82,10 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 	ctx.UntrustedTypes = untrustedTypes
 
 	// Marker-derived facts need no propagation order: secretResult from
-	// //myproxy:secret doc markers, armsResult from deadline-arming bodies.
+	// //myproxy:secret doc markers.
 	for _, d := range decls {
 		if typeDocHasMarker(d.fd.Doc) && hasByteSliceResult(d.fn) {
 			t.get(d.key).secretResult = true
-		}
-		if armsDeadline(d.pkg, d.fd.Body) {
-			t.get(d.key).armsResult = true
 		}
 	}
 
@@ -133,7 +128,7 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 
 	// Taint summaries run last: they consult the finished obligation and
 	// noReturn facts through the memoized CFGs, and they memoize each body's
-	// sink findings for the four taint passes (see taint.go).
+	// sink findings for the two taint passes (see taint.go).
 	computeTaintSummaries(ctx, t, ordered, untrustedFns, sanitizeFns)
 	return t
 }
@@ -162,33 +157,10 @@ func updateSummary(ctx *Context, t summaryTable, d declSite) bool {
 		}
 	}
 
-	// acquiresConn / acquiresWritable / freshConn: a return hands back the
-	// result of an acquirer (directly or via a local) or a newly built
-	// connection object.
-	conn, writable, fresh := returnsAcquired(d.pkg, t, d.fd.Body)
-	if conn && !s.acquiresConn {
-		s.acquiresConn = true
-		changed = true
-	}
-	if writable && !s.acquiresWritable {
-		s.acquiresWritable = true
-		changed = true
-	}
-	if fresh && !s.freshConn {
-		s.freshConn = true
-		changed = true
-	}
-
 	// secretResult: a return hands back the (byte-slice) result of a
 	// callee whose result is secret — taint crosses the call boundary.
 	if !s.secretResult && hasByteSliceResult(d.fn) && returnsSecret(d.pkg, t, d.fd.Body) {
 		s.secretResult = true
-		changed = true
-	}
-
-	// closesParam / leakOnError: run the engine per closer-typed parameter
-	// against the callees' current close summaries.
-	if computeParamFates(ctx, d.pkg, t, d.key, d.fn, d.fd.Body) {
 		changed = true
 	}
 

@@ -8,11 +8,11 @@ import (
 )
 
 // LockCheck models Lock/Unlock/RLock/RUnlock calls (and defer mu.Unlock())
-// as dataflow obligations, the same way connleak models Close. The paper's
-// repository is a long-lived multi-client server (§4, §6): a mutex that
-// leaks out of one request path freezes every subsequent client, and a
-// mutex held across a blocking handshake or delegation exchange lets a
-// single stalled peer serialize the whole service. Four rules:
+// as dataflow obligations. The paper's repository is a long-lived
+// multi-client server (§4, §6): a mutex that leaks out of one request path
+// freezes every subsequent client, and a mutex held across a blocking
+// handshake or delegation exchange lets a single stalled peer serialize the
+// whole service. Four rules:
 //
 //   - double-lock: Lock (or RLock) of a mutex that is must-held on every
 //     path to the call — sync.Mutex is not reentrant, so this self-deadlocks.
@@ -187,7 +187,7 @@ func lockCheckBody(ctx *Context, pkg *Package, name string, body *ast.BlockStmt)
 
 // blockingSinkCall names the unbounded-blocking calls lockcheck refuses to
 // see under a held mutex: TLS handshakes and the repository's delegation
-// exchanges (the same sinks ctxdeadline bounds with deadlines).
+// exchanges.
 func blockingSinkCall(fn *types.Func) string {
 	switch funcKey(fn) {
 	case "(crypto/tls.Conn).Handshake", "(crypto/tls.Conn).HandshakeContext":
@@ -197,6 +197,14 @@ func blockingSinkCall(fn *types.Func) string {
 		return "delegation exchange (" + shortCallee(fn) + ")"
 	}
 	return ""
+}
+
+// gsiDelegationFuncs are the repository's blocking delegation exchanges.
+var gsiDelegationFuncs = map[string]bool{
+	"Delegate":              true,
+	"DelegateFrom":          true,
+	"RequestDelegation":     true,
+	"RequestDelegationFrom": true,
 }
 
 // anyMustHeld returns some mutex held on every path, preferring the earliest

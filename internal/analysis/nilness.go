@@ -23,7 +23,7 @@ import (
 // reassignment. Dereference means a selector or unary * on the tracked
 // variable; checking is short-circuit aware (`v != nil && v.f` is clean).
 //
-// Soundness limits (DESIGN.md §13): `v, _ := f()` (error discarded) is not
+// Soundness limits (DESIGN.md §8): `v, _ := f()` (error discarded) is not
 // tracked — there is no error edge to refine, and errwrap polices discarded
 // errors; uninitialized `var v *T` declarations are not tracked; a value
 // whose address is taken or that is captured by a closure is dropped.

@@ -29,7 +29,7 @@ import (
 // checked at every call site). Sites whose op or gate is not a compile-time
 // constant are resolved through the enclosing function's own parameters and
 // checked at *its* call sites; a site that never resolves to constants is
-// out of the pass's reach (documented soundness choice, DESIGN.md §13 — no
+// out of the pass's reach (documented soundness choice, DESIGN.md §8 — no
 // dynamic op names exist in this repository).
 var RetrySafe = &Pass{
 	Name: "retrysafe",

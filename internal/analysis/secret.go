@@ -7,8 +7,8 @@ import (
 	"regexp"
 )
 
-// Secret labelling. The secretflow and consttime passes need to know which
-// values are secret-bearing. The convention (documented in DESIGN.md) has
+// Secret labelling. The consttime, zeroize, secretescape and logtaint
+// passes need to know which values are secret-bearing. The convention (documented in DESIGN.md) has
 // three layers:
 //
 //  1. Built-in types: rsa.PrivateKey (and pointers to it) is always secret.
@@ -118,6 +118,11 @@ func (ctx *Context) secretValueType(t types.Type) bool {
 		return ctx.secretValueType(u.Elem())
 	}
 	return false
+}
+
+func isStringType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 func isByte(t types.Type) bool {

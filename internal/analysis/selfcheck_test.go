@@ -1,25 +1,14 @@
 package analysis
 
-import (
-	"bufio"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestSelfCheck runs the full analyzer suite over the repository's own
 // source and asserts zero unsuppressed findings. This is the teeth of the
-// verification gate: any new math/rand call, secret-in-format-string,
-// variable-time comparison, raw chain verification or lossy error wrap
-// either gets fixed or gets an explicit //myproxy:allow rationale before
-// this test passes again. The hot-path cost passes are additionally
-// filtered through vet-cost-budget.txt, exactly as `make lint` filters
-// them: the budgeted entries are the grandfathered allocation profile, and
-// only NEW cost findings fail. Wildcard patterns skip testdata, so the
-// fixture packages (which violate every pass on purpose) are not loaded
-// here.
+// verification gate: any new math/rand call, secret in a log line,
+// variable-time comparison or lossy error wrap either gets fixed or gets an
+// explicit //myproxy:allow rationale before this test passes again.
+// Wildcard patterns skip testdata, so the fixture packages (which violate
+// every pass on purpose) are not loaded here.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-check recompiles the module's dependency closure")
@@ -28,50 +17,10 @@ func TestSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	budget := loadBudgetKeys(t, filepath.Join("..", "..", "vet-cost-budget.txt"))
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("abs: %v", err)
-	}
-	budgeted := 0
 	for _, d := range rep.Findings {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(root, file); err == nil {
-			file = rel
-		}
-		key := fmt.Sprintf("%s: %s: %s", filepath.ToSlash(file), d.Pass, d.Message)
-		if budget[key] {
-			budgeted++
-			continue
-		}
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 	if !t.Failed() {
-		t.Logf("clean: %d finding(s) suppressed by pragma, %d budgeted", len(rep.Suppressed), budgeted)
+		t.Logf("clean: %d finding(s) suppressed by pragma", len(rep.Suppressed))
 	}
-}
-
-// loadBudgetKeys reads vet-cost-budget.txt's "file: pass: message" keys
-// (same format the cmd/myproxy-vet -budget flag consumes).
-func loadBudgetKeys(t *testing.T, path string) map[string]bool {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("budget: %v", err)
-	}
-	defer f.Close()
-	keys := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		keys[line] = true
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("budget: %v", err)
-	}
-	return keys
 }

@@ -8,13 +8,12 @@ import (
 )
 
 // Call summaries let the intraprocedural dataflow passes see one hop across
-// a call: "this function returns a freshly opened closer", "this function
-// closes (or never closes) its connection parameter", "this function wipes
-// the byte slice it is given", "the byte slice this function returns holds
-// secret material". Summaries are keyed by the callee's fully-qualified
-// name — "repro/internal/gsi.Client", "(net.Dialer).DialContext" — rather
-// than by *types.Func identity, because the same function is a different
-// object when reached through export data than when loaded from source.
+// a call: "this function wipes the byte slice it is given", "the byte slice
+// this function returns holds secret material", "this function never
+// returns". Summaries are keyed by the callee's fully-qualified name —
+// "repro/internal/gsi.Client", "(net.Dialer).DialContext" — rather than by
+// *types.Func identity, because the same function is a different object
+// when reached through export data than when loaded from source.
 //
 // The table is seeded with facts about standard-library functions and then
 // extended by scanning every function declaration in the load:
@@ -25,27 +24,9 @@ import (
 //   - wipesParam: the body zeroes a byte-slice parameter (range-assign 0 or
 //     clear()), or forwards it to a function that does; propagated to a
 //     fixpoint so trivial wrappers inherit the fact.
-//   - closesParam / leakOnError: for every closer-typed parameter the
-//     dataflow engine runs over the body with the parameter seeded "open";
-//     closed-or-retained on every path ⇒ closesParam, still open at some
-//     return ⇒ leakOnError. Callers translate leakOnError into "I keep
-//     ownership if the call failed" (see connleak.go).
-//   - acquiresConn / acquiresWritable: a return statement returns the result
-//     of a known acquirer (directly or via a local), so the function itself
-//     hands its caller an open resource.
-//   - armsResult: the body arms a deadline (SetDeadline family), so the
-//     ctxdeadline pass trusts the connections it returns.
 
 // funcSummary is the per-function entry of the table.
 type funcSummary struct {
-	acquiresConn     bool
-	acquiresWritable bool
-	// freshConn: the function hands back a newly built connection object (a
-	// composite literal of a deadline-capable type, or a forwarded fresh
-	// conn) — the ctxdeadline pass treats such results as unarmed unless
-	// armsResult also holds.
-	freshConn    bool
-	armsResult   bool
 	secretResult bool
 	// noReturn: every execution path reaches a terminating call (panic,
 	// os.Exit, a noReturn callee) before any statement that could leave
@@ -54,11 +35,9 @@ type funcSummary struct {
 	// cliutil.Fatalf(...) }` kills the error path's facts even though the
 	// branch has no return.
 	noReturn bool
-	// wipes, closes, leakOnError are keyed by parameter index (variadic
-	// parameters use their declared index).
-	wipes       map[int]bool
-	closes      map[int]bool
-	leakOnError map[int]bool
+	// wipes is keyed by parameter index (variadic parameters use their
+	// declared index).
+	wipes map[int]bool
 	// locksFields maps mutex field paths of the receiver ("mu", "inner.mu",
 	// "" for an embedded mutex locked via the receiver itself) that the
 	// method acquires at some point; the value records a write acquisition
@@ -118,8 +97,7 @@ type taintSinkFlow struct {
 	fmtParam int
 }
 
-func (s *funcSummary) wipesParam(i int) bool  { return s != nil && s.wipes[i] }
-func (s *funcSummary) closesParam(i int) bool { return s != nil && s.closes[i] }
+func (s *funcSummary) wipesParam(i int) bool { return s != nil && s.wipes[i] }
 
 type summaryTable map[string]*funcSummary
 
@@ -161,24 +139,6 @@ func funcKey(fn *types.Func) string {
 // seedSummaries returns the built-in knowledge about the standard library.
 func seedSummaries() summaryTable {
 	t := make(summaryTable)
-	acquire := func(keys ...string) {
-		for _, k := range keys {
-			t.get(k).acquiresConn = true
-		}
-	}
-	acquire(
-		"net.Dial", "net.DialTimeout", "net.Listen", "net.ListenPacket",
-		"net.ListenTCP", "net.ListenUDP", "net.ListenUnix", "net.FileConn",
-		"(net.Dialer).Dial", "(net.Dialer).DialContext",
-		"(net.ListenConfig).Listen",
-		"(net.Listener).Accept", "(net.TCPListener).Accept", "(net.TCPListener).AcceptTCP",
-		"crypto/tls.Dial", "crypto/tls.DialWithDialer",
-		"(crypto/tls.Dialer).Dial", "(crypto/tls.Dialer).DialContext",
-		"os.Open", "os.Create", "os.CreateTemp", "os.OpenFile",
-	)
-	for _, k := range []string{"os.Create", "os.CreateTemp", "os.OpenFile"} {
-		t.get(k).acquiresWritable = true
-	}
 	// DER marshalers hand back unencrypted key material.
 	for _, k := range []string{
 		"crypto/x509.MarshalPKCS1PrivateKey",
@@ -201,100 +161,6 @@ type declSite struct {
 	key string
 }
 
-// computeParamFates seeds each closer-typed parameter "open" and checks
-// whether some path reaches a return with it still open, reporting whether
-// any fate changed. A fate can flip leakOnError→closesParam inside a
-// recursive component, as the callees' close summaries grow toward the
-// fixpoint.
-func computeParamFates(ctx *Context, pkg *Package, t summaryTable, key string, fn *types.Func, body *ast.BlockStmt) bool {
-	sig := fn.Type().(*types.Signature)
-	params := sig.Params()
-	var closerIdx []int
-	for i := 0; i < params.Len(); i++ {
-		if isCloserType(params.At(i).Type()) {
-			closerIdx = append(closerIdx, i)
-		}
-	}
-	if len(closerIdx) == 0 {
-		return false
-	}
-	changed := false
-	cfg := ctx.cfgOf(pkg, key, body)
-	for _, i := range closerIdx {
-		p := params.At(i)
-		seed := factSet{p: {acquired: p.Pos(), desc: "parameter " + p.Name()}}
-		leaked := false
-		runFlow(pkg, cfg, seed, flowHooks{
-			transfer: func(n ast.Node, fs factSet) {
-				summaryFlowTransfer(pkg, t, n, fs)
-			},
-			report: func(n ast.Node, fs factSet) {
-				if _, live := fs[p]; !live {
-					return
-				}
-				switch n := n.(type) {
-				case *ast.ReturnStmt:
-					if !mentionsObj(pkg, n, p) {
-						leaked = true
-					}
-				case *ast.BlockStmt:
-					leaked = true // fall-off-the-end with the param open
-				}
-			},
-		})
-		s := t.get(key)
-		if s.leakOnError[i] != leaked || s.closes[i] != !leaked {
-			changed = true
-		}
-		if leaked {
-			if s.leakOnError == nil {
-				s.leakOnError = make(map[int]bool)
-			}
-			s.leakOnError[i] = true
-			delete(s.closes, i)
-		} else {
-			if s.closes == nil {
-				s.closes = make(map[int]bool)
-			}
-			s.closes[i] = true
-			delete(s.leakOnError, i)
-		}
-	}
-	return changed
-}
-
-// summaryFlowTransfer is the coarse transfer used while computing parameter
-// fates: Close (direct or deferred) kills, escapes (assignment, composite,
-// closure capture, send) kill — the parameter's fate is then its new owner's
-// problem — and calls to callees known to close the argument kill. Plain
-// argument passes keep the obligation.
-func summaryFlowTransfer(pkg *Package, t summaryTable, n ast.Node, fs factSet) {
-	if len(fs) == 0 {
-		return
-	}
-	applyCalls(pkg, n, func(call *ast.CallExpr) {
-		if obj := closeReceiver(pkg, call); obj != nil {
-			delete(fs, obj)
-			return
-		}
-		fn := calleeFunc(pkg, call)
-		sum := t.of(fn)
-		for i, arg := range call.Args {
-			obj := identObj(pkg, arg)
-			if obj == nil {
-				continue
-			}
-			if _, tracked := fs[obj]; !tracked {
-				continue
-			}
-			if sum.closesParam(argParamIndex(fn, i)) {
-				delete(fs, obj)
-			}
-		}
-	})
-	killEscapedMentions(pkg, n, fs, nil)
-}
-
 // argParamIndex maps an argument position to the parameter index, clamping
 // into the variadic tail.
 func argParamIndex(fn *types.Func, argIdx int) int {
@@ -313,150 +179,6 @@ func argParamIndex(fn *types.Func, argIdx int) int {
 		return n - 1
 	}
 	return argIdx
-}
-
-// returnsAcquired reports whether some return hands back the result of an
-// acquirer call — directly, or through a local assigned from one — or a
-// freshly built connection object (composite literal of a deadline-capable
-// type, e.g. `return &Conn{...}, nil`).
-func returnsAcquired(pkg *Package, t summaryTable, body *ast.BlockStmt) (conn, writable, fresh bool) {
-	connLocals := make(map[types.Object]bool)
-	writableLocals := make(map[types.Object]bool)
-	freshLocals := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 {
-			return true
-		}
-		c, w, f := false, false, false
-		switch rhs := ast.Unparen(as.Rhs[0]).(type) {
-		case *ast.CallExpr:
-			c, w = acquirerCall(pkg, t, rhs)
-			if sum := t.of(calleeFunc(pkg, rhs)); sum != nil && sum.freshConn {
-				f = true
-			}
-		default:
-			f = isFreshConnExpr(pkg, as.Rhs[0])
-		}
-		if !c && !w && !f {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			if obj := identObj(pkg, lhs); obj != nil && isCloserType(obj.Type()) {
-				if c {
-					connLocals[obj] = true
-				}
-				if w {
-					writableLocals[obj] = true
-				}
-				if f {
-					freshLocals[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	// A local captured by a closure is managed, not handed off: helpers like
-	//
-	//	ln, _ := net.Listen(...)
-	//	t.Cleanup(func() { ln.Close() })
-	//	return ln
-	//
-	// arrange the resource's cleanup themselves, so returning it creates no
-	// obligation for the caller.
-	ast.Inspect(body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		for _, locals := range []map[types.Object]bool{connLocals, writableLocals, freshLocals} {
-			for obj := range locals {
-				if mentionsObj(pkg, lit.Body, obj) {
-					delete(locals, obj)
-				}
-			}
-		}
-		return false
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a literal's returns are not this function's
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for _, res := range ret.Results {
-			if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
-				c, w := acquirerCall(pkg, t, call)
-				conn = conn || c
-				writable = writable || w
-				if sum := t.of(calleeFunc(pkg, call)); sum != nil && sum.freshConn {
-					fresh = true
-				}
-			}
-			if isFreshConnExpr(pkg, res) {
-				fresh = true
-			}
-			if obj := identObj(pkg, res); obj != nil {
-				conn = conn || connLocals[obj]
-				writable = writable || writableLocals[obj]
-				fresh = fresh || freshLocals[obj]
-			}
-		}
-		return true
-	})
-	return conn, writable, fresh
-}
-
-// isFreshConnExpr matches `&T{...}` / `T{...}` where T can arm deadlines.
-func isFreshConnExpr(pkg *Package, e ast.Expr) bool {
-	expr := ast.Unparen(e)
-	if ue, ok := expr.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-		expr = ast.Unparen(ue.X)
-	}
-	cl, ok := expr.(*ast.CompositeLit)
-	if !ok {
-		return false
-	}
-	tv, ok := pkg.Info.Types[cl]
-	if !ok {
-		return false
-	}
-	return hasDeadline(tv.Type) || hasDeadline(types.NewPointer(tv.Type))
-}
-
-// acquirerCall reports whether the call freshly opens a closer (and whether
-// it is opened writable). os.OpenFile is writable only when its flag
-// argument is a constant carrying O_WRONLY or O_RDWR.
-func acquirerCall(pkg *Package, t summaryTable, call *ast.CallExpr) (conn, writable bool) {
-	fn := calleeFunc(pkg, call)
-	sum := t.of(fn)
-	if sum == nil {
-		return false, false
-	}
-	conn = sum.acquiresConn
-	writable = sum.acquiresWritable
-	if writable && funcKey(fn) == "os.OpenFile" && len(call.Args) >= 2 {
-		writable = constHasWriteFlag(pkg, call.Args[1])
-	}
-	return conn, writable
-}
-
-// constHasWriteFlag evaluates a constant open-flag expression and checks for
-// O_WRONLY (1) or O_RDWR (2). Non-constant flags are treated as writable
-// (conservative: the pass only reports on a defer, not the open).
-func constHasWriteFlag(pkg *Package, flag ast.Expr) bool {
-	tv, ok := pkg.Info.Types[flag]
-	if !ok || tv.Value == nil {
-		return true
-	}
-	v, ok := constant.Int64Val(tv.Value)
-	if !ok {
-		return true
-	}
-	const oWronly, oRdwr = 1, 2 // os.O_WRONLY, os.O_RDWR on every supported platform
-	return v&(oWronly|oRdwr) != 0
 }
 
 // bodyWipes reports whether the body zeroes parameter p: an inline zeroing
@@ -524,28 +246,6 @@ func isClearCall(pkg *Package, call *ast.CallExpr, obj types.Object) bool {
 	return len(call.Args) == 1 && identObj(pkg, call.Args[0]) == obj
 }
 
-// armsDeadline reports whether the body calls a deadline-arming method.
-func armsDeadline(pkg *Package, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(pkg, call); fn != nil && deadlineMethodNames[fn.Name()] {
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
 var deadlineMethodNames = map[string]bool{
 	"SetDeadline":        true,
 	"SetReadDeadline":    true,
@@ -560,22 +260,6 @@ var errorType = types.Universe.Lookup("error").Type()
 
 func isErrorVar(obj types.Object) bool {
 	return obj != nil && types.Identical(obj.Type(), errorType)
-}
-
-// isCloserType reports whether t (or *t) has a Close() error method.
-func isCloserType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if hasMethodNamed(t, "Close") {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			return hasMethodNamed(types.NewPointer(t), "Close")
-		}
-	}
-	return false
 }
 
 // hasDeadline reports whether t can be armed with SetDeadline.
@@ -682,10 +366,10 @@ func mentionsObj(pkg *Package, n ast.Node, obj types.Object) bool {
 // killEscapedMentions discharges facts whose variable escapes through the
 // node: assigned to something, stored in a composite literal, sent on a
 // channel, captured by a function literal, or returned. Mentions that are
-// *not* escapes — the receiver of a method call, a call argument (handled
-// separately by each pass's call rules), a nil comparison, len/cap — keep
-// the obligation. keep, when non-nil, vetoes the kill for specific objects.
-func killEscapedMentions(pkg *Package, n ast.Node, fs factSet, keep func(types.Object) bool) {
+// *not* escapes — the receiver of a method call, a call argument (the
+// callee reading a secret does not wipe it), a nil comparison, len/cap —
+// keep the obligation.
+func killEscapedMentions(pkg *Package, n ast.Node, fs factSet) {
 	root := shallowRoot(n)
 	if root == nil || len(fs) == 0 {
 		return
@@ -706,9 +390,6 @@ func killEscapedMentions(pkg *Package, n ast.Node, fs factSet, keep func(types.O
 			return true
 		}
 		if _, tracked := fs[obj]; !tracked {
-			return true
-		}
-		if keep != nil && keep(obj) {
 			return true
 		}
 		if escapingUse(pkg, stack) {

@@ -11,31 +11,23 @@ import (
 
 // Trust-boundary taint lattice. MyProxy's server side exists to accept
 // requests from untrusted network clients (paper §3): every byte of a
-// username, credential name, passphrase or frame length arrives off the
-// wire before the repository has authenticated anything about it. The
-// nineteen earlier passes all track data flowing *outward* (secrets,
-// obligations, cost); this layer tracks the *inward* direction — which
-// expressions are derived from wire input — and reports when such data
-// reaches one of four sink families unsanitized:
+// username, credential name or pass phrase arrives off the wire before the
+// repository has authenticated anything about it. This layer tracks which
+// expressions are derived from wire input and reports when such data
+// reaches one of two sink families unsanitized:
 //
-//	pathtaint  — filesystem path construction (filepath.Join, os.Open,
-//	             os.Remove, os.WriteFile, ...): path traversal.
-//	alloctaint — allocation sizes (make, io.CopyN, bufio.NewReaderSize)
-//	             driven by a wire-derived integer with no dominating
-//	             upper-bound comparison: memory-exhaustion DoS.
-//	logtaint   — raw tainted bytes into log/print sinks without %q or
-//	             control-character escaping: audit-log injection. The pass
-//	             also reports secret-typed values reaching logf-style
-//	             wrappers, closing secretflow's blind spot (secretflow
-//	             covers only the direct fmt/log call sites).
-//	hdrtaint   — tainted values into http.Header.Set / http.Redirect /
-//	             http.SetCookie: header splitting and open redirect.
+//	logtaint — raw tainted bytes into log/print sinks without %q or
+//	           control-character escaping: audit-log injection. The pass
+//	           also reports secret-typed values reaching a log sink,
+//	           directly or through a logf-style wrapper.
+//	hdrtaint — tainted values into http.Header.Set / http.Redirect /
+//	           http.SetCookie: header splitting and open redirect.
 //
-// The lattice is a forward may-analysis over the PR-4 CFG/dataflow engine:
-// each tracked variable carries a bitmask (fact.taintSrc) whose bits mean
+// The lattice is a forward may-analysis over the CFG/dataflow engine: each
+// tracked variable carries a bitmask (fact.taintSrc) whose bits mean
 // "derived from the enclosing function's i-th parameter" (paramBit) or
 // "derived from an in-body wire source" (ambientTaint). Interprocedural
-// behavior rides the PR-7 bottom-up summary order: each function's body is
+// behavior rides the bottom-up summary order: each function's body is
 // flowed once with its candidate parameters seeded, deriving
 //
 //	taintsReturn  — a result carries wire data regardless of arguments,
@@ -57,38 +49,29 @@ import (
 // parameters only escape into a hash (credstore's sha256sum) derives no
 // taintProp, so its callers see clean results with no annotation at all.
 //
-// Soundness limits, by design (documented in DESIGN.md §16): the lattice
-// is field-insensitive (any tainted field taints the whole struct
+// Soundness limits, by design (DESIGN.md "Static-analysis gate"): the
+// lattice is field-insensitive (any tainted field taints the whole struct
 // expression and vice versa); unmarked interface method calls do not
 // propagate (a store.Get result is clean); closure captures lose taint;
 // and type-based ambient taint cannot be killed by validation — copy the
 // value into a plain local and validate that instead.
 
-// taintKind classifies the four sink families.
+// taintKind classifies the two sink families.
 type taintKind uint8
 
 const (
-	taintPath taintKind = iota
-	taintAlloc
-	taintLog
+	taintLog taintKind = iota
 	taintHdr
 )
 
 func (k taintKind) String() string {
-	switch k {
-	case taintPath:
-		return "pathtaint"
-	case taintAlloc:
-		return "alloctaint"
-	case taintLog:
-		return "logtaint"
-	case taintHdr:
+	if k == taintHdr {
 		return "hdrtaint"
 	}
-	return "taint"
+	return "logtaint"
 }
 
-// taintFinding is one sink hit, memoized per function body (the four
+// taintFinding is one sink hit, memoized per function body (the two
 // passes share one flow computation and filter by kind).
 type taintFinding struct {
 	kind taintKind
@@ -105,21 +88,6 @@ func paramBit(i int) uint64 {
 		return 0
 	}
 	return 1 << uint(i)
-}
-
-// PathTaint reports wire-tainted values reaching filesystem path sinks.
-var PathTaint = &Pass{
-	Name: "pathtaint",
-	Doc:  "wire-tainted data must not reach filesystem path construction unsanitized",
-	Run:  runTaintKind(taintPath),
-}
-
-// AllocTaint reports wire-derived integers sizing allocations without a
-// dominating upper-bound check.
-var AllocTaint = &Pass{
-	Name: "alloctaint",
-	Doc:  "wire-derived sizes must be bounded before driving an allocation",
-	Run:  runTaintKind(taintAlloc),
 }
 
 // LogTaint reports raw tainted bytes (and secrets, via logf-style
@@ -168,7 +136,6 @@ func (ctx *Context) taintFindingsOf(pkg *Package, name string, body *ast.BlockSt
 	c := newTaintChecker(ctx, pkg, ctx.Summaries, -1)
 	runFlow(pkg, ctx.cfgOf(pkg, name, body), nil, flowHooks{
 		transfer: c.transfer,
-		refine:   c.refine,
 		report:   c.report,
 	})
 	ctx.taintMu.Lock()
@@ -343,28 +310,6 @@ type stdlibSink struct {
 }
 
 var stdlibTaintSinks = map[string]stdlibSink{
-	"path/filepath.Join": {taintPath, []int{-1}},
-	"os.Open":            {taintPath, []int{0}},
-	"os.OpenFile":        {taintPath, []int{0}},
-	"os.Create":          {taintPath, []int{0}},
-	"os.Remove":          {taintPath, []int{0}},
-	"os.RemoveAll":       {taintPath, []int{0}},
-	"os.ReadFile":        {taintPath, []int{0}},
-	"os.WriteFile":       {taintPath, []int{0}},
-	"os.Mkdir":           {taintPath, []int{0}},
-	"os.MkdirAll":        {taintPath, []int{0}},
-	"os.Stat":            {taintPath, []int{0}},
-	"os.Lstat":           {taintPath, []int{0}},
-	"os.Rename":          {taintPath, []int{0, 1}},
-
-	"io.CopyN":             {taintAlloc, []int{2}},
-	"bufio.NewReaderSize":  {taintAlloc, []int{1}},
-	"bufio.NewWriterSize":  {taintAlloc, []int{1}},
-	"strings.Repeat":       {taintAlloc, []int{1}},
-	"bytes.Repeat":         {taintAlloc, []int{1}},
-	"(bytes.Buffer).Grow":  {taintAlloc, []int{0}},
-	"(strings.Builder).Grow": {taintAlloc, []int{0}},
-
 	"(net/http.Header).Set": {taintHdr, []int{-1}},
 	"(net/http.Header).Add": {taintHdr, []int{-1}},
 	"net/http.Redirect":     {taintHdr, []int{2}},
@@ -375,8 +320,7 @@ var stdlibTaintSinks = map[string]stdlibSink{
 // (*log.Logger) methods, fmt.Print/Printf/Println, and fmt.Fprint* writing
 // to os.Stdout or os.Stderr. fmt's Sprint*/Errorf/Append* family is
 // deliberately absent — those are propagators whose results we keep
-// tracking, not output (this differs from secretflow's sink table, where a
-// secret entering any format call is already the leak). Returns the sink's
+// tracking, not output. Returns the sink's
 // display name, the format argument's index (-1 for non-formatting
 // variants) and the first data argument index.
 func logSinkOf(pkg *Package, call *ast.CallExpr, fn *types.Func) (name string, fmtIdx, argStart int, ok bool) {
@@ -444,7 +388,7 @@ func isStdStream(pkg *Package, e ast.Expr) bool {
 // --- the checker ---
 
 // taintChecker carries one flow's state: the mask evaluator, the transfer
-// function, the refine hook and the sink scanner, plus the findings and
+// function and the sink scanner, plus the findings and
 // interprocedural flows the run accumulates.
 type taintChecker struct {
 	ctx *Context
@@ -586,15 +530,7 @@ func (c *taintChecker) callMask(call *ast.CallExpr, fs factSet) uint64 {
 		}
 		if b, ok := c.pkg.Info.Uses[f].(*types.Builtin); ok {
 			switch b.Name() {
-			case "append", "max":
-				return c.argsUnion(call.Args, fs)
-			case "min":
-				// min(n, limit) with a constant operand is bounded.
-				for _, a := range call.Args {
-					if tv, ok := c.pkg.Info.Types[a]; ok && tv.Value != nil {
-						return 0
-					}
-				}
+			case "append", "min", "max":
 				return c.argsUnion(call.Args, fs)
 			}
 			return 0 // len, cap, make, new, ...
@@ -969,76 +905,6 @@ func (c *taintChecker) pairValidator(as *ast.AssignStmt, errObj types.Object, fs
 	}
 }
 
-// --- refinement: bound checks kill integer taint ---
-
-// refine applies branch knowledge the generic nil/err refinement cannot
-// see: on an edge where `n <= bound` holds for a wire-clean bound, n's
-// integer taint dies — the canonical `if n > max { return ErrTooLarge }`
-// framing guard proves the subsequent make([]byte, n) bounded.
-func (c *taintChecker) refine(cond ast.Expr, val bool, fs factSet) {
-	switch b := ast.Unparen(cond).(type) {
-	case *ast.UnaryExpr:
-		if b.Op == token.NOT {
-			c.refine(b.X, !val, fs)
-		}
-	case *ast.BinaryExpr:
-		switch b.Op {
-		case token.LAND:
-			if val {
-				c.refine(b.X, true, fs)
-				c.refine(b.Y, true, fs)
-			}
-		case token.LOR:
-			if !val {
-				c.refine(b.X, false, fs)
-				c.refine(b.Y, false, fs)
-			}
-		case token.LSS, token.LEQ:
-			if val {
-				c.killBounded(b.X, b.Y, fs)
-			} else {
-				c.killBounded(b.Y, b.X, fs)
-			}
-		case token.GTR, token.GEQ:
-			if val {
-				c.killBounded(b.Y, b.X, fs)
-			} else {
-				c.killBounded(b.X, b.Y, fs)
-			}
-		case token.EQL:
-			if val {
-				c.killBounded(b.X, b.Y, fs)
-				c.killBounded(b.Y, b.X, fs)
-			}
-		}
-	}
-}
-
-// killBounded records that `bounded <= bound` holds on this edge. When the
-// bound itself is not wire-tainted (a constant, a config parameter), the
-// integer taint of every variable mentioned in the bounded operand dies —
-// handling compound forms like `n-streamIDLen > uint32(max)` whose false
-// edge bounds n.
-func (c *taintChecker) killBounded(bounded, bound ast.Expr, fs factSet) {
-	if c.exprMask(bound, fs)&ambientTaint != 0 {
-		return // bounded by attacker data is not bounded
-	}
-	ast.Inspect(bounded, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := c.pkg.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if _, tracked := fs[obj]; tracked && isIntObj(obj) {
-			delete(fs, obj)
-		}
-		return true
-	})
-}
-
 // --- sink scanning (report hook) ---
 
 func (c *taintChecker) report(n ast.Node, fs factSet) {
@@ -1058,16 +924,6 @@ func (c *taintChecker) report(n ast.Node, fs factSet) {
 }
 
 func (c *taintChecker) checkCallSinks(call *ast.CallExpr, fs factSet) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := c.pkg.Info.Uses[id].(*types.Builtin); ok {
-			if b.Name() == "make" {
-				for _, sz := range call.Args[1:] {
-					c.sinkArg(taintAlloc, "make", sz, fs)
-				}
-			}
-			return
-		}
-	}
 	fn := calleeFunc(c.pkg, call)
 	if fn == nil {
 		c.checkLogfValue(call, fs)
@@ -1097,9 +953,14 @@ func (c *taintChecker) checkCallSinks(call *ast.CallExpr, fs factSet) {
 
 // checkLogSink scans a direct stdlib logging sink verb-aware: operands
 // behind %q/%x/%X are escaped; a non-constant format leaves every operand
-// exposed. Secret-into-log at these direct sinks is secretflow's job, not
-// repeated here.
+// exposed. A secret operand is reported whatever its verb.
 func (c *taintChecker) checkLogSink(call *ast.CallExpr, name string, fmtIdx, argStart int, fs factSet) {
+	for _, op := range call.Args[min(argStart, len(call.Args)):] {
+		if desc, secret := c.ctx.secretCarrier(c.pkg, op); secret {
+			c.addFinding(taintLog, op.Pos(),
+				fmt.Sprintf("secret value reaches %s: %s; redact it before logging", name, desc))
+		}
+	}
 	if fmtIdx >= 0 && fmtIdx < len(call.Args) {
 		if format, ok := constString(c.pkg, call.Args[fmtIdx]); ok {
 			verbs := printfVerbs(format)
@@ -1130,8 +991,7 @@ func (c *taintChecker) checkLogSink(call *ast.CallExpr, name string, fmtIdx, arg
 // checkLogfValue treats calls through logf-shaped function values —
 // a *types.Var named "logf" (or suffixed Logf/logf) of type
 // func(string, ...interface{}) — as verb-aware log sinks. Secrets
-// reaching such a wrapper are reported here (never excused by a verb):
-// this is exactly the blind spot secretflow's direct-sink table leaves.
+// reaching such a wrapper are reported here, never excused by a verb.
 func (c *taintChecker) checkLogfValue(call *ast.CallExpr, fs factSet) {
 	var obj types.Object
 	switch f := ast.Unparen(call.Fun).(type) {
@@ -1250,28 +1110,22 @@ func (c *taintChecker) sinkArg(kind taintKind, sink string, arg ast.Expr, fs fac
 	c.recordParamFlows(m, kind, sink)
 }
 
-// sinkArgTypeOK filters by what can actually carry the attack: integers
-// for allocation sizes, string-shaped values for paths and headers (plus
-// cookie structs), strings or whole untrusted values (%v) for logs.
+// sinkArgTypeOK filters by what can actually carry the attack:
+// string-shaped values for headers (plus cookie structs), strings or whole
+// untrusted values (%v) for logs.
 func (c *taintChecker) sinkArgTypeOK(kind taintKind, arg ast.Expr) bool {
 	tv, ok := c.pkg.Info.Types[ast.Unparen(arg)]
 	if !ok || tv.Type == nil {
 		return false
 	}
-	switch kind {
-	case taintAlloc:
-		return isIntType(tv.Type)
-	case taintLog:
-		if stringish(tv.Type) {
-			return true
-		}
-		_, untrusted := c.ctx.untrustedType(tv.Type)
-		return untrusted
-	case taintHdr:
+	if kind == taintHdr {
 		return stringish(tv.Type) || isStructish(tv.Type)
-	default: // path
-		return stringish(tv.Type)
 	}
+	if stringish(tv.Type) {
+		return true
+	}
+	_, untrusted := c.ctx.untrustedType(tv.Type)
+	return untrusted
 }
 
 func (c *taintChecker) addFinding(kind taintKind, pos token.Pos, msg string) {
@@ -1312,37 +1166,23 @@ func taintMsgPrefix(kind taintKind, label, via string) string {
 	if via != "" {
 		viaStr = " passed to " + via
 	}
-	switch kind {
-	case taintPath:
-		return fmt.Sprintf("wire-tainted value %s%s builds a filesystem path", label, viaStr)
-	case taintAlloc:
-		return fmt.Sprintf("wire-derived size %s%s drives an allocation without a dominating bound check", label, viaStr)
-	case taintLog:
-		return fmt.Sprintf("wire-tainted value %s%s reaches a log line unescaped", label, viaStr)
-	case taintHdr:
+	if kind == taintHdr {
 		return fmt.Sprintf("wire-tainted value %s%s reaches an HTTP response header", label, viaStr)
 	}
-	return label
+	return fmt.Sprintf("wire-tainted value %s%s reaches a log line unescaped", label, viaStr)
 }
 
 func taintRemedy(kind taintKind) string {
-	switch kind {
-	case taintPath:
-		return "hash it or validate its charset before building paths"
-	case taintAlloc:
-		return "compare it against an explicit maximum first"
-	case taintLog:
-		return "render it with %q or escape control characters"
-	case taintHdr:
+	if kind == taintHdr {
 		return "validate or escape it to prevent header splitting"
 	}
-	return ""
+	return "render it with %q or escape control characters"
 }
 
 // --- summary computation (called from buildSummaries) ---
 
 // computeTaintSummaries derives every taint summary bottom-up and memoizes
-// each declaration body's sink findings for the four passes. Two rounds:
+// each declaration body's sink findings for the two passes. Two rounds:
 // the bottom-up order makes non-recursive code exact in round one; round
 // two re-derives with the full table so recursive components and the
 // memoized findings see final callee facts.
@@ -1382,22 +1222,14 @@ func computeTaintSummaries(ctx *Context, t summaryTable, ordered []declSite, unt
 }
 
 // taintCandidateParam: parameter types worth tracking bit-wise — string
-// shapes, integers, byte slices, interface{} — excluding untrusted-typed
+// shapes, byte slices, interface{} — excluding untrusted-typed
 // parameters (those are ambient by type already; double-reporting the same
 // sink once per caller would drown the signal).
 func taintCandidateParam(ctx *Context, t types.Type) bool {
 	if _, untrusted := ctx.untrustedType(t); untrusted {
 		return false
 	}
-	if stringish(t) || isIntType(t) {
-		return true
-	}
-	if sl, ok := t.Underlying().(*types.Slice); ok {
-		if iface, ok := sl.Elem().Underlying().(*types.Interface); ok && iface.Empty() {
-			return true
-		}
-	}
-	return false
+	return stringish(t)
 }
 
 // taintScanDecl flows one declaration with its candidate parameters seeded,
@@ -1442,7 +1274,6 @@ func taintScanDecl(ctx *Context, t summaryTable, d declSite, sanitizeFns map[str
 
 	runFlow(d.pkg, ctx.cfgOf(d.pkg, d.key, d.fd.Body), seed, flowHooks{
 		transfer: c.transfer,
-		refine:   c.refine,
 		report:   c.report,
 	})
 
@@ -1660,15 +1491,6 @@ func stringish(t types.Type) bool {
 		return u.Empty()
 	}
 	return false
-}
-
-func isIntType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-func isIntObj(obj types.Object) bool {
-	return obj != nil && isIntType(obj.Type())
 }
 
 func isStructish(t types.Type) bool {

@@ -166,7 +166,7 @@ func scrub(s string) string { return s }
 
 func logIt(s string) {
 	_ = s //myproxy:allow logtaint fixture rationale
-	_ = s //myproxy:allow pathtaint fixture rationale
+	_ = s //myproxy:allow hdrtaint fixture rationale
 }
 `)
 	known := map[string]bool{}
@@ -185,7 +185,7 @@ func logIt(s string) {
 			}
 		}
 	}
-	for _, pass := range []string{"logtaint", "pathtaint"} {
+	for _, pass := range []string{"logtaint", "hdrtaint"} {
 		found := false
 		for _, p := range allowed {
 			if p == pass {

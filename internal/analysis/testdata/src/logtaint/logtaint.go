@@ -2,8 +2,8 @@
 // reaching log lines unescaped. %q and %x operands are excused (they
 // cannot smuggle control characters into the audit stream); %s and %v are
 // not. The pass sees through printf-shaped repository helpers and through
-// logf-shaped function values — the latter is secretflow's blind spot, so
-// secrets reaching a logf wrapper are reported here, never verb-excused.
+// logf-shaped function values; secrets reaching a log sink either way are
+// reported, never verb-excused.
 package logtaintfix
 
 import "log"
@@ -53,4 +53,9 @@ func Interproc() {
 	name := line()
 	failf("bad user %s", name)
 	failf("bad user %q", name)
+}
+
+// DirectSecret exercises a secret at a direct sink: reported whatever its verb.
+func DirectSecret(pw Passphrase) {
+	log.Printf("pw %x", pw)
 }

@@ -8,8 +8,8 @@ import (
 	mrand "math/rand"
 )
 
-// Both triggers weakrand and secretflow on one line; the pragma names only
-// weakrand, so the secretflow finding must survive.
+// Both triggers weakrand and logtaint on one line; the pragma names only
+// weakrand, so the logtaint finding must survive.
 func Both(passphrase string) {
 	fmt.Println(passphrase, mrand.Int()) //myproxy:allow weakrand fixture exercises pragma scoping
 }

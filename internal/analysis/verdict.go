@@ -24,7 +24,7 @@ import (
 // from the type's package scope, so it follows the declaration — adding a
 // code breaks every non-exhaustive site in the next vet run.
 //
-// Limit (DESIGN.md §13): the marker lives in the declaring package's
+// Limit (DESIGN.md §8): the marker lives in the declaring package's
 // source, so it is only visible when that package's source is in the load —
 // the repo-wide `./...` run, which is what CI executes. Narrower loads that
 // only import the type through export data skip these checks.

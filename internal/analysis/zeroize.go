@@ -77,7 +77,7 @@ func zeroizeTransfer(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
 				delete(fs, obj)
 			}
 		}
-		killSecretEscapes(pkg, n, fs)
+		killEscapedMentions(pkg, n, fs)
 	case *ast.DeferStmt, *ast.GoStmt:
 		// Deferred cleanup: `defer pki.WipeBytes(key)` (or a closure doing
 		// the same) runs on every path out of the function.
@@ -92,7 +92,7 @@ func zeroizeTransfer(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
 		}
 	default:
 		zeroizeCalls(ctx, pkg, n, fs)
-		killSecretEscapes(pkg, n, fs)
+		killEscapedMentions(pkg, n, fs)
 	}
 }
 
@@ -114,14 +114,6 @@ func zeroizeCalls(ctx *Context, pkg *Package, n ast.Node, fs factSet) {
 			}
 		}
 	})
-}
-
-// killSecretEscapes discharges buffers that escape the function's control:
-// stored into a composite/field/map, captured, appended elsewhere,
-// converted. Unlike connleak, a plain argument pass keeps the obligation —
-// the callee reading the secret does not wipe it.
-func killSecretEscapes(pkg *Package, n ast.Node, fs factSet) {
-	killEscapedMentions(pkg, n, fs, nil)
 }
 
 func zeroizeAssign(ctx *Context, pkg *Package, as *ast.AssignStmt, fs factSet) {
@@ -151,7 +143,7 @@ func zeroizeAssign(ctx *Context, pkg *Package, as *ast.AssignStmt, fs factSet) {
 		}
 	}
 	zeroizeCalls(ctx, pkg, as, fs)
-	killSecretEscapes(pkg, as, fs)
+	killEscapedMentions(pkg, as, fs)
 	invalidateAssigned(fs, lhs)
 
 	if genCall != nil {

@@ -2,72 +2,24 @@ package credstore
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// The backend registry makes storage engines pluggable by name: a backend
-// spec is "scheme" or "scheme:dsn" ("mem", "file:/var/myproxy"), and Open
-// resolves it through registered constructors. myproxy-server's -backend
-// flag and the cluster rebalance tooling both go through here, so a new
-// engine (an embedded KV store, a remote backend) plugs in without touching
-// any front-end.
-var (
-	backendMu sync.RWMutex
-	//myproxy:guardedby backendMu
-	backends = map[string]func(dsn string) (Backend, error){}
-)
-
-// RegisterBackend installs a constructor for the given scheme. Registering
-// a duplicate scheme panics (a wiring bug, not a runtime condition).
-func RegisterBackend(scheme string, open func(dsn string) (Backend, error)) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[scheme]; dup {
-		panic(fmt.Sprintf("credstore: backend scheme %q registered twice", scheme))
-	}
-	backends[scheme] = open
-}
-
-// Backends returns the registered scheme names, sorted (help text, errors).
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(backends))
-	for s := range backends {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Open resolves a backend spec of the form "scheme" or "scheme:dsn".
+// Open resolves a backend spec of the form "scheme" or "scheme:dsn" — "mem",
+// or "file:<dir>" — for myproxy-server's -backend flag.
 func Open(spec string) (Backend, error) {
-	scheme, dsn := spec, ""
-	if i := strings.Index(spec, ":"); i >= 0 {
-		scheme, dsn = spec[:i], spec[i+1:]
-	}
-	backendMu.RLock()
-	open, ok := backends[scheme]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("credstore: unknown backend %q (have: %s)", scheme, strings.Join(Backends(), ", "))
-	}
-	return open(dsn)
-}
-
-func init() {
-	RegisterBackend("mem", func(dsn string) (Backend, error) {
+	scheme, dsn, _ := strings.Cut(spec, ":")
+	switch scheme {
+	case "mem":
 		if dsn != "" {
 			return nil, fmt.Errorf("credstore: mem backend takes no dsn, got %q", dsn)
 		}
 		return NewMemStore(), nil
-	})
-	RegisterBackend("file", func(dsn string) (Backend, error) {
+	case "file":
 		if dsn == "" {
 			return nil, fmt.Errorf("credstore: file backend needs a directory (file:<dir>)")
 		}
 		return NewFileStore(dsn)
-	})
+	}
+	return nil, fmt.Errorf("credstore: unknown backend %q (have: file, mem)", scheme)
 }

@@ -3,9 +3,8 @@ package credstore
 // The backend conformance suite: every Backend implementation must pass the
 // same behavioral assertions, because cluster replicas are interchangeable
 // only if a credential reads back identically — same bytes, same error
-// shapes, same ordering — regardless of the engine underneath. New backends
-// registered with RegisterBackend should add themselves to newConformance
-// Backends and nothing else.
+// shapes, same ordering — regardless of the engine underneath. A new backend
+// gets a case in Open and an entry in conformanceBackends, nothing else.
 
 import (
 	"errors"

@@ -133,7 +133,7 @@ func (e *Entry) normalize() {
 
 // Backend is the pluggable single-node persistence contract: the five
 // operations every storage implementation (in-memory, directory-backed,
-// and any future engine registered with RegisterBackend) must provide.
+// and any future engine added to Open) must provide.
 // Implementations must be safe for concurrent use, must return entries
 // in canonical form (see Entry.normalize), and must use the package error
 // values (ErrNotFound) so higher layers — the repository server, the

@@ -3,6 +3,7 @@ package gsi
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -324,6 +325,55 @@ func TestDialClosesTheTransportWhenThePeerIsNotTheExpectedOne(t *testing.T) {
 	}
 	if _, err := raw.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("transport left open after the failed dial: Write = %v", err)
+	}
+}
+
+// A peer that completes the connect and then never speaks TLS must not hold
+// either half for longer than the handshake timeout: the accepting side's
+// slot and the initiating side's caller are both released by it.
+func TestStalledHandshakeIsReleasedAfterTheTimeout(t *testing.T) {
+	// silent returns a connection whose peer stays connected, takes whatever
+	// is written to it and never answers.
+	silent := func() *faultnet.Conn {
+		mine, theirs := net.Pipe()
+		go io.Copy(io.Discard, theirs)
+		c := faultnet.WrapConn(mine, faultnet.Plan{})
+		c.Stall()
+		t.Cleanup(func() { c.Close(); theirs.Close() })
+		return c
+	}
+	var nerr net.Error
+
+	events := make(chan reported, 1)
+	a, err := NewAcceptor(AcceptorConfig{
+		Credential:     testpki.Host(t, "myproxy.test"),
+		Auth:           AuthOptions{Roots: testRoots(t)},
+		MessageTimeout: 50 * time.Millisecond,
+		Handler:        func(*Conn) { t.Error("a peer that never spoke reached the handler") },
+		Event:          func(ev Event, peer net.Addr, err error) { events <- reported{ev, peer, err} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := faultnet.NewHandoff()
+	go a.Serve(ln)
+	ln.Conns <- silent()
+	if got := await(t, events, "the acceptor to give up on the silent peer"); got.ev != EventAuthFailed || !errors.As(got.err, &nerr) || !nerr.Timeout() {
+		t.Errorf("acceptor reported %+v, want EventAuthFailed with a timeout", got)
+	}
+	close(ln.Conns)
+	a.Close()
+
+	d := testDialer(t, "silent")
+	d.Timeout = 50 * time.Millisecond
+	d.DialContext = func(context.Context, string, string) (net.Conn, error) { return silent(), nil }
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := d.Dial(context.Background())
+		dialed <- err
+	}()
+	if err := await(t, dialed, "the dialer to give up on the silent peer"); !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Errorf("Dial = %v, want a timeout", err)
 	}
 }
 

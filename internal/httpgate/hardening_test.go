@@ -14,7 +14,6 @@ import (
 	"repro/internal/credstore"
 	"repro/internal/proxy"
 	"repro/internal/testpki"
-	"repro/internal/x509util"
 )
 
 // rawPost sends an arbitrary body with the given client credential and
@@ -145,7 +144,7 @@ func TestNoClientCertRejected(t *testing.T) {
 		Timeout: 5 * time.Second,
 		Transport: &http.Transport{
 			TLSClientConfig: &tls.Config{
-				RootCAs:    x509util.PoolOf(testpki.CA(t).Certificate()),
+				RootCAs:    testpki.PoolOf(testpki.CA(t).Certificate()),
 				ServerName: "httpgate.test",
 			},
 		},

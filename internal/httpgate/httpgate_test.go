@@ -14,14 +14,13 @@ import (
 	"repro/internal/policy"
 	"repro/internal/proxy"
 	"repro/internal/testpki"
-	"repro/internal/x509util"
 )
 
 func gatewayConfig(t *testing.T) core.ServerConfig {
 	t.Helper()
 	return core.ServerConfig{
 		Credential:           testpki.Host(t, "httpgate.test"),
-		Roots:                x509util.PoolOf(testpki.CA(t).Certificate()),
+		Roots:                testpki.PoolOf(testpki.CA(t).Certificate()),
 		AcceptedCredentials:  policy.NewACL("/C=US/O=Test Grid/*"),
 		AuthorizedRetrievers: policy.NewACL("/C=US/O=Test Grid/*"),
 		KDFIterations:        64,
@@ -52,7 +51,7 @@ func newGateClient(t *testing.T, cred *pki.Credential, base string) *Client {
 	t.Helper()
 	return &Client{
 		Credential: cred,
-		Roots:      x509util.PoolOf(testpki.CA(t).Certificate()),
+		Roots:      testpki.PoolOf(testpki.CA(t).Certificate()),
 		BaseURL:    base,
 		ServerName: "httpgate.test",
 		KeyBits:    1024,
@@ -78,7 +77,7 @@ func seedDelegated(t *testing.T, g *Gateway, username, pass string, user *pki.Cr
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	cli := &core.Client{
-		Credential: user, Roots: x509util.PoolOf(testpki.CA(t).Certificate()),
+		Credential: user, Roots: testpki.PoolOf(testpki.CA(t).Certificate()),
 		Addr: ln.Addr().String(), ExpectedServer: "*/CN=httpgate.test", KeyBits: 1024,
 	}
 	if err := cli.Put(context.Background(), core.PutOptions{
@@ -104,7 +103,7 @@ func TestGetOverHTTP(t *testing.T) {
 		t.Fatalf("Get: %v", err)
 	}
 	res, err := proxy.Verify(cred.CertChain(), proxy.VerifyOptions{
-		Roots: x509util.PoolOf(testpki.CA(t).Certificate()),
+		Roots: testpki.PoolOf(testpki.CA(t).Certificate()),
 	})
 	if err != nil {
 		t.Fatal(err)

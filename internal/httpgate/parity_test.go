@@ -18,7 +18,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/proxy"
 	"repro/internal/testpki"
-	"repro/internal/x509util"
 )
 
 // class is what a client can tell about an outcome: "ok", or the name of
@@ -96,7 +95,7 @@ const parityPass = "parity pass phrase"
 // verdict class, the same delegated identity and lifetime, and the same
 // counter, whichever front-end carried it.
 func TestSharedStoreBetweenFrontends(t *testing.T) {
-	roots := x509util.PoolOf(testpki.CA(t).Certificate())
+	roots := testpki.PoolOf(testpki.CA(t).Certificate())
 	registry := otp.NewRegistry()
 	cfg := core.ServerConfig{
 		Credential:          testpki.Host(t, "httpgate.test"),

@@ -9,7 +9,6 @@ package kdf
 
 import (
 	"crypto/hmac"
-	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
@@ -68,12 +67,4 @@ func Key(password, salt []byte, iter, keyLen int, h func() hash.Hash) []byte {
 //myproxy:secret
 func SHA256Key(password, salt []byte, iter, keyLen int) []byte {
 	return Key(password, salt, iter, keyLen, sha256.New)
-}
-
-// SHA1Key derives a key with PBKDF2-HMAC-SHA1. It exists for compatibility
-// testing against the RFC 6070 vectors; new code should use SHA256Key.
-//
-//myproxy:secret
-func SHA1Key(password, salt []byte, iter, keyLen int) []byte {
-	return Key(password, salt, iter, keyLen, sha1.New)
 }

@@ -2,6 +2,7 @@ package kdf
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -155,4 +156,12 @@ func BenchmarkSHA256Key64k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SHA256Key(pw, salt, 65536, 32)
 	}
+}
+
+// SHA1Key derives a key with PBKDF2-HMAC-SHA1, for checking Key against the
+// RFC 6070 vectors.
+//
+//myproxy:secret
+func SHA1Key(password, salt []byte, iter, keyLen int) []byte {
+	return Key(password, salt, iter, keyLen, sha1.New)
 }

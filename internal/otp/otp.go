@@ -252,17 +252,6 @@ func (r *Registry) Verify(username, response string) error {
 	return nil
 }
 
-// Remaining reports how many responses are left before re-initialization.
-func (r *Registry) Remaining(username string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.users[username]
-	if !ok {
-		return 0
-	}
-	return st.seq - 1
-}
-
 // ParseChallenge splits a challenge string into its parts.
 func ParseChallenge(challenge string) (alg Algorithm, n int, seed string, err error) {
 	parts := strings.Fields(challenge)

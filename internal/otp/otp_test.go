@@ -199,3 +199,14 @@ func TestParseResponseForms(t *testing.T) {
 		t.Error("malformed response accepted")
 	}
 }
+
+// Remaining reports how many responses are left before re-initialization.
+func (r *Registry) Remaining(username string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	st, ok := r.users[username]
+	if !ok {
+		return 0
+	}
+	return st.seq - 1
+}

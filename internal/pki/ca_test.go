@@ -102,7 +102,6 @@ func TestIssueUserCertificate(t *testing.T) {
 	// involved, so stdlib path validation must accept it).
 	roots := x509.NewCertPool()
 	roots.AddCert(ca.Certificate())
-	//myproxy:allow rawverify EEC-to-CA chain with no proxies; the test asserts stdlib compatibility of raw issuance
 	if _, err := cert.Verify(x509.VerifyOptions{
 		Roots:     roots,
 		KeyUsages: []x509.ExtKeyUsage{x509.ExtKeyUsageAny},

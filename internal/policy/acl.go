@@ -45,15 +45,6 @@ func (a *ACL) Add(pattern string) {
 	a.patterns = append(a.patterns, pattern)
 }
 
-// Patterns returns a copy of the configured patterns.
-func (a *ACL) Patterns() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, len(a.patterns))
-	copy(out, a.patterns)
-	return out
-}
-
 // Empty reports whether no patterns are configured. An empty ACL permits
 // nobody — the repository is deny-by-default (paper §5.1: "restricting
 // service to authorized clients").

@@ -188,3 +188,12 @@ func TestLifetimeOwnerRestriction(t *testing.T) {
 		t.Errorf("looser restriction misapplied: %v", got)
 	}
 }
+
+// Patterns returns a copy of the configured patterns.
+func (a *ACL) Patterns() []string {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	out := make([]string, len(a.patterns))
+	copy(out, a.patterns)
+	return out
+}

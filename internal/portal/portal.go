@@ -122,8 +122,24 @@ func (p *Portal) Serve(ln net.Listener) error {
 			MinVersion:   tls.VersionTLS12,
 		},
 	}
-	return srv.ServeTLS(ln, "", "")
+	// A session whose browser never returns must not keep its delegated key
+	// until exit (paper §4.3: "if a user forgets to log off, then the
+	// credential will expire"): sweep for as long as the portal serves.
+	ticker := time.NewTicker(sweepInterval)
+	defer ticker.Stop()
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		p.sessions.sweepEvery(ticker.C, stop)
+	}()
+	err := srv.ServeTLS(ln, "", "")
+	close(stop)
+	<-swept
+	return err
 }
+
+// sweepInterval is how often a serving portal drops expired sessions.
+const sweepInterval = time.Minute
 
 func (p *Portal) logf(format string, args ...interface{}) {
 	if p.cfg.Logger != nil {

@@ -139,6 +139,19 @@ func (s *Sessions) Sweep() int {
 	return dropped
 }
 
+// sweepEvery runs Sweep on every tick until stop is closed: the owner that
+// enforces session expiry when no request arrives to trip Lookup's.
+func (s *Sessions) sweepEvery(tick <-chan time.Time, stop <-chan struct{}) {
+	for {
+		select {
+		case <-tick:
+			s.Sweep()
+		case <-stop:
+			return
+		}
+	}
+}
+
 // Len reports live sessions.
 func (s *Sessions) Len() int {
 	s.mu.Lock()

@@ -196,7 +196,7 @@ func TestVerifyCacheNilDegradesToVerify(t *testing.T) {
 // map probe, not a signature walk. The hit path allocates exactly once (the
 // Result copy handed to the caller); the bound leaves one alloc of slack so
 // incidental runtime changes don't flake, while a rebuilt fingerprint or a
-// per-hit buffer (the regressions hotalloc exists to catch) still fails.
+// per-hit buffer still fails.
 func TestVerifyCacheHitAllocs(t *testing.T) {
 	cred, roots := cachedChain(t)
 	vc := NewVerifyCache(0)

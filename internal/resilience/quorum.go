@@ -79,18 +79,6 @@ func joinErrs(errs []error) string {
 	return strings.Join(parts, "; ")
 }
 
-// FirstPermanent returns the first error in errs carrying the Permanent
-// marker, or nil. Replicated reads use it to distinguish a definitive
-// server verdict (report it, do not fail over) from transport noise.
-func FirstPermanent(errs []error) error {
-	for _, e := range errs {
-		if IsPermanent(e) {
-			return e
-		}
-	}
-	return nil
-}
-
 // Unavailable reports whether err looks like replica unavailability — any
 // failure that is neither a Permanent verdict nor ambiguity. Context
 // cancellation is excluded: the caller gave up, the replica did not fail.

@@ -141,3 +141,14 @@ func TestFirstPermanentAndUnavailable(t *testing.T) {
 		}
 	}
 }
+
+// FirstPermanent returns the first error in errs carrying the Permanent
+// marker, or nil.
+func FirstPermanent(errs []error) error {
+	for _, e := range errs {
+		if IsPermanent(e) {
+			return e
+		}
+	}
+	return nil
+}

@@ -7,6 +7,7 @@ package testpki
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"crypto/x509"
 	"fmt"
 	"sync"
 	"testing"
@@ -125,4 +126,15 @@ func FreshName(prefix string) string {
 	defer mu.Unlock()
 	nameCounter++
 	return fmt.Sprintf("%s-%d", prefix, nameCounter)
+}
+
+// PoolOf builds a CertPool containing the given certificates.
+func PoolOf(certs ...*x509.Certificate) *x509.CertPool {
+	pool := x509.NewCertPool()
+	for _, c := range certs {
+		if c != nil {
+			pool.AddCert(c)
+		}
+	}
+	return pool
 }
