@@ -109,15 +109,6 @@ type Context struct {
 	// HotCostly maps qualified names to a short description of the blocking
 	// or costly work they (transitively) perform, for hotblock.
 	HotCostly map[string]string
-	// UntrustedTypes maps fully-qualified named-type names to the reason
-	// their values are treated as raw wire input by the taint passes (the
-	// //myproxy:untrusted marker plus the seeded net/http frontier).
-	UntrustedTypes map[string]string
-	// taintMu/taintFacts memoize the taint-lattice findings per function
-	// body: the two taint passes share one flow computation and filter by
-	// sink kind (see taint.go).
-	taintMu    sync.Mutex
-	taintFacts map[*ast.BlockStmt][]taintFinding
 	// cfgs memoizes control-flow graphs by function body, shared between
 	// the summary computation and the dataflow passes; cfgMu makes the
 	// memoizer safe under the parallel per-package driver.

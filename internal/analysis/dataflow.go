@@ -8,10 +8,10 @@ import (
 
 // Forward may-analysis over CFGs. A fact attaches to a variable (its
 // types.Object) and means "on some path reaching this point, the variable is
-// in the tracked state" — holds unwiped secret bytes, may be nil, carries
-// wire data. Passes supply a transfer function (how statements
-// create/kill/move facts) and a report hook; the engine supplies the
-// fixpoint iteration, the path-union join, and err-branch refinement.
+// in the tracked state" — holds unwiped secret bytes, may be nil. Passes
+// supply a transfer function (how statements create/kill/move facts) and a
+// report hook; the engine supplies the fixpoint iteration, the path-union
+// join, and err-branch refinement.
 
 // fact is one tracked obligation.
 type fact struct {
@@ -26,9 +26,8 @@ type fact struct {
 	//   - errLive == errIsNil (the default, "acquired"): the value only
 	//     exists when err == nil, so the fact dies on every err != nil edge.
 	//   - errLive == errNonNil: the fact holds only where the call failed
-	//     (a result that may be nil, an argument a validator did not prove
-	//     clean), so it dies on err == nil edges and survives err != nil
-	//     edges.
+	//     (a result that may be nil), so it dies on err == nil edges and
+	//     survives err != nil edges.
 	//
 	// Reassigning the error variable clears the pairing (see clearErrPair):
 	// Go reuses the same object for `x, err := ...` redeclarations, so a
@@ -42,12 +41,6 @@ type fact struct {
 	// buffer holds nothing to wipe). Set only by the nilness pass; a pass
 	// never mixes mayNil and obligation facts in one flow.
 	mayNil bool
-	// taintSrc is the taint-origin bitmask used by the trust-boundary taint
-	// lattice (taint.go): bit i (< 62) means "carries data derived from the
-	// enclosing function's i-th parameter", ambientTaint means "carries data
-	// from an in-body wire source". Zero for every obligation fact; joined
-	// by union, since taint from either path taints the merge point.
-	taintSrc uint64
 }
 
 type errSense uint8
@@ -90,7 +83,6 @@ func (fs factSet) join(src factSet) bool {
 		if v.err != merged.err || v.errLive != merged.errLive {
 			merged.err = nil
 		}
-		merged.taintSrc |= v.taintSrc
 		if merged != old {
 			fs[k] = merged
 			changed = true

@@ -13,9 +13,9 @@ import (
 var Passes = []*Pass{WeakRand, ConstTime, ErrWrap,
 	Zeroize,
 	LockCheck, GuardedBy, GoroLeak,
-	RetrySafe, Verdict, Nilness,
+	Verdict, Nilness,
 	SecretEscape, HotBlock,
-	LogTaint, HdrTaint}
+	LogTaint}
 
 // Report is the outcome of one analyzer run.
 type Report struct {

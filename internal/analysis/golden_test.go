@@ -18,9 +18,9 @@ var fixtures = []string{
 	"weakrand", "consttime", "errwrap", "pragma",
 	"zeroize",
 	"lockcheck", "guardedby", "goroleak",
-	"retrysafe", "verdict", "nilness",
+	"verdict", "nilness",
 	"secretescape", "hotblock",
-	"logtaint", "hdrtaint",
+	"logtaint",
 }
 
 func TestGolden(t *testing.T) {

@@ -18,14 +18,13 @@ import (
 //
 // The facts propagated across call boundaries are the dataflow passes'
 // obligations: secret taint (secretResult, wipesParam), termination
-// (noReturn), retry-safety marking (retryMarks, consumed by the retrysafe
-// pass), and — via computeLockSummaries, which consumes the same bottom-up
-// order — lock acquisition and lock-requirement facts.
+// (noReturn), and — via computeLockSummaries, which consumes the same
+// bottom-up order — lock acquisition and lock-requirement facts.
 //
 // The only remaining seeds (seedSummaries) are the standard-library
 // primitive frontier: the DER marshalers have no source in the load, so
-// their facts cannot be derived. Every repository-internal wiper and
-// retry-marker summary is derived from its body through the graph.
+// their facts cannot be derived. Every repository-internal wiper summary is
+// derived from its body through the graph.
 
 // maxSCCRounds bounds fixpoint iteration within one recursive component.
 // The fact lattices are small and monotone in practice; the cap is a
@@ -75,12 +74,6 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 	decls := collectDecls(ctx, pkgs)
 	ctx.CallGraph = buildCallGraph(decls)
 
-	// Trust-boundary taint markers: the untrusted-type set feeds the taint
-	// lattice's by-type ambient rule; the function markers seed summaries
-	// before the bottom-up taint sweep at the end of this build.
-	untrustedTypes, untrustedFns, sanitizeFns := collectTaintMarkers(pkgs)
-	ctx.UntrustedTypes = untrustedTypes
-
 	// Marker-derived facts need no propagation order: secretResult from
 	// //myproxy:secret doc markers.
 	for _, d := range decls {
@@ -125,11 +118,6 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 	// direction); feeding it the bottom-up order makes it settle in one
 	// round plus a verification pass for non-recursive code.
 	computeLockSummaries(ctx, t, ordered)
-
-	// Taint summaries run last: they consult the finished obligation and
-	// noReturn facts through the memoized CFGs, and they memoize each body's
-	// sink findings for the two taint passes (see taint.go).
-	computeTaintSummaries(ctx, t, ordered, untrustedFns, sanitizeFns)
 	return t
 }
 
@@ -170,13 +158,6 @@ func updateSummary(ctx *Context, t summaryTable, d declSite) bool {
 	// their call sites like it does for os.Exit itself.
 	if !s.noReturn && neverReturnsStmts(d.pkg, t, d.fd.Body.List) {
 		s.noReturn = true
-		changed = true
-	}
-
-	// retryMarks: sites constructing retry-safe-capable ambiguity whose op
-	// or safety gate is one of this function's parameters (the retrysafe
-	// pass flags the fully-constant sites directly; see retrysafe.go).
-	if deriveRetryMarks(d.pkg, t, d) {
 		changed = true
 	}
 	return changed

@@ -31,7 +31,9 @@ var killMatrixFlag = flag.Bool("killmatrix", false, "apply every kill-matrix mut
 // package's tests (which must still pass, or the pass is not the cheapest
 // catcher). It fails when a recorded catcher no longer catches, when a pass
 // starts firing on a row recorded as a gap, when a registered pass is no
-// row's catcher, or when a row's `old` text has drifted away from the file.
+// row's catcher, or — checked on every `go test`, without the flag — when a
+// row's `old` text has drifted away from the file or its catcher is no
+// longer a registered pass or a test function of the named package.
 
 // edit replaces the single occurrence of old in file (module-relative).
 type edit struct{ file, old, new string }
@@ -49,11 +51,10 @@ type mutation struct {
 func one(file, old, new string) []edit { return []edit{{file, old, new}} }
 
 var killMatrix = []mutation{
-	{n: 1, what: "DESTROYED audit line renders the wire username with %s",
-		edits: one("internal/core/service.go",
-			`s.cfg.logf("DESTROYED %q/%q by %s", req.Username`,
-			`s.cfg.logf("DESTROYED %s/%q by %s", req.Username`),
-		caughtBy: "pass logtaint"},
+	{n: 1, what: "the audit function builds the escaped line and prints the raw event",
+		edits: one("internal/core/config.go",
+			`l.Print(line.String())`, `l.Print(event)`),
+		caughtBy: "test internal/core TestAuditWritesOneLinePerEvent"},
 	{n: 2, what: "the DESTROY refusal formats the pass phrase into the audit log",
 		edits: one("internal/core/service.go",
 			`"DESTROY %q/%q: bad pass phrase", req.Username, req.CredName)`,
@@ -79,9 +80,9 @@ var killMatrix = []mutation{
 			"\t\tpki.WipeBytes(credData) // decoded; drop the on-disk credential image\n", ""),
 		caughtBy: "none",
 		why:      "os.ReadFile's result carries no secret label; same follow-up as row 3"},
-	{n: 7, what: "the cluster client marks DESTROY retry-safe",
-		edits: one("internal/cluster/client.go",
-			`"DESTROY", false, func(`, `"DESTROY", true, func(`),
+	{n: 7, what: "the command table calls DESTROY idempotent",
+		edits: one("internal/protocol/protocol.go",
+			"CmdDestroy:          false,", "CmdDestroy:          true,"),
 		caughtBy: "test internal/cluster TestClientPartialWriteIsRetrySafeAmbiguous"},
 	{n: 8, what: "the OTP response is compared with != on strings",
 		edits: []edit{
@@ -137,10 +138,12 @@ var killMatrix = []mutation{
 		edits: one("internal/cluster/router.go",
 			"\t\twg.Add(1)\n\t\tgo func(i int, node NodeID) {\n\t\t\tdefer wg.Done()\n", "\t\tgo func(i int, node NodeID) {\n\t\t\twg.Add(1)\n\t\t\tdefer wg.Done()\n"),
 		caughtBy: "test internal/cluster TestClientWriteReplicatesToAllReplicas"},
-	{n: 20, what: "the portal download puts the wire file name into Content-Disposition with %s",
-		edits: one("internal/portal/portal.go",
-			`fmt.Sprintf("attachment; filename=%q", name)`, `fmt.Sprintf("attachment; filename=%s", name)`),
-		caughtBy: "pass hdrtaint"},
+	{n: 20, what: "the portal download formats Content-Disposition itself, quoting the stored name with %q",
+		edits: []edit{
+			{"internal/portal/portal.go", "\t\"mime\"\n", ""},
+			{"internal/portal/portal.go", `mime.FormatMediaType("attachment", map[string]string{"filename": name})`, `fmt.Sprintf("attachment; filename=%q", name)`},
+		},
+		caughtBy: "test internal/portal TestFileDownloadNamesRoundTrip"},
 	{n: 21, what: "ReadFrame gains one fmt.Sprintf per frame",
 		edits: one("internal/gsi/framing.go",
 			"\tvar hdr [4]byte\n\tif _, err := io.ReadFull(r, hdr[:]); err != nil {\n\t\treturn nil, err\n\t}\n\tn := binary.BigEndian.Uint32(hdr[:])\n\tif n > uint32(max) {",
@@ -175,10 +178,10 @@ var killMatrix = []mutation{
 		edits: one("internal/gsi/conn.go",
 			"ClientAuth:         tls.RequireAnyClientCert,", "ClientAuth:         tls.RequireAndVerifyClientCert,"),
 		caughtBy: "test internal/gsi TestProxyCredentialAuthenticatesAsUser"},
-	{n: 28, what: "the cluster client marks CHANGE_PASSPHRASE retry-safe",
-		edits: one("internal/cluster/client.go",
-			`"CHANGE_PASSPHRASE", false, func(`, `"CHANGE_PASSPHRASE", true, func(`),
-		caughtBy: "pass retrysafe"},
+	{n: 28, what: "the command table calls CHANGE_PASSPHRASE idempotent",
+		edits: one("internal/protocol/protocol.go",
+			"CmdChangePassphrase: false,", "CmdChangePassphrase: true,"),
+		caughtBy: "test internal/protocol TestCommandIdempotenceTable"},
 	{n: 29, what: "a tenth VerdictKind is declared and the gateway's status switch does not know it",
 		edits: one("internal/core/service.go",
 			"\tVerdictInternal                             // the repository or the transport failed\n",
@@ -191,9 +194,13 @@ func TestKillMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cheap enough for every `go test`: each row still applies to the tree.
+	// Cheap enough for every `go test`: each row still applies to the tree
+	// and its catcher still exists under the recorded name.
 	for _, m := range killMatrix {
 		if _, err := mutate(root, m); err != nil {
+			t.Errorf("row %d: %v", m.n, err)
+		}
+		if err := catcherExists(root, m.caughtBy); err != nil {
 			t.Errorf("row %d: %v", m.n, err)
 		}
 	}
@@ -270,6 +277,39 @@ func TestKillMatrix(t *testing.T) {
 			t.Errorf("pass %s is no row's catcher: add the row it alone catches or delete it", p.Name)
 		}
 	}
+}
+
+// catcherExists checks a recorded catcher by name: a registered pass, or a
+// test function declared in the named package directory. A renamed test or
+// a deleted pass fails here, on every `go test`, not only under -killmatrix.
+func catcherExists(root, caughtBy string) error {
+	kind, arg, _ := strings.Cut(caughtBy, " ")
+	switch kind {
+	case "pass":
+		for _, p := range Passes {
+			if p.Name == arg {
+				return nil
+			}
+		}
+		return fmt.Errorf("catcher %q is not a registered pass", caughtBy)
+	case "test":
+		pkg, name, _ := strings.Cut(arg, " ")
+		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pkg), "*_test.go"))
+		if err != nil {
+			return err
+		}
+		for _, file := range files {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				return err
+			}
+			if bytes.Contains(data, []byte("\nfunc "+name+"(")) {
+				return nil
+			}
+		}
+		return fmt.Errorf("catcher %q: no func %s( in %s/*_test.go", caughtBy, name, pkg)
+	}
+	return nil // "none" and unknown kinds are the slow half's to judge
 }
 
 // copyModule copies the module's files, skipping dot-directories.

@@ -23,15 +23,6 @@ const (
 	// verdictMarker labels a named type as a protocol verdict whose
 	// constants must be handled exhaustively (see verdict.go).
 	verdictMarker = "//myproxy:verdict"
-	// untrustedMarker labels a named type whose values carry raw wire input
-	// (every expression of the type is taint-ambient), a function whose
-	// result does, or an interface method whose result does (see taint.go).
-	untrustedMarker = "//myproxy:untrusted"
-	// sanitizesMarker labels a function whose result is clean regardless of
-	// its inputs (hashing, strict encoding), or — on a validator-shaped
-	// function returning error — one that proves its argument clean on the
-	// err == nil branch (see taint.go).
-	sanitizesMarker = "//myproxy:sanitizes"
 )
 
 // allowance is one parsed //myproxy:allow pragma.
@@ -72,9 +63,6 @@ func collectPragmas(pkgs []*Package, knownPasses map[string]bool) (pragmaIndex, 
 					}
 					if text == hotpathMarker {
 						continue // handled by hotpath.go
-					}
-					if text == untrustedMarker || text == sanitizesMarker {
-						continue // handled by taint.go
 					}
 					pos := pkg.Fset.Position(c.Pos())
 					rest, ok := strings.CutPrefix(text, allowPrefix)

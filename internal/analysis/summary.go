@@ -50,51 +50,6 @@ type funcSummary struct {
 	// lock is needed. Propagated to a fixpoint through same-receiver helper
 	// calls (see computeLockSummaries).
 	requiresLock map[string]bool
-	// retryMarks records the retry-safe-ambiguity constructions reachable
-	// from this function whose op name or safety gate is one of its own
-	// parameters; the retrysafe pass resolves them against call-site
-	// constants (see retrysafe.go and interproc.go).
-	retryMarks []retryMark
-
-	// Trust-boundary taint facts (taint.go). taintKnown marks entries whose
-	// taint behavior was derived from a body (or seeded explicitly): for
-	// such callees the caller trusts the fields below exclusively, instead
-	// of falling back to the package-level propagation heuristics.
-	taintKnown bool
-	// taintsReturn: the results carry wire-derived data regardless of the
-	// arguments (the function reads from the wire itself, or is marked
-	// //myproxy:untrusted).
-	taintsReturn bool
-	// taintProp maps parameter indices whose taint flows into a result.
-	taintProp map[int]bool
-	// taintsBuf maps byte-slice parameter indices the function fills with
-	// wire data (the io.Reader.Read shape).
-	taintsBuf map[int]bool
-	// sanitizes: the results are clean regardless of inputs (hash-shaped
-	// derivation or the //myproxy:sanitizes marker).
-	sanitizes bool
-	// validates maps parameter indices a single-error-result validator
-	// proves clean: at a call site `err := f(x)`, x's taint dies on the
-	// err == nil branch.
-	validates map[int]bool
-	// taintSinks records parameters whose taint reaches a sink inside the
-	// callee; the taint passes report at tainted call sites.
-	taintSinks []taintSinkFlow
-}
-
-// taintSinkFlow is one "parameter reaches a sink" interprocedural fact.
-type taintSinkFlow struct {
-	// param is the callee parameter index whose taint reaches the sink.
-	param int
-	// kind classifies the sink (path/alloc/log/hdr).
-	kind taintKind
-	// sink is the sink's display name ("os.Open", "(*log.Logger).Printf").
-	sink string
-	// fmtParam, when >= 0, names the callee's own printf-style format
-	// parameter: the caller resolves this argument's conversion verb against
-	// the constant format it passes there, so `failf(conn, msg, "GET %q",
-	// req.Username)` is recognized as escaped while "%s" is not.
-	fmtParam int
 }
 
 func (s *funcSummary) wipesParam(i int) bool { return s != nil && s.wipes[i] }

@@ -1,61 +1,58 @@
-// Package logtaintfix exercises the logtaint pass: wire-tainted values
-// reaching log lines unescaped. %q and %x operands are excused (they
-// cannot smuggle control characters into the audit stream); %s and %v are
-// not. The pass sees through printf-shaped repository helpers and through
-// logf-shaped function values; secrets reaching a log sink either way are
-// reported, never verb-excused.
+// Package logtaintfix exercises the logtaint pass: a secret handed to
+// something that prints it — a log or fmt.Print* call, a printf-shaped
+// repository helper, a logf-shaped function value. No verb excuses it.
+// What a line says about a peer's own bytes is not the pass's business:
+// the audit function escapes every line it writes.
 package logtaintfix
 
-import "log"
+import (
+	"fmt"
+	"log"
+	"os"
+)
 
 // Passphrase is secret-bearing.
 //
 //myproxy:secret
 type Passphrase []byte
 
-// line hands back one line of raw peer input.
-//
-//myproxy:untrusted
-func line() string { return "x" }
-
-// Direct logs the raw wire value: %s flags, %q is clean.
-func Direct() {
-	name := line()
+// Direct prints through the standard sinks; the name is not a secret.
+func Direct(name string, pw Passphrase) {
 	log.Printf("login %s", name)
-	log.Printf("login %q", name)
-	log.Println("listener up")
+	log.Printf("pw %x", pw)
+	log.Println("listener up", pw)
+	fmt.Fprintf(os.Stderr, "pw %q\n", pw)
+	fmt.Println(len(pw)) // a length is not the secret
 }
 
-// server carries a pluggable log function, the shape the direct-sink
-// table cannot see through.
+// server carries a pluggable log function.
 type server struct {
 	logf func(string, ...interface{})
 }
 
-// Wrapped exercises the logf-value sink: wire taint under %s flags, %q
-// is clean, and a secret operand flags regardless of its verb.
-func (s *server) Wrapped(pw Passphrase) {
-	name := line()
+// Wrapped reaches the log through a func-typed field.
+func (s *server) Wrapped(name string, pw Passphrase) {
 	s.logf("user %s", name)
-	s.logf("user %q", name)
 	s.logf("pw %x", pw)
 }
 
-// failf is a printf-shaped helper: flows from its operands to the log
-// line are recorded with the format parameter's index, so the caller's
-// constant format resolves each operand's verb.
-func failf(format string, args ...interface{}) {
-	log.Printf("reject: "+format, args...)
+// refuse is a printf-shaped helper with operands before its format and a
+// result of its own, the shape of core's refusal helper.
+func refuse(kind int, format string, args ...interface{}) error {
+	log.Printf("DENIED: "+format, args...)
+	return fmt.Errorf("refused (%d)", kind)
 }
 
-// Interproc flags the %s call site and keeps the %q one clean.
-func Interproc() {
-	name := line()
-	failf("bad user %s", name)
-	failf("bad user %q", name)
+// Helper flags the secret operand at the call site, not inside the helper.
+func Helper(name string, passphrase string) error {
+	_ = refuse(1, "bad user %q", name)
+	return refuse(2, "bad pass phrase %q for %q", passphrase, name)
 }
 
-// DirectSecret exercises a secret at a direct sink: reported whatever its verb.
-func DirectSecret(pw Passphrase) {
-	log.Printf("pw %x", pw)
+// Propagators are not sinks: what they build is a value, followed elsewhere.
+func Propagators(pw Passphrase) string {
+	_ = fmt.Errorf("wrapped %x", pw)
+	var w *os.File
+	fmt.Fprintf(w, "%x", pw)
+	return fmt.Sprintf("%x", pw)
 }

@@ -190,7 +190,7 @@ func (c *Client) node(id NodeID) core.Repository {
 // proxies are distinct certificates over the same identity and policy —
 // semantically one credential, as required for failover.
 func (c *Client) Put(ctx context.Context, opts core.PutOptions) error {
-	return c.router.Write(ctx, opts.Username, "PUT", true, func(ctx context.Context, node NodeID) error {
+	return c.router.Write(ctx, opts.Username, protocol.CmdPut, func(ctx context.Context, node NodeID) error {
 		return c.node(node).Put(ctx, opts)
 	})
 }
@@ -223,26 +223,26 @@ func (c *Client) Info(ctx context.Context, username, passphrase string) ([]proto
 	return infos, nil
 }
 
-// Destroy removes the credential from every replica. Not retry-safe: a
-// partial quorum surfaces as plain ambiguity for the caller to inspect.
+// Destroy removes the credential from every replica. DESTROY is not
+// idempotent, so a partial quorum surfaces as plain ambiguity for the caller
+// to inspect.
 func (c *Client) Destroy(ctx context.Context, username, passphrase, credName string) error {
-	return c.router.Write(ctx, username, "DESTROY", false, func(ctx context.Context, node NodeID) error {
+	return c.router.Write(ctx, username, protocol.CmdDestroy, func(ctx context.Context, node NodeID) error {
 		return c.node(node).Destroy(ctx, username, passphrase, credName)
 	})
 }
 
-// ChangePassphrase re-seals the credential on every replica. Not retry-safe:
-// replaying after a partial commit would fail on replicas already re-sealed.
+// ChangePassphrase re-seals the credential on every replica; like DESTROY, a
+// partial commit is never replayed.
 func (c *Client) ChangePassphrase(ctx context.Context, username, oldPass, newPass, credName string) error {
-	return c.router.Write(ctx, username, "CHANGE_PASSPHRASE", false, func(ctx context.Context, node NodeID) error {
+	return c.router.Write(ctx, username, protocol.CmdChangePassphrase, func(ctx context.Context, node NodeID) error {
 		return c.node(node).ChangePassphrase(ctx, username, oldPass, newPass, credName)
 	})
 }
 
-// Store deposits a client-sealed credential on every replica. Retry-safe:
-// the sealed bytes are identical on every replay.
+// Store deposits a client-sealed credential on every replica.
 func (c *Client) Store(ctx context.Context, opts core.StoreOptions) error {
-	return c.router.Write(ctx, opts.Username, "STORE", true, func(ctx context.Context, node NodeID) error {
+	return c.router.Write(ctx, opts.Username, protocol.CmdStore, func(ctx context.Context, node NodeID) error {
 		return c.node(node).Store(ctx, opts)
 	})
 }

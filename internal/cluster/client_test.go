@@ -192,16 +192,26 @@ func TestClientPartialWriteIsRetrySafeAmbiguous(t *testing.T) {
 	c := newTestClient(t, fakes, 2, "a", "b", "c")
 	replicas := c.Replicas("alice")
 	fakes.setFail(replicas[1], errDial)
+	ctx := context.Background()
 
-	err := c.Put(context.Background(), core.PutOptions{Username: "alice"})
-	if !resilience.IsAmbiguous(err) || !resilience.IsRetrySafe(err) {
-		t.Fatalf("partial PUT: got %v, want retry-safe ambiguity", err)
-	}
-	// DESTROY under the same partial failure is ambiguous but NOT
-	// retry-safe.
-	err = c.Destroy(context.Background(), "alice", "pw", "")
-	if !resilience.IsAmbiguous(err) || resilience.IsRetrySafe(err) {
-		t.Fatalf("partial DESTROY: got %v, want non-retry-safe ambiguity", err)
+	// Every replicated write under the same partial failure is ambiguous;
+	// whether it may be replayed is protocol.Command.Idempotent's answer.
+	for _, tc := range []struct {
+		cmd protocol.Command
+		err error
+	}{
+		{protocol.CmdPut, c.Put(ctx, core.PutOptions{Username: "alice"})},
+		{protocol.CmdStore, c.Store(ctx, core.StoreOptions{Username: "alice"})},
+		{protocol.CmdDestroy, c.Destroy(ctx, "alice", "pw", "")},
+		{protocol.CmdChangePassphrase, c.ChangePassphrase(ctx, "alice", "pw", "new pw", "")},
+	} {
+		if !resilience.IsAmbiguous(tc.err) {
+			t.Fatalf("partial %s: got %v, want ambiguity", tc.cmd, tc.err)
+		}
+		want := tc.cmd == protocol.CmdPut || tc.cmd == protocol.CmdStore
+		if got := resilience.IsRetrySafe(tc.err); got != want {
+			t.Errorf("partial %s: retry-safe = %v, want %v (%v)", tc.cmd, got, want, tc.err)
+		}
 	}
 }
 

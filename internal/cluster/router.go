@@ -23,7 +23,8 @@ import (
 //   - Write: fan out to ALL R replicas concurrently and demand Quorum
 //     acknowledgements. Fewer acks than the quorum is classified through
 //     resilience.QuorumOutcome: unanimous definitive rejection is Permanent,
-//     anything partial is ambiguous (retry-safe only for idempotent ops).
+//     anything partial is ambiguous (retry-safe only for commands
+//     protocol.Command.Idempotent says may be replayed).
 type Router struct {
 	Ring   *Ring
 	Health *Health
@@ -103,10 +104,10 @@ func (r *Router) Read(ctx context.Context, key string, op func(ctx context.Conte
 }
 
 // Write fans op out to all of key's replicas concurrently and classifies the
-// aggregate through the quorum rules. opName labels errors ("PUT"); retrySafe
-// marks the operation idempotent-for-this-caller (see
-// resilience.AmbiguousError.RetrySafe).
-func (r *Router) Write(ctx context.Context, key, opName string, retrySafe bool, op func(ctx context.Context, node NodeID) error) error {
+// aggregate through the quorum rules. cmd names the operation in errors and
+// decides, through protocol.Command.Idempotent, whether a partial outcome is
+// marked safe to replay (see resilience.AmbiguousError.RetrySafe).
+func (r *Router) Write(ctx context.Context, key string, cmd protocol.Command, op func(ctx context.Context, node NodeID) error) error {
 	replicas := r.Replicas(key)
 	if len(replicas) == 0 {
 		return fmt.Errorf("cluster: no nodes in ring for %q", key)
@@ -123,9 +124,9 @@ func (r *Router) Write(ctx context.Context, key, opName string, retrySafe bool, 
 	wg.Wait()
 
 	outcome := resilience.QuorumOutcome{
-		Op:        opName,
+		Op:        cmd.String(),
 		Need:      r.quorum(len(replicas)),
-		RetrySafe: retrySafe,
+		RetrySafe: cmd.Idempotent(),
 	}
 	for i, err := range errs {
 		node := replicas[i]

@@ -7,8 +7,13 @@ package core
 
 import (
 	"crypto/x509"
+	"fmt"
 	"log"
+	"strconv"
+	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/credstore"
 	"repro/internal/otp"
@@ -130,7 +135,35 @@ func (c *ServerConfig) now() time.Time {
 }
 
 func (c *ServerConfig) logf(format string, args ...interface{}) {
-	if c.Logger != nil {
-		c.Logger.Printf(format, args...)
+	Audit(c.Logger, format, args...)
+}
+
+// Audit writes one event to an audit log as exactly one line: the event is
+// formatted, then every control character and every byte that is not valid
+// UTF-8 is written as its Go escape (\n, \x1b, \xff), whatever verb put it
+// there. Peers choose much of what an event says — names, DNs, error texts
+// — and none of it can start a second line or drive a terminal. Text that
+// %q already escaped holds neither and passes through as it is. A nil
+// logger disables logging. Every audit line of the repository, the gateway
+// and the portal is written here.
+func Audit(l *log.Logger, format string, args ...interface{}) {
+	if l == nil {
+		return
 	}
+	event := fmt.Sprintf(format, args...)
+	var line strings.Builder
+	for i := 0; i < len(event); {
+		r, n := utf8.DecodeRuneInString(event[i:])
+		switch {
+		case r == utf8.RuneError && n == 1:
+			fmt.Fprintf(&line, `\x%02x`, event[i])
+		case unicode.IsControl(r):
+			q := strconv.QuoteRune(r)
+			line.WriteString(q[1 : len(q)-1])
+		default:
+			line.WriteString(event[i : i+n])
+		}
+		i += n
+	}
+	l.Print(line.String())
 }

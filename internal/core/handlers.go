@@ -218,8 +218,7 @@ func (c *unsealCache) wipe() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, cred := range c.m {
-		pki.WipeSigner(cred.PrivateKey)
-		cred.PrivateKey = nil
+		dropKey(cred)
 		delete(c.m, k)
 	}
 }

@@ -108,6 +108,14 @@ func (s *Service) refuse(kind VerdictKind, peer, public, format string, args ...
 	return &Verdict{Kind: kind, Public: public}
 }
 
+// dropKey ends a plaintext private key's life: its secret components are
+// zeroed in place before the reference goes, as unsealCache.wipe does for
+// session-cached keys — a dropped reference alone leaves them on the heap.
+func dropKey(cred *pki.Credential) {
+	pki.WipeSigner(cred.PrivateKey)
+	cred.PrivateKey = nil
+}
+
 func fault(public string, err error) *Verdict {
 	return &Verdict{Kind: VerdictInternal, Public: public, Err: err}
 }
@@ -292,9 +300,9 @@ func (s *Service) Put(peer string, req *protocol.Request, receive func(pki.KeySp
 	if err := credstore.SealDelegated(entry, cred, passphrase, s.cfg.KDFIterations); err != nil {
 		return fault("could not seal credential", err)
 	}
-	// Drop the plaintext key immediately (paper §5.1): the entry now holds
-	// only the sealed form.
-	cred.PrivateKey = nil
+	// Wipe and drop the plaintext key immediately (paper §5.1): the entry
+	// now holds only the sealed form.
+	dropKey(cred)
 	if err := s.cfg.Store.Put(entry); err != nil {
 		return fault("could not store credential", err)
 	}
@@ -340,10 +348,10 @@ func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr f
 		cached = sc.add(entry, passphrase, issuer)
 	}
 	chain, v := s.delegate(peer, req, entry, issuer, csr)
-	// Drop the unsealed key (paper §5.1: plaintext exists only while in
-	// active use); a session-cached key is dropped when the session ends.
+	// Wipe and drop the unsealed key (paper §5.1: plaintext exists only
+	// while in active use); a session-cached key goes when the session ends.
 	if !cached {
-		issuer.PrivateKey = nil
+		dropKey(issuer)
 	}
 	return chain, v
 }
@@ -375,7 +383,7 @@ func (s *Service) renew(peer string, req *protocol.Request, csr func() ([]byte, 
 		return nil, fault("could not open stored credential", err)
 	}
 	chain, v := s.delegate(peer, req, entry, issuer, csr)
-	issuer.PrivateKey = nil
+	dropKey(issuer)
 	return chain, v
 }
 

@@ -262,5 +262,6 @@ func Reseal(e *Entry, oldPass, newPass []byte, kdfIter int) error {
 	if err != nil {
 		return err
 	}
+	defer pki.WipeSigner(cred.PrivateKey) // plaintext only between the two seals
 	return SealDelegated(e, cred, newPass, kdfIter)
 }

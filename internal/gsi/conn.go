@@ -51,8 +51,7 @@ type Channel interface {
 	// WriteMessage sends one framed message.
 	WriteMessage(payload []byte) error
 	// ReadMessage receives one framed message. The payload is raw peer
-	// input: the taint passes treat results of this method as wire-tainted.
-	//myproxy:untrusted
+	// input.
 	ReadMessage() ([]byte, error)
 	// LocalCredential reports the credential this side authenticated with.
 	LocalCredential() *pki.Credential

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"repro/internal/pki"
@@ -167,22 +166,8 @@ func (c *Client) Get(ctx context.Context, req GetRequest) (*pki.Credential, erro
 
 // Info lists stored credentials.
 func (c *Client) Info(ctx context.Context, username, passphrase string) (*InfoResponse, error) {
-	hc, err := c.client()
-	if err != nil {
-		return nil, err
-	}
-	q := url.Values{"username": {username}, "passphrase": {passphrase}}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/info?"+q.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var out InfoResponse
-	if err := decodeResponse(resp, &out); err != nil {
+	if err := c.post(ctx, "/v1/info", InfoRequest{Username: username, Passphrase: passphrase}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -6,6 +6,7 @@ import (
 	"crypto/tls"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -36,11 +37,32 @@ func rawPost(t *testing.T, cli *Client, path, body string) (int, string) {
 func TestMalformedJSONRejected(t *testing.T) {
 	_, base := startGateway(t, nil)
 	cli := newGateClient(t, testpki.User(t, "gate-alice"), base)
-	for _, path := range []string{"/v1/get", "/v1/store", "/v1/retrieve", "/v1/destroy"} {
+	for _, path := range []string{"/v1/get", "/v1/info", "/v1/store", "/v1/retrieve", "/v1/destroy"} {
 		code, body := rawPost(t, cli, path, "{not json")
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: code %d body %s", path, code, body)
 		}
+	}
+}
+
+// INFO is a POST like the other four operations: a pass phrase in a query
+// string would sit in access logs, proxies and histories.
+func TestInfoTakesNoQueryString(t *testing.T) {
+	g, base := startGateway(t, nil)
+	alice := testpki.User(t, "gate-alice")
+	seedViaStore(t, g, "alice", alice)
+	cli := newGateClient(t, alice, base)
+	hc, err := cli.client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := hc.Get(base + "/v1/info?username=alice&passphrase=" + url.QueryEscape(gatePass))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/info answered %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -55,7 +55,7 @@ func New(cfg core.ServerConfig) (*Gateway, error) {
 	}
 	g := &Gateway{cfg: cfg, svc: svc, mux: http.NewServeMux(), verifyCache: verifyCache}
 	g.mux.HandleFunc("POST /v1/get", g.requireIdentity(g.handleGet))
-	g.mux.HandleFunc("GET /v1/info", g.requireIdentity(g.handleInfo))
+	g.mux.HandleFunc("POST /v1/info", g.requireIdentity(g.handleInfo))
 	g.mux.HandleFunc("POST /v1/store", g.requireIdentity(g.handleStore))
 	g.mux.HandleFunc("POST /v1/retrieve", g.requireIdentity(g.handleRetrieve))
 	g.mux.HandleFunc("POST /v1/destroy", g.requireIdentity(g.handleDestroy))
@@ -95,12 +95,6 @@ func (g *Gateway) now() time.Time {
 	return time.Now()
 }
 
-func (g *Gateway) logf(format string, args ...interface{}) {
-	if g.cfg.Logger != nil {
-		g.cfg.Logger.Printf(format, args...)
-	}
-}
-
 // identityHandler receives the authenticated Grid identity.
 type identityHandler func(w http.ResponseWriter, r *http.Request, peer string)
 
@@ -120,7 +114,7 @@ func (g *Gateway) requireIdentity(h identityHandler) http.HandlerFunc {
 		})
 		if err != nil {
 			g.svc.Stats().AuthFailures.Add(1)
-			g.logf("httpgate: reject %q: %v", r.RemoteAddr, err)
+			core.Audit(g.cfg.Logger, "httpgate: reject %q: %v", r.RemoteAddr, err)
 			writeErr(w, http.StatusUnauthorized, "client chain rejected")
 			return
 		}
@@ -145,7 +139,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 func (g *Gateway) refuse(w http.ResponseWriter, v *core.Verdict) {
 	if v.Err != nil {
 		g.svc.Stats().Errors.Add(1)
-		g.logf("httpgate: %v", v.Err)
+		core.Audit(g.cfg.Logger, "httpgate: %v", v.Err)
 	}
 	status := http.StatusInternalServerError
 	switch v.Kind {
@@ -201,7 +195,6 @@ func checkNames(w http.ResponseWriter, username, credName string) bool {
 // GetRequest is the body of POST /v1/get: HTTP-shaped Figure 2. The CSR
 // carries the public key the client wants certified; the response carries
 // the signed proxy chain, so the whole delegation is one round trip.
-//myproxy:untrusted
 type GetRequest struct {
 	Username        string `json:"username"`
 	Passphrase      string `json:"passphrase"`
@@ -244,6 +237,14 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, peer string)
 	writeJSON(w, http.StatusOK, GetResponse{ChainPEM: string(chain)})
 }
 
+// InfoRequest is the body of POST /v1/info. The pass phrase travels in the
+// body like every other operation's, never in the URL, which access logs,
+// proxies and browser histories keep.
+type InfoRequest struct {
+	Username   string `json:"username"`
+	Passphrase string `json:"passphrase"`
+}
+
 // InfoResponse mirrors the INFO command.
 type InfoResponse struct {
 	Credentials []InfoEntry `json:"credentials"`
@@ -263,14 +264,11 @@ type InfoEntry struct {
 }
 
 func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request, peer string) {
-	username := r.URL.Query().Get("username")
-	if username == "" {
-		writeErr(w, http.StatusBadRequest, "username required")
+	var req InfoRequest
+	if !decode(w, r, &req) || !checkNames(w, req.Username, "") {
 		return
 	}
-	entries, v := g.svc.Info(peer, &protocol.Request{
-		Username: username, Passphrase: r.URL.Query().Get("passphrase"),
-	})
+	entries, v := g.svc.Info(peer, &protocol.Request{Username: req.Username, Passphrase: req.Passphrase})
 	if v != nil {
 		g.refuse(w, v)
 		return
@@ -295,7 +293,6 @@ func durString(d time.Duration) string {
 }
 
 // StoreRequest deposits a client-sealed blob (§6.1 over HTTP).
-//myproxy:untrusted
 type StoreRequest struct {
 	Username    string   `json:"username"`
 	Passphrase  string   `json:"passphrase"`
@@ -331,7 +328,6 @@ func (g *Gateway) handleStore(w http.ResponseWriter, r *http.Request, peer strin
 }
 
 // RetrieveRequest fetches a stored blob.
-//myproxy:untrusted
 type RetrieveRequest struct {
 	Username   string `json:"username"`
 	Passphrase string `json:"passphrase"`
@@ -360,7 +356,6 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, peer st
 }
 
 // DestroyRequest removes a credential.
-//myproxy:untrusted
 type DestroyRequest struct {
 	Username   string `json:"username"`
 	Passphrase string `json:"passphrase"`

@@ -3,12 +3,15 @@ package httpgate
 import (
 	"context"
 	"errors"
+	"log"
 	"net"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unicode"
 
 	"repro/internal/core"
 	"repro/internal/credstore"
@@ -25,7 +28,9 @@ import (
 type class string
 
 // classOf maps a refusal's public text to its class; wantStatus is the HTTP
-// status the gateway must pick for the class (DESIGN.md §17).
+// status the gateway must pick for the class (DESIGN.md §17). A name the
+// boundary validators refuse is "invalid" on every transport, whichever
+// byte they name.
 var (
 	classOf = map[string]class{
 		"authorization failed":                               "denied",
@@ -39,9 +44,29 @@ var (
 	}
 	wantStatus = map[class]int{
 		"denied": 403, "not-found": 404, "bad-passphrase": 403, "expired": 410,
-		"otp-required": 401, "otp-exhausted": 403, "conflict": 409,
+		"otp-required": 401, "otp-exhausted": 403, "conflict": 409, "invalid": 400,
 	}
 )
+
+func classify(msg string) class {
+	if strings.HasPrefix(strings.TrimPrefix(msg, "malformed request: "), "protocol: username contains forbidden byte") {
+		return "invalid"
+	}
+	return classOf[msg]
+}
+
+// auditLog collects what the shared Logger writes, one entry per event.
+type auditLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (a *auditLog) Write(p []byte) (int, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.events = append(a.events, string(p))
+	return len(p), nil
+}
 
 // frontend drives the repository through one transport. Operations the
 // transport does not carry are nil and their table rows skip it.
@@ -52,6 +77,7 @@ type frontend struct {
 	retrieve func(peer *pki.Credential, o core.RetrieveOptions) (*pki.Credential, error)
 	store    func(peer *pki.Credential, o core.StoreOptions) error
 	destroy  func(peer *pki.Credential, username, passphrase string) error
+	info     func(peer *pki.Credential, username, passphrase string) error
 	// outcome classes err and extracts an OTP challenge if it carries one.
 	outcome func(t *testing.T, err error) (class, string)
 }
@@ -64,8 +90,8 @@ func wireOutcome(t *testing.T, err error) (class, string) {
 		return "ok", ""
 	case errors.As(err, &otpErr):
 		return "otp-required", otpErr.Challenge
-	case errors.As(err, &se) && len(se.Msgs) == 1 && classOf[se.Msgs[0]] != "":
-		return classOf[se.Msgs[0]], ""
+	case errors.As(err, &se) && len(se.Msgs) == 1 && classify(se.Msgs[0]) != "":
+		return classify(se.Msgs[0]), ""
 	}
 	t.Fatalf("unclassifiable wire error: %v", err)
 	return "", ""
@@ -86,18 +112,27 @@ func (s *statusRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-const parityPass = "parity pass phrase"
+const (
+	parityPass = "parity pass phrase"
+	wrongPass  = "wrong wrong wrong"
+	otpSecret  = "parity otp secret"
+)
 
 // TestSharedStoreBetweenFrontends is §6.4's point — the protocol is a
 // front-end detail — as a table: one store, one OTP registry and one
 // configuration behind the MYPROXYv2 server (per-exchange connections and
 // session streams) and the HTTP gateway; every row must end in the same
 // verdict class, the same delegated identity and lifetime, and the same
-// counter, whichever front-end carried it.
+// counter, whichever front-end carried it. The audit log of the whole table
+// is the canary: every event is one line free of control bytes, and none
+// holds a pass phrase or a one-time password the table spoke.
 func TestSharedStoreBetweenFrontends(t *testing.T) {
 	roots := testpki.PoolOf(testpki.CA(t).Certificate())
 	registry := otp.NewRegistry()
+	var audit auditLog
+	spoken := []string{parityPass, wrongPass, otpSecret}
 	cfg := core.ServerConfig{
+		Logger:              log.New(&audit, "", 0),
 		Credential:          testpki.Host(t, "httpgate.test"),
 		Roots:               roots,
 		Store:               credstore.NewMemStore(),
@@ -132,6 +167,9 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 	alice := testpki.User(t, "parity-alice")
 	bob := testpki.User(t, "parity-bob")
 	mallory := testpki.User(t, "parity-mallory")
+	// A CA signs the names it is asked to: eve's DN carries a line break
+	// and an escape sequence into every event that names the peer.
+	eve := testpki.User(t, "parity-eve\nDELEGATED \"alice\"/\"\" to /CN=forged\x1b[2K")
 	portal := testpki.Host(t, "parity-portal.test")
 	other := testpki.Host(t, "parity-other.test")
 	ctx := context.Background()
@@ -142,6 +180,17 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			Credential: peer, Roots: roots, Addr: addrs[0], ExpectedServer: "*/CN=httpgate.test",
 			KeyAlgorithm: keyAlg, KeyBits: 1024, Timeout: 10 * time.Second,
 		}
+	}
+	session := func(peer *pki.Credential, do func(*core.Session) error) error {
+		sess, err := wire(peer).NewSession(ctx)
+		if err != nil {
+			return err
+		}
+		defer sess.Close()
+		if !sess.Multiplexed() {
+			t.Fatal("session degraded to per-exchange connections")
+		}
+		return do(sess)
 	}
 	var answered *statusRecorder // on the gateway client used last
 	gateway := func(peer *pki.Credential) *Client {
@@ -167,18 +216,24 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		destroy: func(peer *pki.Credential, username, passphrase string) error {
 			return wire(peer).Destroy(ctx, username, passphrase, "")
 		},
+		info: func(peer *pki.Credential, username, passphrase string) error {
+			_, err := wire(peer).Info(ctx, username, passphrase)
+			return err
+		},
 	}, {
 		name: "session", stats: srv.Stats(), outcome: wireOutcome,
-		get: func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error) {
-			sess, err := wire(peer).NewSession(ctx)
-			if err != nil {
-				return nil, err
-			}
-			defer sess.Close()
-			if !sess.Multiplexed() {
-				t.Fatal("session degraded to per-exchange connections")
-			}
-			return sess.Get(ctx, o)
+		get: func(peer *pki.Credential, o core.GetOptions) (cred *pki.Credential, err error) {
+			err = session(peer, func(sess *core.Session) error {
+				cred, err = sess.Get(ctx, o)
+				return err
+			})
+			return cred, err
+		},
+		info: func(peer *pki.Credential, username, passphrase string) error {
+			return session(peer, func(sess *core.Session) error {
+				_, err := sess.Info(ctx, username, passphrase)
+				return err
+			})
 		},
 	}, {
 		name: "gateway", stats: gate.svc.Stats(),
@@ -199,6 +254,10 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		destroy: func(peer *pki.Credential, username, passphrase string) error {
 			return gateway(peer).Destroy(ctx, DestroyRequest{Username: username, Passphrase: passphrase})
 		},
+		info: func(peer *pki.Credential, username, passphrase string) error {
+			_, err := gateway(peer).Info(ctx, username, passphrase)
+			return err
+		},
 		outcome: func(t *testing.T, err error) (class, string) {
 			if err == nil {
 				return "ok", ""
@@ -207,7 +266,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			if i := strings.Index(msg, ` (challenge "`); i >= 0 {
 				msg, challenge = msg[:i], strings.TrimSuffix(msg[i+len(` (challenge "`):], `")`)
 			}
-			c := classOf[msg]
+			c := classify(msg)
 			if c == "" {
 				t.Fatalf("unclassifiable gateway error: %v", err)
 			}
@@ -270,6 +329,29 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
+		{"server ACL deny of a DN with control bytes", []class{"denied"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			_, err := f.get(eve, core.GetOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"username with a space or a control byte", []class{"invalid", "invalid", "invalid", "invalid"}, "", false, func(t *testing.T, f frontend, _ string) []class {
+			var got []class
+			for _, name := range []string{"parity user", "parity\x07user"} {
+				_, err := f.get(portal, core.GetOptions{Username: name, Passphrase: parityPass})
+				c, _ := f.outcome(t, err)
+				got = append(got, c)
+				c, _ = f.outcome(t, f.info(portal, name, parityPass))
+				got = append(got, c)
+			}
+			return got
+		}},
+		{"INFO by pass phrase", []class{"ok", "not-found"}, "infos", false, func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			listed, _ := f.outcome(t, f.info(portal, user, parityPass))
+			refused, _ := f.outcome(t, f.info(portal, user, wrongPass))
+			return []class{listed, refused}
+		}},
 		{"unknown user", []class{"not-found"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
 			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
@@ -277,7 +359,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		}},
 		{"bad pass phrase", []class{"bad-passphrase"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
-			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: "wrong wrong wrong"})
+			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: wrongPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
@@ -336,7 +418,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		}},
 		{"OTP on GET: required, accepted, replayed, exhausted", otpRound, "", false, func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
-			return otpRounds(t, registry, user, f.outcome, func(answer string) error {
+			return otpRounds(t, registry, user, &spoken, f.outcome, func(answer string) error {
 				_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, OTP: answer})
 				return err
 			})
@@ -345,7 +427,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			if err := f.store(alice, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: alice}); err != nil {
 				t.Fatal(err)
 			}
-			return otpRounds(t, registry, user, f.outcome, func(answer string) error {
+			return otpRounds(t, registry, user, &spoken, f.outcome, func(answer string) error {
 				_, err := f.retrieve(alice, core.RetrieveOptions{Username: user, Passphrase: parityPass, OTP: answer})
 				return err
 			})
@@ -403,23 +485,43 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			})
 		}
 	}
+
+	audit.mu.Lock()
+	defer audit.mu.Unlock()
+	forged := false
+	for _, e := range audit.events {
+		body, ok := strings.CutSuffix(e, "\n")
+		if !ok || strings.IndexFunc(body, unicode.IsControl) >= 0 {
+			t.Errorf("audit event is not one line free of control bytes: %q", e)
+		}
+		for _, secret := range spoken {
+			if strings.Contains(e, secret) {
+				t.Errorf("audit event holds %q: %q", secret, e)
+			}
+		}
+		forged = forged || strings.Contains(e, `parity-eve\nDELEGATED`)
+	}
+	if !forged {
+		t.Error("no audit event names eve's DN: the canary saw no hostile bytes")
+	}
 }
 
 // otpRounds enrolls user with a chain holding exactly one usable response
 // and plays the four OTP outcomes through attempt: no answer, the right
 // answer, the same answer again, and no answer once the chain is used up.
-func otpRounds(t *testing.T, registry *otp.Registry, user string,
+// Every answer spoken joins spoken.
+func otpRounds(t *testing.T, registry *otp.Registry, user string, spoken *[]string,
 	outcome func(*testing.T, error) (class, string), attempt func(answer string) error) []class {
 	t.Helper()
-	const secret = "parity otp secret"
-	if err := registry.Register(user, otp.SHA1, secret, "parityseed", 2); err != nil {
+	if err := registry.Register(user, otp.SHA1, otpSecret, "parityseed", 2); err != nil {
 		t.Fatal(err)
 	}
 	required, challenge := outcome(t, attempt(""))
-	answer, err := otp.Respond(challenge, secret)
+	answer, err := otp.Respond(challenge, otpSecret)
 	if err != nil {
 		t.Fatalf("challenge %q: %v", challenge, err)
 	}
+	*spoken = append(*spoken, answer)
 	accepted, _ := outcome(t, attempt(answer))
 	replayed, _ := outcome(t, attempt(answer))
 	exhausted, _ := outcome(t, attempt(""))

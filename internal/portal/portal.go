@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"html/template"
 	"log"
+	"mime"
 	"net"
 	"net/http"
 	"strings"
@@ -140,12 +141,6 @@ func (p *Portal) Serve(ln net.Listener) error {
 
 // sweepInterval is how often a serving portal drops expired sessions.
 const sweepInterval = time.Minute
-
-func (p *Portal) logf(format string, args ...interface{}) {
-	if p.cfg.Logger != nil {
-		p.cfg.Logger.Printf(format, args...)
-	}
-}
 
 func (p *Portal) now() time.Time {
 	if p.cfg.Now != nil {
@@ -296,7 +291,7 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 		OTP:        r.PostFormValue("otp"),
 	})
 	if err != nil {
-		p.logf("login failed for %q: %v", username, err)
+		core.Audit(p.cfg.Logger, "login failed for %q: %v", username, err)
 		var otpErr *core.ErrOTPRequired
 		if errors.As(err, &otpErr) {
 			w.Header().Set("Content-Type", "application/json")
@@ -320,11 +315,9 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "session error")
 		return
 	}
-	p.logf("login %q as %q until %v", username, sess.Identity, sess.Expires)
+	core.Audit(p.cfg.Logger, "login %q as %q until %v", username, sess.Identity, sess.Expires)
 	// The cookie value is the server-generated session token, never client
-	// input; the session object is tainted only through its username field
-	// (the lattice is field-insensitive).
-	//myproxy:allow hdrtaint cookie carries the server-generated session token, not client input
+	// input.
 	http.SetCookie(w, &http.Cookie{
 		Name:     sessionCookie,
 		Value:    sess.Token,
@@ -343,7 +336,7 @@ func (p *Portal) handleLogin(w http.ResponseWriter, r *http.Request) {
 func (p *Portal) handleLogout(w http.ResponseWriter, r *http.Request, sess *Session) {
 	p.sessions.Destroy(sess.Token)
 	http.SetCookie(w, &http.Cookie{Name: sessionCookie, Value: "", Path: "/", MaxAge: -1})
-	p.logf("logout %q", sess.Username)
+	core.Audit(p.cfg.Logger, "logout %q", sess.Username)
 	httpJSON(w, map[string]bool{"ok": true})
 }
 
@@ -402,7 +395,7 @@ func (p *Portal) handleSubmit(w http.ResponseWriter, r *http.Request, sess *Sess
 		httpError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	p.logf("submit %q for %q -> %q", executable, sess.Username, st.ID)
+	core.Audit(p.cfg.Logger, "submit %q for %q -> %q", executable, sess.Username, st.ID)
 	httpJSON(w, st)
 }
 
@@ -489,6 +482,8 @@ func (p *Portal) handleFileGet(w http.ResponseWriter, r *http.Request, sess *Ses
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name))
+	// FormatMediaType quotes or RFC 2231-encodes the stored name: whatever
+	// bytes it holds, the header stays one header with one parameter.
+	w.Header().Set("Content-Disposition", mime.FormatMediaType("attachment", map[string]string{"filename": name}))
 	w.Write(data)
 }

@@ -2,6 +2,7 @@ package portal
 
 import (
 	"encoding/json"
+	"mime"
 	"net/http"
 	"net/url"
 	"strings"
@@ -65,6 +66,39 @@ func TestPortalFilesLifecycle(t *testing.T) {
 	resp, _ = g.get(t, "/api/file?name=missing.bin")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("file get missing = %d", resp.StatusCode)
+	}
+}
+
+// TestFileDownloadNamesRoundTrip: a stored object's name is whatever its
+// owner chose; the download's Content-Disposition must stay one header with
+// one parameter that a browser decodes back to exactly that name.
+func TestFileDownloadNamesRoundTrip(t *testing.T) {
+	g := startGrid(t)
+	depositAlice(t, g, g.repoAddr)
+	login(t, g)
+	for _, name := range []string{
+		"plain.txt",
+		`quo"ted.txt`,
+		"semi;colon=x.txt",
+		"line\r\nSet-Cookie: portal_session=stolen.txt",
+		"résumé \u200b.txt",
+	} {
+		resp, body := g.postForm(t, "/api/store", url.Values{"name": {name}, "data": {"x"}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("store %q: %d %v", name, resp.StatusCode, body)
+		}
+		resp, _ = g.get(t, "/api/file?name="+url.QueryEscape(name))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("get %q: %d", name, resp.StatusCode)
+		}
+		if resp.Header.Get("Set-Cookie") != "" {
+			t.Errorf("%q: the name set a cookie", name)
+		}
+		disposition, params, err := mime.ParseMediaType(resp.Header.Get("Content-Disposition"))
+		if err != nil || disposition != "attachment" || len(params) != 1 || params["filename"] != name {
+			t.Errorf("%q: Content-Disposition %q parses to %q %q (%v)",
+				name, resp.Header.Get("Content-Disposition"), disposition, params, err)
+		}
 	}
 }
 

@@ -81,10 +81,23 @@ func (c Command) Valid() bool {
 	return ok
 }
 
-// Every field of a Request is raw wire input until validated: the taint
-// passes treat Request values as ambient-tainted by type.
-//myproxy:untrusted
-// Request is a parsed client request.
+// idempotent is the one table of retry safety: whether re-sending a command
+// after an ambiguous outcome (resilience.AmbiguousError) leaves the same
+// state, for the same caller, as sending it once. Everything that replays a
+// command (cluster.Router.Write) asks here; a command absent from the table
+// is not idempotent.
+var idempotent = map[Command]bool{
+	CmdGet: true, CmdInfo: true, CmdRetrieve: true, CmdSession: true, // reads
+	CmdPut:              true,  // a replay overwrites the caller's own deposit with the same content
+	CmdStore:            true,  // the sealed bytes are identical on every replay
+	CmdDestroy:          false, // a replay can remove a deposit that landed between the attempts
+	CmdChangePassphrase: false, // a replay fails on replicas already re-sealed under the new pass phrase
+}
+
+// Idempotent reports whether c may be replayed after an ambiguous outcome.
+func (c Command) Idempotent() bool { return idempotent[c] }
+
+// Request is a parsed client request. Every field is raw wire input.
 type Request struct {
 	Command    Command
 	Username   string
@@ -308,14 +321,20 @@ func parseLines(data []byte) ([][2]string, error) {
 		}
 		eq := strings.IndexByte(line, '=')
 		if eq <= 0 {
-			return nil, fmt.Errorf("protocol: malformed line %d: %q", i+1, line)
+			// The line itself is not echoed: it may be the tail of a pass
+			// phrase sent with a raw newline, and this error reaches the
+			// audit log and the peer.
+			return nil, fmt.Errorf("protocol: malformed line %d", i+1)
 		}
 		out = append(out, [2]string{line[:eq], unescape(line[eq+1:])})
 	}
 	if len(out) == 0 {
 		return nil, errors.New("protocol: empty message")
 	}
-	if out[0][0] != "VERSION" || out[0][1] != Version {
+	if out[0][0] != "VERSION" {
+		return nil, errors.New("protocol: first line is not VERSION") // its value may be anything, a pass phrase included
+	}
+	if out[0][1] != Version {
 		return nil, fmt.Errorf("protocol: unsupported version %q", out[0][1])
 	}
 	return out, nil

@@ -158,6 +158,64 @@ func TestCommandString(t *testing.T) {
 	}
 }
 
+// TestCommandIdempotenceTable walks every declared command: each has an
+// explicit entry in the retry-safety table (a new command must decide), and
+// the entries are the ones the cluster's replay rule depends on — a
+// replayed DESTROY or CHANGE_PASSPHRASE is never safe.
+func TestCommandIdempotenceTable(t *testing.T) {
+	want := map[Command]bool{
+		CmdGet: true, CmdPut: true, CmdInfo: true, CmdStore: true, CmdRetrieve: true, CmdSession: true,
+		CmdDestroy: false, CmdChangePassphrase: false,
+	}
+	for c, name := range commandNames {
+		if _, ok := idempotent[c]; !ok {
+			t.Errorf("%s has no entry in the idempotence table", name)
+		}
+		w, ok := want[c]
+		if !ok {
+			t.Errorf("%s is not covered by this test: decide whether a replay is safe", name)
+		}
+		if got := c.Idempotent(); got != w {
+			t.Errorf("%s.Idempotent() = %v, want %v", name, got, w)
+		}
+	}
+	if len(idempotent) != len(commandNames) {
+		t.Errorf("idempotence table has %d entries for %d declared commands", len(idempotent), len(commandNames))
+	}
+	if Command(55).Idempotent() {
+		t.Error("an undeclared command reported idempotent")
+	}
+}
+
+// TestParseErrorsDoNotEchoSecretBearingBytes: a parse error is written to
+// the audit log and back to the peer (core.Server.reject), so it names the
+// line, never its bytes. A pass phrase sent with a raw newline leaves its
+// tail on a line of its own; a message whose first line is not VERSION may
+// start with anything.
+func TestParseErrorsDoNotEchoSecretBearingBytes(t *testing.T) {
+	for _, msg := range []string{
+		"VERSION=MYPROXYv2\nCOMMAND=0\nUSERNAME=x\nPASSPHRASE=abc\ndef ghi\n",
+		"PASSPHRASE=def ghi\nVERSION=MYPROXYv2\nCOMMAND=0\nUSERNAME=x\n",
+		"=def ghi\n",
+	} {
+		for name, parse := range map[string]func([]byte) error{
+			"ParseRequest":  func(b []byte) error { _, err := ParseRequest(b); return err },
+			"ParseResponse": func(b []byte) error { _, err := ParseResponse(b); return err },
+		} {
+			err := parse([]byte(msg))
+			if err == nil {
+				t.Errorf("%s(%q): expected error", name, msg)
+			} else if strings.Contains(err.Error(), "def ghi") {
+				t.Errorf("%s(%q) echoes the line: %v", name, msg, err)
+			}
+		}
+	}
+	_, err := ParseRequest([]byte("VERSION=MYPROXYv2\nCOMMAND=0\nUSERNAME=x\nPASSPHRASE=abc\ndef ghi\n"))
+	if err == nil || !strings.Contains(err.Error(), "malformed line 5") {
+		t.Errorf("error should name the line number: %v", err)
+	}
+}
+
 // toWireName folds an arbitrary string onto the validated name alphabet,
 // so the round-trip property and the parse-boundary charset check compose.
 func toWireName(s string) string {

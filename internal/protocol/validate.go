@@ -21,9 +21,7 @@ import (
 const maxNameLen = 128
 
 // ValidateUsername rejects a wire username outside the accepted
-// alphabet or length. The per-byte loop is the shape the taint engine
-// derives a validator fact from, so a checked value is proven clean on the
-// err == nil branch with no annotation.
+// alphabet or length.
 func ValidateUsername(u string) error {
 	if u == "" {
 		return errors.New("protocol: empty username")
