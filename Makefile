@@ -48,9 +48,10 @@ race:
 race-hotpath:
 	$(GO) test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core ./internal/httpgate
 
-# race-failover re-runs the cluster package and the deterministic
-# kill-one-replica / partition-ambiguity drills (DESIGN.md §12) with a
-# fresh count.
+# race-failover re-runs the cluster package — the router over fakes, and the
+# held node sessions over real repositories (revocation, a silent node, a
+# node without session mode) — and the deterministic kill-one-replica /
+# partition-ambiguity drills (DESIGN.md §12) with a fresh count.
 race-failover:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestClusterFailover|TestClusterPartition' ./internal/sim
@@ -68,9 +69,12 @@ fuzz-smoke:
 # stress repeats, under the race detector, the tests that were
 # schedule-dependent before the GSI endpoint existed once (DESIGN.md §18) —
 # pipelined session streams, refuse-before-read, the reused held connection —
-# and the endpoint's own package.
+# the endpoint's own package, and the held session's life (DESIGN.md §14):
+# re-dial after a restart, a cut in and outside a commit window, the drain of
+# idle and busy sessions.
 stress:
-	$(GO) test -race -count=100 -run 'TestSessionPipelinesExchanges' ./internal/core
+	$(GO) test -race -count=100 -run 'TestSessionPipelinesExchanges|TestSessionRedialsAfterServerRestart|TestCloseEndsAnIdleSessionAtOnce|TestCloseLetsAnInFlightStreamFinish' ./internal/core
+	$(GO) test -race -count=100 -run 'TestSessionCutIn' ./internal/cluster
 	$(GO) test -race -count=100 -run 'TestUnmappedIdentityRefused' ./internal/gram
 	$(GO) test -race -count=100 -run 'TestUnmappedIdentityRefused|TestReusedConnectionOutlivesFirstDeadline' ./internal/mss
 	$(GO) test -race -count=100 ./internal/gsi

@@ -114,9 +114,9 @@ var killMatrix = []mutation{
 			{"internal/pki/keys.go", `rsa.GenerateKey(rand.Reader, bits)`, `rsa.GenerateKey(mrand.New(mrand.NewSource(1)), bits)`},
 		},
 		caughtBy: "pass weakrand"},
-	{n: 14, what: "the client flattens a read error with %v, losing its retry class",
+	{n: 14, what: "the client flattens the final confirmation's read error with %v, losing its retry class",
 		edits: one("internal/core/client.go",
-			`fmt.Errorf("core: read response: %w", err)`, `fmt.Errorf("core: read response: %v", err)`),
+			`fmt.Errorf("core: read final response: %w", err)`, `fmt.Errorf("core: read final response: %v", err)`),
 		caughtBy: "pass errwrap"},
 	{n: 15, what: "Sessions.Len reads the table without its lock",
 		edits: one("internal/portal/session.go",

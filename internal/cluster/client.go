@@ -3,11 +3,12 @@ package cluster
 import (
 	"context"
 	"crypto/x509"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -42,7 +43,8 @@ type Config struct {
 
 	// NewRepoClient, when non-nil, builds the per-node repository client
 	// (tests and simulation inject fakes or pre-built clients here). nil
-	// builds a *core.Client from the template fields below.
+	// builds a *core.Client from the template fields below and holds one
+	// multiplexed session to the node on it (core.Session).
 	NewRepoClient func(node NodeConfig) core.Repository
 
 	// Template fields for the default per-node core.Client; see the
@@ -68,14 +70,13 @@ const DefaultReplicationFactor = 2
 // Client is a sharded, replicated repository client: a drop-in
 // core.Repository whose operations route to the username's replica set on a
 // consistent-hash ring. Reads fail over between replicas; writes replicate
-// to all of them under a quorum. It is safe for concurrent use.
+// to all of them under a quorum. It holds one multiplexed session per node
+// (dialed by the first call routed there, re-dialed when it dies), so Close
+// it when done. It is safe for concurrent use.
 type Client struct {
-	cfg    Config
 	router *Router
 	addrs  map[NodeID]string
-
-	mu sync.Mutex
-	//myproxy:guardedby mu
+	// clients is fixed at New: the node list does not change.
 	clients map[NodeID]core.Repository
 }
 
@@ -94,8 +95,8 @@ func New(cfg Config) (*Client, error) {
 	}
 	ring := NewRing(cfg.VnodesPerNode)
 	addrs := make(map[NodeID]string, len(cfg.Nodes))
-	for i := range cfg.Nodes {
-		n := &cfg.Nodes[i]
+	clients := make(map[NodeID]core.Repository, len(cfg.Nodes))
+	for _, n := range cfg.Nodes {
 		if n.ID == "" {
 			n.ID = NodeID(n.Addr)
 		}
@@ -104,9 +105,9 @@ func New(cfg Config) (*Client, error) {
 		}
 		addrs[n.ID] = n.Addr
 		ring.Add(n.ID)
+		clients[n.ID] = cfg.nodeClient(n, true)
 	}
 	return &Client{
-		cfg:   cfg,
 		addrs: addrs,
 		router: &Router{
 			Ring:        ring,
@@ -114,8 +115,20 @@ func New(cfg Config) (*Client, error) {
 			RF:          cfg.ReplicationFactor,
 			WriteQuorum: cfg.WriteQuorum,
 		},
-		clients: make(map[NodeID]core.Repository),
+		clients: clients,
 	}, nil
+}
+
+// Close closes the node clients that hold something open — the sessions
+// New built, and whatever NewRepoClient built that is an io.Closer.
+func (c *Client) Close() error {
+	var errs []error
+	for _, cl := range c.clients {
+		if closer, ok := cl.(io.Closer); ok {
+			errs = append(errs, closer.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Ring exposes the placement ring (admin tooling, tests).
@@ -136,13 +149,13 @@ func SplitAddrs(spec string) []string {
 }
 
 // Open returns the repository client for a comma-separated address list:
-// one address is served by the plain per-node client, several by a cluster
-// Client over them (cfg.Nodes is taken from the list). Every tool that
-// accepts "host:port[,host:port...]" decides here.
+// one address is served by the plain per-exchange client, several by a
+// cluster Client over them (cfg.Nodes is taken from the list). Every tool
+// that accepts "host:port[,host:port...]" decides here.
 func Open(spec string, cfg Config) (core.Repository, error) {
 	addrs := SplitAddrs(spec)
 	if len(addrs) < 2 {
-		return cfg.nodeClient(NodeConfig{Addr: strings.Join(addrs, "")}), nil // the one address, or none
+		return cfg.nodeClient(NodeConfig{Addr: strings.Join(addrs, "")}, false), nil // the one address, or none
 	}
 	cfg.Nodes = make([]NodeConfig, len(addrs))
 	for i, a := range addrs {
@@ -152,12 +165,13 @@ func Open(spec string, cfg Config) (core.Repository, error) {
 }
 
 // nodeClient builds the repository client for one node: NewRepoClient's, or
-// a core.Client from the template fields.
-func (cfg *Config) nodeClient(n NodeConfig) core.Repository {
+// a core.Client from the template fields — held: one multiplexed session on
+// it, for a caller that stays; otherwise a connection per operation.
+func (cfg *Config) nodeClient(n NodeConfig, held bool) core.Repository {
 	if cfg.NewRepoClient != nil {
 		return cfg.NewRepoClient(n)
 	}
-	return &core.Client{
+	c := &core.Client{
 		Credential:     cfg.Credential,
 		Roots:          cfg.Roots,
 		Addr:           n.Addr,
@@ -171,18 +185,10 @@ func (cfg *Config) nodeClient(n NodeConfig) core.Repository {
 		Retry:          cfg.Retry,
 		Stats:          cfg.Stats,
 	}
-}
-
-// node returns (building once) the repository client for id.
-func (c *Client) node(id NodeID) core.Repository {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cl, ok := c.clients[id]
-	if !ok {
-		cl = c.cfg.nodeClient(NodeConfig{ID: id, Addr: c.addrs[id]})
-		c.clients[id] = cl
+	if held {
+		return c.Session()
 	}
-	return cl
+	return c
 }
 
 // Put delegates a proxy to every replica of opts.Username under the write
@@ -191,7 +197,7 @@ func (c *Client) node(id NodeID) core.Repository {
 // semantically one credential, as required for failover.
 func (c *Client) Put(ctx context.Context, opts core.PutOptions) error {
 	return c.router.Write(ctx, opts.Username, protocol.CmdPut, func(ctx context.Context, node NodeID) error {
-		return c.node(node).Put(ctx, opts)
+		return c.clients[node].Put(ctx, opts)
 	})
 }
 
@@ -200,7 +206,7 @@ func (c *Client) Get(ctx context.Context, opts core.GetOptions) (*pki.Credential
 	var cred *pki.Credential
 	err := c.router.Read(ctx, opts.Username, func(ctx context.Context, node NodeID) error {
 		var err error
-		cred, err = c.node(node).Get(ctx, opts)
+		cred, err = c.clients[node].Get(ctx, opts)
 		return err
 	})
 	if err != nil {
@@ -214,7 +220,7 @@ func (c *Client) Info(ctx context.Context, username, passphrase string) ([]proto
 	var infos []protocol.CredInfo
 	err := c.router.Read(ctx, username, func(ctx context.Context, node NodeID) error {
 		var err error
-		infos, err = c.node(node).Info(ctx, username, passphrase)
+		infos, err = c.clients[node].Info(ctx, username, passphrase)
 		return err
 	})
 	if err != nil {
@@ -228,7 +234,7 @@ func (c *Client) Info(ctx context.Context, username, passphrase string) ([]proto
 // to inspect.
 func (c *Client) Destroy(ctx context.Context, username, passphrase, credName string) error {
 	return c.router.Write(ctx, username, protocol.CmdDestroy, func(ctx context.Context, node NodeID) error {
-		return c.node(node).Destroy(ctx, username, passphrase, credName)
+		return c.clients[node].Destroy(ctx, username, passphrase, credName)
 	})
 }
 
@@ -236,14 +242,14 @@ func (c *Client) Destroy(ctx context.Context, username, passphrase, credName str
 // partial commit is never replayed.
 func (c *Client) ChangePassphrase(ctx context.Context, username, oldPass, newPass, credName string) error {
 	return c.router.Write(ctx, username, protocol.CmdChangePassphrase, func(ctx context.Context, node NodeID) error {
-		return c.node(node).ChangePassphrase(ctx, username, oldPass, newPass, credName)
+		return c.clients[node].ChangePassphrase(ctx, username, oldPass, newPass, credName)
 	})
 }
 
 // Store deposits a client-sealed credential on every replica.
 func (c *Client) Store(ctx context.Context, opts core.StoreOptions) error {
 	return c.router.Write(ctx, opts.Username, protocol.CmdStore, func(ctx context.Context, node NodeID) error {
-		return c.node(node).Store(ctx, opts)
+		return c.clients[node].Store(ctx, opts)
 	})
 }
 
@@ -252,7 +258,7 @@ func (c *Client) Retrieve(ctx context.Context, opts core.RetrieveOptions) (*pki.
 	var cred *pki.Credential
 	err := c.router.Read(ctx, opts.Username, func(ctx context.Context, node NodeID) error {
 		var err error
-		cred, err = c.node(node).Retrieve(ctx, opts)
+		cred, err = c.clients[node].Retrieve(ctx, opts)
 		return err
 	})
 	if err != nil {

@@ -57,7 +57,8 @@ type Client struct {
 	// ProxyType selects the style of proxy delegated *to* the repository
 	// by Put; the zero value selects proxy.RFC3820.
 	ProxyType proxy.Type
-	// Timeout bounds one attempt (0 = 30s).
+	// Timeout bounds one attempt on a connection of its own and, on a
+	// Session, the dial and then each message of a stream (0 = 30s).
 	Timeout time.Duration
 	// DialContext optionally overrides the transport dialer (tests,
 	// simulation rigs, fault injection).
@@ -119,17 +120,30 @@ func (c *Client) do(ctx context.Context, fn func(ctx context.Context) error) err
 	return err
 }
 
+// operations is the protocol's seven operations, each written once, over
+// channels from one source: via runs fn on an authenticated channel under the
+// client's retry policy. Client.exchange dials a connection per attempt and
+// closes it; Session.exchange opens a stream of the connection it holds and
+// releases it. Nothing else differs between the two.
+type operations struct {
+	c   *Client
+	via func(ctx context.Context, fn func(gsi.Channel) error) error
+}
+
 // exchange runs fn on a fresh authenticated connection, under the retry
 // policy.
-func (c *Client) exchange(ctx context.Context, fn func(conn *gsi.Conn) error) error {
-	return c.do(ctx, func(ctx context.Context) error {
-		conn, err := c.connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		return fn(conn)
-	})
+func (c *Client) exchange(ctx context.Context, fn func(gsi.Channel) error) error {
+	return c.do(ctx, func(ctx context.Context) error { return c.dialed(ctx, fn) })
+}
+
+// dialed is one attempt of exchange: dial, run fn, close.
+func (c *Client) dialed(ctx context.Context, fn func(gsi.Channel) error) error {
+	conn, err := c.connect(ctx)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	return fn(conn)
 }
 
 // answering runs op and, when the server demands a one-time password the
@@ -262,16 +276,21 @@ type PutOptions struct {
 // once the delegation is in flight the deposit may commit server-side, so
 // later faults surface as *resilience.AmbiguousError.
 func (c *Client) Put(ctx context.Context, opts PutOptions) error {
+	return operations{c, c.exchange}.Put(ctx, opts)
+}
+
+// Put is Client.Put over o's channels.
+func (o operations) Put(ctx context.Context, opts PutOptions) error {
 	lifetime := opts.Lifetime
 	if lifetime <= 0 {
 		lifetime = 7 * 24 * time.Hour
 	}
-	return c.exchange(ctx, func(conn *gsi.Conn) error {
-		return c.putOn(conn, opts, lifetime)
+	return o.via(ctx, func(ch gsi.Channel) error {
+		return o.c.putOn(ch, opts, lifetime)
 	})
 }
 
-func (c *Client) putOn(conn *gsi.Conn, opts PutOptions, lifetime time.Duration) error {
+func (c *Client) putOn(conn gsi.Channel, opts PutOptions, lifetime time.Duration) error {
 	req := &protocol.Request{
 		Command:       protocol.CmdPut,
 		Username:      opts.Username,
@@ -330,10 +349,15 @@ type GetOptions struct {
 // myproxy-get-delegation operation of paper Figure 2. Get is idempotent and
 // retries any transient fault under the Retry policy.
 func (c *Client) Get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
+	return operations{c, c.exchange}.Get(ctx, opts)
+}
+
+// Get is Client.Get over o's channels.
+func (o operations) Get(ctx context.Context, opts GetOptions) (*pki.Credential, error) {
 	var cred *pki.Credential
 	err := answering(&opts.OTP, opts.OTPSecret, func() error {
-		return c.exchange(ctx, func(conn *gsi.Conn) (err error) {
-			cred, err = c.getOn(conn, opts)
+		return o.via(ctx, func(ch gsi.Channel) (err error) {
+			cred, err = o.c.getOn(ch, opts)
 			return err
 		})
 	})
@@ -370,9 +394,14 @@ func (c *Client) getOn(ch gsi.Channel, opts GetOptions) (*pki.Credential, error)
 // authenticates (myproxy-info). Info is idempotent and retries transient
 // faults.
 func (c *Client) Info(ctx context.Context, username, passphrase string) ([]protocol.CredInfo, error) {
+	return operations{c, c.exchange}.Info(ctx, username, passphrase)
+}
+
+// Info is Client.Info over o's channels.
+func (o operations) Info(ctx context.Context, username, passphrase string) ([]protocol.CredInfo, error) {
 	var infos []protocol.CredInfo
-	err := c.exchange(ctx, func(conn *gsi.Conn) (err error) {
-		infos, err = c.infoOn(conn, username, passphrase)
+	err := o.via(ctx, func(ch gsi.Channel) (err error) {
+		infos, err = o.c.infoOn(ch, username, passphrase)
 		return err
 	})
 	return infos, err
@@ -393,25 +422,43 @@ func (c *Client) infoOn(ch gsi.Channel, username, passphrase string) ([]protocol
 // request was delivered is ambiguous (the credential may already be gone)
 // and surfaces as *resilience.AmbiguousError.
 func (c *Client) Destroy(ctx context.Context, username, passphrase, credName string) error {
-	return c.exchange(ctx, func(conn *gsi.Conn) error {
-		_, err := c.roundTrip(conn, &protocol.Request{
-			Command: protocol.CmdDestroy, Username: username, Passphrase: passphrase, CredName: credName,
-		}, "DESTROY")
-		return err
+	return operations{c, c.exchange}.Destroy(ctx, username, passphrase, credName)
+}
+
+// Destroy is Client.Destroy over o's channels.
+func (o operations) Destroy(ctx context.Context, username, passphrase, credName string) error {
+	return o.via(ctx, func(ch gsi.Channel) error {
+		return o.c.destroyOn(ch, username, passphrase, credName)
 	})
+}
+
+func (c *Client) destroyOn(ch gsi.Channel, username, passphrase, credName string) error {
+	_, err := c.roundTrip(ch, &protocol.Request{
+		Command: protocol.CmdDestroy, Username: username, Passphrase: passphrase, CredName: credName,
+	}, "DESTROY")
+	return err
 }
 
 // ChangePassphrase re-seals a stored credential under a new pass phrase
 // (myproxy-change-passphrase). Same commit semantics as Destroy: only
 // pre-delivery faults retry.
 func (c *Client) ChangePassphrase(ctx context.Context, username, oldPass, newPass, credName string) error {
-	return c.exchange(ctx, func(conn *gsi.Conn) error {
-		_, err := c.roundTrip(conn, &protocol.Request{
-			Command: protocol.CmdChangePassphrase, Username: username,
-			Passphrase: oldPass, NewPassphrase: newPass, CredName: credName,
-		}, "CHANGE_PASSPHRASE")
-		return err
+	return operations{c, c.exchange}.ChangePassphrase(ctx, username, oldPass, newPass, credName)
+}
+
+// ChangePassphrase is Client.ChangePassphrase over o's channels.
+func (o operations) ChangePassphrase(ctx context.Context, username, oldPass, newPass, credName string) error {
+	return o.via(ctx, func(ch gsi.Channel) error {
+		return o.c.changePassphraseOn(ch, username, oldPass, newPass, credName)
 	})
+}
+
+func (c *Client) changePassphraseOn(ch gsi.Channel, username, oldPass, newPass, credName string) error {
+	_, err := c.roundTrip(ch, &protocol.Request{
+		Command: protocol.CmdChangePassphrase, Username: username,
+		Passphrase: oldPass, NewPassphrase: newPass, CredName: credName,
+	}, "CHANGE_PASSPHRASE")
+	return err
 }
 
 // StoreOptions parameterizes Store (myproxy-store, paper §6.1).
@@ -434,6 +481,11 @@ type StoreOptions struct {
 // sent are retried; afterwards the deposit may have committed and faults
 // surface as *resilience.AmbiguousError.
 func (c *Client) Store(ctx context.Context, opts StoreOptions) error {
+	return operations{c, c.exchange}.Store(ctx, opts)
+}
+
+// Store is Client.Store over o's channels.
+func (o operations) Store(ctx context.Context, opts StoreOptions) error {
 	if opts.Credential == nil {
 		return errors.New("core: Store requires a credential")
 	}
@@ -443,25 +495,29 @@ func (c *Client) Store(ctx context.Context, opts StoreOptions) error {
 	if err != nil {
 		return err
 	}
-	return c.exchange(ctx, func(conn *gsi.Conn) error {
-		req := &protocol.Request{
-			Command:     protocol.CmdStore,
-			Username:    opts.Username,
-			Passphrase:  opts.Passphrase,
-			CredName:    opts.CredName,
-			Description: opts.Description,
-			Retrievers:  opts.Retrievers,
-			TaskTags:    opts.TaskTags,
-		}
-		if _, err := c.roundTrip(conn, req, ""); err != nil {
-			return err
-		}
-		// Commit window: the server stores the blob when it arrives.
-		if err := conn.WriteMessage(blob); err != nil {
-			return ambiguous("STORE", err)
-		}
-		return ambiguous("STORE", c.readFinal(conn))
+	return o.via(ctx, func(ch gsi.Channel) error {
+		return o.c.storeOn(ch, opts, blob)
 	})
+}
+
+func (c *Client) storeOn(ch gsi.Channel, opts StoreOptions, blob []byte) error {
+	req := &protocol.Request{
+		Command:     protocol.CmdStore,
+		Username:    opts.Username,
+		Passphrase:  opts.Passphrase,
+		CredName:    opts.CredName,
+		Description: opts.Description,
+		Retrievers:  opts.Retrievers,
+		TaskTags:    opts.TaskTags,
+	}
+	if _, err := c.roundTrip(ch, req, ""); err != nil {
+		return err
+	}
+	// Commit window: the server stores the blob when it arrives.
+	if err := ch.WriteMessage(blob); err != nil {
+		return ambiguous("STORE", err)
+	}
+	return ambiguous("STORE", c.readFinal(ch))
 }
 
 // RetrieveOptions parameterizes Retrieve (myproxy-retrieve, paper §6.1).
@@ -478,17 +534,22 @@ type RetrieveOptions struct {
 // Store. Unsealing happens client-side with the pass phrase. Retrieve is
 // idempotent and retries any transient fault.
 func (c *Client) Retrieve(ctx context.Context, opts RetrieveOptions) (*pki.Credential, error) {
+	return operations{c, c.exchange}.Retrieve(ctx, opts)
+}
+
+// Retrieve is Client.Retrieve over o's channels.
+func (o operations) Retrieve(ctx context.Context, opts RetrieveOptions) (*pki.Credential, error) {
 	var cred *pki.Credential
 	err := answering(&opts.OTP, opts.OTPSecret, func() error {
-		return c.exchange(ctx, func(conn *gsi.Conn) (err error) {
-			cred, err = c.retrieveOn(conn, opts)
+		return o.via(ctx, func(ch gsi.Channel) (err error) {
+			cred, err = o.c.retrieveOn(ch, opts)
 			return err
 		})
 	})
 	return cred, err
 }
 
-func (c *Client) retrieveOn(conn *gsi.Conn, opts RetrieveOptions) (*pki.Credential, error) {
+func (c *Client) retrieveOn(conn gsi.Channel, opts RetrieveOptions) (*pki.Credential, error) {
 	resp, err := c.roundTrip(conn, &protocol.Request{
 		Command:    protocol.CmdRetrieve,
 		Username:   opts.Username,

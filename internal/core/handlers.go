@@ -229,7 +229,9 @@ func (c *unsealCache) wipe() {
 // chain is re-verified (through the verify cache, which re-checks
 // revocation on every hit and is invalidated by SetRevoked) before each
 // stream is served, so a CRL reload refuses a revoked peer on the very
-// next operation of an already-open session.
+// next operation of an already-open session. When the server begins to
+// close, the session takes no further stream, finishes the ones in flight
+// and ends — an idle one at once.
 //myproxy:hotpath
 func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 	if s.cfg.DisableSessions {
@@ -260,8 +262,9 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 	for {
 		st, err := sess.Accept()
 		if err != nil {
-			// The client closed the connection or the session cap expired —
-			// the normal end of a session, not a server fault.
+			// The client closed the connection, the session cap expired or
+			// the server is draining — the normal end of a session, not a
+			// server fault. The deferred Wait lets in-flight streams finish.
 			s.cfg.logf("session with %s ended: %v", conn.PeerIdentity(), err)
 			return nil
 		}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"crypto"
 	"crypto/ed25519"
 	"crypto/x509"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"repro/internal/credstore"
 	"repro/internal/pki"
 	"repro/internal/testpki"
 )
@@ -225,5 +229,272 @@ func TestSessionStreamAllocs(t *testing.T) {
 	})
 	if allocs > 1500 {
 		t.Errorf("per-stream session Get allocates %.0f objects/op, want <= 1500", allocs)
+	}
+}
+
+// TestSessionCarriesEveryOperation runs the five operations the session did
+// not speak before it was a Repository — PUT, STORE, RETRIEVE,
+// CHANGE_PASSPHRASE, DESTROY — each on a stream of one held connection.
+func TestSessionCarriesEveryOperation(t *testing.T) {
+	srv, addr := startServer(t, nil)
+	alice := testpki.User(t, "sess-all-alice")
+	sess := newClient(t, alice, addr).Session()
+	defer sess.Close()
+	ctx := context.Background()
+
+	if err := sess.Put(ctx, PutOptions{Username: testUser, Passphrase: testPass}); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	const newPass = "a second pass phrase"
+	if err := sess.ChangePassphrase(ctx, testUser, testPass, newPass, ""); err != nil {
+		t.Fatalf("ChangePassphrase: %v", err)
+	}
+	if _, err := sess.Get(ctx, GetOptions{Username: testUser, Passphrase: newPass}); err != nil {
+		t.Fatalf("Get under the new pass phrase: %v", err)
+	}
+	if err := sess.Destroy(ctx, testUser, newPass, ""); err != nil {
+		t.Fatalf("Destroy: %v", err)
+	}
+	if err := sess.Store(ctx, StoreOptions{Username: testUser, Passphrase: testPass, Credential: alice}); err != nil {
+		t.Fatalf("Store: %v", err)
+	}
+	back, err := sess.Retrieve(ctx, RetrieveOptions{Username: testUser, Passphrase: testPass})
+	if err != nil {
+		t.Fatalf("Retrieve: %v", err)
+	}
+	if !pki.PublicKeysEqual(back.PrivateKey.Public(), alice.PrivateKey.Public()) {
+		t.Error("retrieved key differs from the deposit")
+	}
+	st := srv.Stats()
+	if conns, streams := st.Connections.Load(), st.Streams.Load(); conns != 1 || streams != 6 {
+		t.Errorf("connections = %d, streams = %d, want 1 and 6", conns, streams)
+	}
+}
+
+// gatedStore parks every List of one username until released, and says
+// when one has arrived: a repository that has stopped answering one stream.
+type gatedStore struct {
+	credstore.Store
+	stuck            string
+	entered, release chan struct{}
+}
+
+func (g *gatedStore) List(username string) ([]*credstore.Entry, error) {
+	if username == g.stuck {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Store.List(username)
+}
+
+// TestSessionStreamReturnsWhenItsContextIsDone: an operation on a session
+// stream ends with its context, not with the stream timeout, and gives up
+// only its own stream — the session serves the next operation on the
+// connection it already holds.
+func TestSessionStreamReturnsWhenItsContextIsDone(t *testing.T) {
+	store := &gatedStore{
+		Store: credstore.NewMemStore(), stuck: "stuck-user",
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+	defer close(store.release)
+	srv, addr := startServer(t, func(cfg *ServerConfig) { cfg.Store = store })
+	mustPut(t, newClient(t, testpki.User(t, "sess-ctx-alice"), addr), PutOptions{})
+
+	cli := newClient(t, testpki.Host(t, "sess-ctx-portal.test"), addr)
+	cli.Timeout = time.Hour // the context, not the stream timeout, must end the call
+	sess, err := cli.NewSession(context.Background())
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	failed := make(chan error, 1)
+	go func() {
+		_, err := sess.Get(ctx, GetOptions{Username: store.stuck, Passphrase: testPass})
+		failed <- err
+	}()
+	<-store.entered // the request is with the server, which will not answer
+	cancel()
+	if err := <-failed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Get on a silent stream = %v, want context.Canceled", err)
+	}
+
+	before := srv.Stats().Streams.Load()
+	if _, err := sess.Info(ctx, testUser, testPass); !errors.Is(err, context.Canceled) {
+		t.Errorf("Info under a finished context = %v, want context.Canceled", err)
+	}
+	if got := srv.Stats().Streams.Load(); got != before {
+		t.Errorf("an operation under a finished context opened %d stream(s)", got-before)
+	}
+	if _, err := sess.Get(context.Background(), GetOptions{Username: testUser, Passphrase: testPass}); err != nil {
+		t.Fatalf("Get after an abandoned stream: %v", err)
+	}
+	if n := srv.Stats().Sessions.Load(); n != 1 {
+		t.Errorf("sessions = %d, want 1: the abandoned stream cost the session", n)
+	}
+}
+
+// TestSessionOutlivesTheContextItWasDialedUnder: the dial context governs
+// establishment only; the operation that happened to dial the session does
+// not take it down when its own context ends.
+func TestSessionOutlivesTheContextItWasDialedUnder(t *testing.T) {
+	srv, addr := startServer(t, nil)
+	mustPut(t, newClient(t, testpki.User(t, "sess-life-alice"), addr), PutOptions{})
+	sess := newClient(t, testpki.Host(t, "sess-life-portal.test"), addr).Session()
+	defer sess.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := GetOptions{Username: testUser, Passphrase: testPass}
+	if _, err := sess.Get(ctx, opts); err != nil { // dials the session under ctx
+		t.Fatalf("Get: %v", err)
+	}
+	cancel()
+	if _, err := sess.Get(context.Background(), opts); err != nil {
+		t.Fatalf("Get after the dialing operation's context ended: %v", err)
+	}
+	if n := srv.Stats().Sessions.Load(); n != 1 {
+		t.Errorf("sessions = %d, want 1", n)
+	}
+}
+
+// restart closes srv and serves the same store, under the same identity, on
+// the same address again.
+func restart(t *testing.T, srv *Server, addr string) *Server {
+	t.Helper()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewServer(srv.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go again.Serve(ln)
+	t.Cleanup(func() { again.Close() })
+	return again
+}
+
+// TestSessionRedialsAfterServerRestart: a held session that died between
+// two operations is replaced by the next one as part of its only attempt —
+// no error, and no retry counted.
+func TestSessionRedialsAfterServerRestart(t *testing.T) {
+	srv, addr := startServer(t, func(cfg *ServerConfig) { cfg.Store = credstore.NewMemStore() })
+	mustPut(t, newClient(t, testpki.User(t, "sess-restart-alice"), addr), PutOptions{})
+
+	cli := newClient(t, testpki.Host(t, "sess-restart-portal.test"), addr)
+	cli.Retry, cli.Stats = fastRetry(3), &Stats{}
+	sess := cli.Session()
+	defer sess.Close()
+	opts := GetOptions{Username: testUser, Passphrase: testPass}
+	if _, err := sess.Get(context.Background(), opts); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	held := sess.mux.Load()
+	again := restart(t, srv, addr)
+	<-held.Done() // the client has seen the old server hang up
+
+	if _, err := sess.Get(context.Background(), opts); err != nil {
+		t.Fatalf("Get after the restart: %v", err)
+	}
+	if n := cli.Stats.Retries.Load(); n != 0 {
+		t.Errorf("retries = %d, want 0: re-dialing a dead session is not a retry", n)
+	}
+	if n := again.Stats().Sessions.Load(); n != 1 {
+		t.Errorf("sessions on the restarted server = %d, want 1", n)
+	}
+}
+
+// returnsSoon fails the test unless done is closed long before the drain
+// timeout the callers configure.
+func returnsSoon(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestCloseEndsAnIdleSessionAtOnce: a session with no stream in flight does
+// not hold Close for the drain timeout, and is not counted as cut off.
+func TestCloseEndsAnIdleSessionAtOnce(t *testing.T) {
+	srv, addr := startServer(t, func(cfg *ServerConfig) { cfg.DrainTimeout = time.Minute })
+	mustPut(t, newClient(t, testpki.User(t, "drain-idle-alice"), addr), PutOptions{})
+	sess, err := newClient(t, testpki.Host(t, "drain-idle-portal.test"), addr).NewSession(context.Background())
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+	if _, err := sess.Get(context.Background(), GetOptions{Username: testUser, Passphrase: testPass}); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		srv.Close()
+	}()
+	returnsSoon(t, closed, "Close with an idle session open")
+	if n := srv.Stats().ForcedCloses.Load(); n != 0 {
+		t.Errorf("forced closes = %d, want 0 for an idle session", n)
+	}
+}
+
+// gatedKeys is a client key source that parks a GET between the server's
+// go-ahead and the CSR — mid-delegation — until released.
+type gatedKeys struct{ entered, release chan struct{} }
+
+func (g *gatedKeys) Get(_ context.Context, spec pki.KeySpec) (crypto.Signer, error) {
+	g.entered <- struct{}{}
+	<-g.release
+	return pki.GenerateSigner(spec)
+}
+
+// TestCloseLetsAnInFlightStreamFinish: a stream that is mid-delegation when
+// the drain begins completes, and Close returns once it has.
+func TestCloseLetsAnInFlightStreamFinish(t *testing.T) {
+	srv, addr := startServer(t, func(cfg *ServerConfig) { cfg.DrainTimeout = time.Minute })
+	mustPut(t, newClient(t, testpki.User(t, "drain-busy-alice"), addr), PutOptions{})
+	cli := newClient(t, testpki.Host(t, "drain-busy-portal.test"), addr)
+	keys := &gatedKeys{entered: make(chan struct{}), release: make(chan struct{})}
+	cli.KeySource = keys
+	sess, err := cli.NewSession(context.Background())
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+
+	got := make(chan error, 1)
+	go func() {
+		_, err := sess.Get(context.Background(), GetOptions{Username: testUser, Passphrase: testPass})
+		got <- err
+	}()
+	<-keys.entered // the server has sent its go-ahead and waits for the CSR
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		srv.Close()
+	}()
+	<-srv.acceptor.Done() // Close has begun
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a stream in flight")
+	default:
+	}
+	close(keys.release)
+	if err := <-got; err != nil {
+		t.Fatalf("Get in flight across the drain: %v", err)
+	}
+	returnsSoon(t, closed, "Close after the in-flight stream finished")
+	if n := srv.Stats().ForcedCloses.Load(); n != 0 {
+		t.Errorf("forced closes = %d, want 0", n)
+	}
+	// The drained session is gone, and nothing answers on its address.
+	if _, err := sess.Get(context.Background(), GetOptions{Username: testUser, Passphrase: testPass}); err == nil {
+		t.Error("Get after Close succeeded")
 	}
 }

@@ -180,6 +180,7 @@ func (a *Acceptor) handle(raw net.Conn) {
 		return
 	}
 	defer conn.Close()
+	conn.draining = a.quit
 	conn.SetSessionDeadline(time.Now().Add(a.cfg.SessionTimeout))
 	conn.SetMessageTimeout(a.cfg.MessageTimeout)
 	a.cfg.Handler(conn)

@@ -90,6 +90,9 @@ type Conn struct {
 	// stop, when non-nil, detaches it from the context it was dialed under.
 	timeout time.Duration
 	stop    func() bool
+	// draining, on a connection an Acceptor serves, is closed when that
+	// acceptor begins to close (see Session.Accept).
+	draining <-chan struct{}
 }
 
 // tlsCertificate assembles the TLS leaf+chain from a Grid credential. The

@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -101,11 +102,17 @@ func (d *Dialer) Dial(ctx context.Context) (*Conn, error) {
 }
 
 // Multiplex turns a dialed connection into the initiating side of a
-// multiplexed session. Streams inherit the dial's per-use budget as their
-// message timeout; the absolute deadline Dial armed would cut the session
-// short, so it is lifted — the dial context and the accepting side's session
-// cap bound the lifetime instead.
+// multiplexed session that outlives the use it was dialed for. Streams
+// inherit the dial's per-use budget as their message timeout; the absolute
+// deadline Dial armed and its tie to the dial context would both cut the
+// session short, so they are lifted — each stream runs under its own
+// exchange's context (Session.OpenContext), and the accepting side's session
+// cap bounds the lifetime.
 func (c *Conn) Multiplex() (*Session, error) {
+	if c.stop != nil && !c.stop() {
+		_ = c.Close() // the dial context ended first; close is best-effort
+		return nil, errors.New("gsi: dial context done before the session was established")
+	}
 	c.SetMessageTimeout(c.timeout)
 	s := NewClientSession(c)
 	if err := c.tls.SetDeadline(time.Time{}); err != nil {

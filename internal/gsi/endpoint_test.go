@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,6 +189,87 @@ func TestDrainWaitsForInFlightSessions(t *testing.T) {
 	if len(events) != 0 {
 		t.Errorf("a clean drain reported %+v", <-events)
 	}
+}
+
+// A multiplexed session is in flight only while a stream is: once Close
+// begins, Accept hands out no further stream, the one being served finishes
+// and is answered, one that arrives meanwhile fails with the session, and
+// nothing is force-closed.
+func TestDrainEndsASessionWhenItsStreamsAreDone(t *testing.T) {
+	accepted, release := make(chan struct{}), make(chan struct{})
+	acceptErr := make(chan error, 1)
+	a, addr, events := startAcceptor(t, AcceptorConfig{
+		DrainTimeout: time.Minute,
+		Handler: func(c *Conn) {
+			sess := NewServerSession(c)
+			defer sess.Close()
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			for {
+				st, err := sess.Accept()
+				if err != nil {
+					acceptErr <- err
+					return
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					msg, _ := st.ReadMessage()
+					accepted <- struct{}{}
+					<-release
+					st.WriteMessage(msg)
+				}()
+			}
+		},
+	})
+	conn, err := testDialer(t, addr).Dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := conn.Multiplex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	inFlight := openAndWrite(t, sess, "in flight")
+	await(t, accepted, "the first stream to be served")
+
+	closed := make(chan error, 1)
+	go func() { closed <- a.Close() }()
+	if err := await(t, acceptErr, "Accept to stop"); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Accept during the drain = %v, want ErrDraining", err)
+	}
+	late := openAndWrite(t, sess, "late")
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a stream in flight")
+	default:
+	}
+	close(release)
+	if msg, err := inFlight.ReadMessage(); err != nil || string(msg) != "in flight" {
+		t.Errorf("stream in flight across the drain: %q, %v", msg, err)
+	}
+	if err := await(t, closed, "Close"); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := late.ReadMessage(); err == nil {
+		t.Errorf("a stream opened during the drain was answered %q", msg)
+	}
+	if len(events) != 0 {
+		t.Errorf("a clean drain reported %+v", <-events)
+	}
+}
+
+func openAndWrite(t *testing.T, sess *Session, msg string) *Stream {
+	t.Helper()
+	st, err := sess.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteMessage([]byte(msg)); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestDrainTimeoutForceClosesAndReports(t *testing.T) {

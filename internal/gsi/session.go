@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -33,6 +34,11 @@ import (
 // session has failed or been closed.
 var ErrSessionClosed = errors.New("gsi: session closed")
 
+// ErrDraining is returned by Accept once the acceptor that owns the
+// connection has begun to close: streams already accepted run to completion,
+// no further one is served.
+var ErrDraining = errors.New("gsi: acceptor draining")
+
 // Both transports satisfy Channel.
 var (
 	_ Channel = (*Conn)(nil)
@@ -61,6 +67,9 @@ type Session struct {
 
 	accept chan *Stream
 	done   chan struct{}
+	// draining is the owning acceptor's shutdown broadcast (nil on a dialed
+	// connection): Accept stops handing out streams once it is closed.
+	draining <-chan struct{}
 
 	// msgTimeout is inherited by new streams as their per-message read
 	// budget (0 = none).
@@ -78,6 +87,7 @@ func newSession(conn *Conn, client bool) *Session {
 		nextID:     1,
 		accept:     make(chan *Stream, 8),
 		done:       make(chan struct{}),
+		draining:   conn.draining,
 		msgTimeout: conn.msgTimeout,
 	}
 	// The per-message conn deadline belongs to the single-exchange mode;
@@ -156,28 +166,42 @@ func (s *Session) newStream(id uint32) *Stream {
 		id:      id,
 		inbox:   make(chan []byte, streamInboxSize),
 		timeout: s.msgTimeout,
+		ctx:     context.Background(),
 	}
 }
 
 // Open starts a new stream (initiating side only). It takes its id, and
 // exists on the peer, once its first message is written.
-func (s *Session) Open() (*Stream, error) {
+func (s *Session) Open() (*Stream, error) { return s.OpenContext(context.Background()) }
+
+// OpenContext is Open for an exchange that runs under ctx: a read on the
+// stream returns once ctx is done. Only that stream is given up — Close
+// releases it as usual, the session and its other streams carry on, and
+// whatever the peer still sends for it is dropped.
+func (s *Session) OpenContext(ctx context.Context) (*Stream, error) {
 	if !s.client {
 		return nil, errors.New("gsi: accepting side cannot open streams")
 	}
 	if err := s.Err(); err != nil {
 		return nil, err
 	}
-	return s.newStream(0), nil
+	st := s.newStream(0)
+	st.ctx = ctx
+	return st, nil
 }
 
-// Accept waits for the peer to open a stream (accepting side only).
+// Accept waits for the peer to open a stream (accepting side only). Under
+// an acceptor that has begun to close it returns ErrDraining instead: a
+// stream that arrives from then on is never served, and fails on the peer
+// when the connection closes behind the streams still in flight.
 func (s *Session) Accept() (*Stream, error) {
 	select {
 	case st := <-s.accept:
 		return st, nil
 	case <-s.done:
 		return nil, s.Err()
+	case <-s.draining:
+		return nil, ErrDraining
 	}
 }
 
@@ -233,6 +257,9 @@ func (s *Session) fail(err error) {
 	_ = s.conn.Close() // session already failing; close is best-effort
 }
 
+// Done is closed when the session ends, by Close or by a fault.
+func (s *Session) Done() <-chan struct{} { return s.done }
+
 // Err returns the error that ended the session (ErrSessionClosed after a
 // clean Close), or nil while it is live.
 func (s *Session) Err() error {
@@ -257,8 +284,10 @@ type Stream struct {
 
 	inbox chan []byte
 
-	// timeout bounds each ReadMessage (0 = only the session bounds it).
+	// timeout bounds each ReadMessage (0 = only the session bounds it);
+	// ctx, the exchange's own, cuts one short.
 	timeout time.Duration
+	ctx     context.Context
 }
 
 // WriteMessage sends one framed message on this stream.
@@ -280,9 +309,19 @@ func (st *Stream) ReadMessage() ([]byte, error) {
 	case payload := <-st.inbox:
 		return payload, nil
 	case <-st.s.done:
-		return nil, st.s.Err()
+		// The read loop routes every frame before it reports the fault that
+		// follows it: an answer the peer sent just before hanging up (a
+		// drain, the session cap) is in the inbox and is delivered.
+		select {
+		case payload := <-st.inbox:
+			return payload, nil
+		default:
+			return nil, st.s.Err()
+		}
 	case <-timeout:
 		return nil, fmt.Errorf("gsi: stream %d read timeout after %v", st.id, st.timeout)
+	case <-st.ctx.Done():
+		return nil, fmt.Errorf("gsi: stream %d read: %w", st.id, st.ctx.Err())
 	}
 }
 

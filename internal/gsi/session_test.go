@@ -1,6 +1,8 @@
 package gsi
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -79,5 +81,65 @@ func TestAcceptorRefusesStreamIDGap(t *testing.T) {
 	}
 	if err := acceptor.Err(); err == nil || !strings.Contains(err.Error(), "stream 2") {
 		t.Errorf("session error = %v, want the out-of-order id named", err)
+	}
+}
+
+// An answer the peer writes just before it hangs up is delivered: the read
+// loop routed it before it saw the connection end, and the stream must not
+// report the session's death in its place.
+func TestAnswerSentBeforeHangUpIsDelivered(t *testing.T) {
+	cli, srv, err := connectPair(t, testpki.User(t, "gsi-alice"), testpki.Host(t, "myproxy.test"), defaultOpts(t), defaultOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initiator, acceptor := NewClientSession(cli), NewServerSession(srv)
+	defer initiator.Close()
+	go func() {
+		defer acceptor.Close()
+		if st, err := acceptor.Accept(); err == nil {
+			if msg, err := st.ReadMessage(); err == nil {
+				st.WriteMessage(msg)
+			}
+		}
+	}()
+	st, err := initiator.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteMessage([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	<-initiator.Done() // the peer has answered and hung up
+	if msg, err := st.ReadMessage(); err != nil || string(msg) != "ping" {
+		t.Fatalf("answer sent before the hang-up: %q, %v", msg, err)
+	}
+	if _, err := st.ReadMessage(); err == nil {
+		t.Error("a second read on the ended session succeeded")
+	}
+}
+
+// A read on a stream opened under a context ends with that context; the
+// session and its other streams are untouched.
+func TestStreamReadEndsWithItsContext(t *testing.T) {
+	initiator, _ := sessionPair(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	silent, err := initiator.OpenContext(ctx) // never written: the acceptor never sees it
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := silent.ReadMessage(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("read under a cancelled context = %v, want context.Canceled", err)
+	}
+	silent.Close()
+	st, err := initiator.Open()
+	if err != nil {
+		t.Fatalf("Open after an abandoned stream: %v", err)
+	}
+	if err := st.WriteMessage([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := st.ReadMessage(); err != nil || string(msg) != "ping" {
+		t.Errorf("stream beside the abandoned one: %q, %v", msg, err)
 	}
 }

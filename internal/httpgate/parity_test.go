@@ -13,6 +13,7 @@ import (
 	"time"
 	"unicode"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/credstore"
 	"repro/internal/otp"
@@ -68,8 +69,7 @@ func (a *auditLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// frontend drives the repository through one transport. Operations the
-// transport does not carry are nil and their table rows skip it.
+// frontend drives the repository through one transport.
 type frontend struct {
 	name     string
 	stats    *core.Stats
@@ -120,8 +120,9 @@ const (
 
 // TestSharedStoreBetweenFrontends is §6.4's point — the protocol is a
 // front-end detail — as a table: one store, one OTP registry and one
-// configuration behind the MYPROXYv2 server (per-exchange connections and
-// session streams) and the HTTP gateway; every row must end in the same
+// configuration behind the MYPROXYv2 server (per-exchange connections,
+// session streams, and a cluster client over held node sessions) and the
+// HTTP gateway; every row must end in the same
 // verdict class, the same delegated identity and lifetime, and the same
 // counter, whichever front-end carried it. The audit log of the whole table
 // is the canary: every event is one line free of control bytes, and none
@@ -181,17 +182,6 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			KeyAlgorithm: keyAlg, KeyBits: 1024, Timeout: 10 * time.Second,
 		}
 	}
-	session := func(peer *pki.Credential, do func(*core.Session) error) error {
-		sess, err := wire(peer).NewSession(ctx)
-		if err != nil {
-			return err
-		}
-		defer sess.Close()
-		if !sess.Multiplexed() {
-			t.Fatal("session degraded to per-exchange connections")
-		}
-		return do(sess)
-	}
 	var answered *statusRecorder // on the gateway client used last
 	gateway := func(peer *pki.Credential) *Client {
 		cli := newGateClient(t, peer, "https://"+addrs[1])
@@ -204,38 +194,72 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		hc.Transport = answered
 		return cli
 	}
-	frontends := []frontend{{
-		name: "wire", stats: srv.Stats(), outcome: wireOutcome,
-		get: func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error) {
-			return wire(peer).Get(ctx, o)
-		},
-		retrieve: func(peer *pki.Credential, o core.RetrieveOptions) (*pki.Credential, error) {
-			return wire(peer).Retrieve(ctx, o)
-		},
-		store: func(peer *pki.Credential, o core.StoreOptions) error { return wire(peer).Store(ctx, o) },
-		destroy: func(peer *pki.Credential, username, passphrase string) error {
-			return wire(peer).Destroy(ctx, username, passphrase, "")
-		},
-		info: func(peer *pki.Credential, username, passphrase string) error {
-			_, err := wire(peer).Info(ctx, username, passphrase)
-			return err
-		},
-	}, {
-		name: "session", stats: srv.Stats(), outcome: wireOutcome,
-		get: func(peer *pki.Credential, o core.GetOptions) (cred *pki.Credential, err error) {
-			err = session(peer, func(sess *core.Session) error {
-				cred, err = sess.Get(ctx, o)
+	// over is the column of a transport that is a core.Repository: each
+	// operation runs on a repository opened for peer and closed after it.
+	over := func(name string, open func(peer *pki.Credential) (core.Repository, func() error, error)) frontend {
+		with := func(peer *pki.Credential, do func(core.Repository) error) error {
+			repo, done, err := open(peer)
+			if err != nil {
 				return err
-			})
-			return cred, err
-		},
-		info: func(peer *pki.Credential, username, passphrase string) error {
-			return session(peer, func(sess *core.Session) error {
-				_, err := sess.Info(ctx, username, passphrase)
-				return err
-			})
-		},
-	}, {
+			}
+			defer done()
+			return do(repo)
+		}
+		return frontend{
+			name: name, stats: srv.Stats(), outcome: wireOutcome,
+			get: func(peer *pki.Credential, o core.GetOptions) (cred *pki.Credential, err error) {
+				err = with(peer, func(r core.Repository) error {
+					cred, err = r.Get(ctx, o)
+					return err
+				})
+				return cred, err
+			},
+			retrieve: func(peer *pki.Credential, o core.RetrieveOptions) (cred *pki.Credential, err error) {
+				err = with(peer, func(r core.Repository) error {
+					cred, err = r.Retrieve(ctx, o)
+					return err
+				})
+				return cred, err
+			},
+			store: func(peer *pki.Credential, o core.StoreOptions) error {
+				return with(peer, func(r core.Repository) error { return r.Store(ctx, o) })
+			},
+			destroy: func(peer *pki.Credential, username, passphrase string) error {
+				return with(peer, func(r core.Repository) error { return r.Destroy(ctx, username, passphrase, "") })
+			},
+			info: func(peer *pki.Credential, username, passphrase string) error {
+				return with(peer, func(r core.Repository) error {
+					_, err := r.Info(ctx, username, passphrase)
+					return err
+				})
+			},
+		}
+	}
+	noClose := func() error { return nil }
+	frontends := []frontend{over("wire", func(peer *pki.Credential) (core.Repository, func() error, error) {
+		return wire(peer), noClose, nil
+	}), over("session", func(peer *pki.Credential) (core.Repository, func() error, error) {
+		sess, err := wire(peer).NewSession(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !sess.Multiplexed() {
+			return nil, nil, errors.New("session degraded to per-exchange connections")
+		}
+		return sess, sess.Close, nil
+	}), over("cluster", func(peer *pki.Credential) (core.Repository, func() error, error) {
+		// One node, RF 1: the routing is trivial, the node client is the
+		// held session every cluster client gets.
+		c, err := cluster.New(cluster.Config{
+			Nodes: []cluster.NodeConfig{{Addr: addrs[0]}}, ReplicationFactor: 1,
+			Credential: peer, Roots: roots, ExpectedServer: "*/CN=httpgate.test",
+			KeyAlgorithm: keyAlg, KeyBits: 1024, Timeout: 10 * time.Second,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return c, c.Close, nil
+	}), {
 		name: "gateway", stats: gate.svc.Stats(),
 		get: func(peer *pki.Credential, o core.GetOptions) (*pki.Credential, error) {
 			return gateway(peer).Get(ctx, GetRequest{
@@ -317,25 +341,24 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 	// named, must have moved by exactly one.
 	otpRound := []class{"otp-required", "ok", "bad-passphrase", "otp-exhausted"}
 	rows := []struct {
-		name      string
-		want      []class
-		counter   string
-		beyondGet bool // needs STORE, RETRIEVE or DESTROY, which a session does not carry
-		run       func(t *testing.T, f frontend, user string) []class
+		name    string
+		want    []class
+		counter string
+		run     func(t *testing.T, f frontend, user string) []class
 	}{
-		{"server ACL deny", []class{"denied"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+		{"server ACL deny", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			_, err := f.get(mallory, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"server ACL deny of a DN with control bytes", []class{"denied"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+		{"server ACL deny of a DN with control bytes", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			_, err := f.get(eve, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"username with a space or a control byte", []class{"invalid", "invalid", "invalid", "invalid"}, "", false, func(t *testing.T, f frontend, _ string) []class {
+		{"username with a space or a control byte", []class{"invalid", "invalid", "invalid", "invalid"}, "", func(t *testing.T, f frontend, _ string) []class {
 			var got []class
 			for _, name := range []string{"parity user", "parity\x07user"} {
 				_, err := f.get(portal, core.GetOptions{Username: name, Passphrase: parityPass})
@@ -346,36 +369,36 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			}
 			return got
 		}},
-		{"INFO by pass phrase", []class{"ok", "not-found"}, "infos", false, func(t *testing.T, f frontend, user string) []class {
+		{"INFO by pass phrase", []class{"ok", "not-found"}, "infos", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			listed, _ := f.outcome(t, f.info(portal, user, parityPass))
 			refused, _ := f.outcome(t, f.info(portal, user, wrongPass))
 			return []class{listed, refused}
 		}},
-		{"unknown user", []class{"not-found"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+		{"unknown user", []class{"not-found"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"bad pass phrase", []class{"bad-passphrase"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+		{"bad pass phrase", []class{"bad-passphrase"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: wrongPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"retriever list deny", []class{"denied"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+		{"retriever list deny", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, func(e *credstore.Entry) { e.Retrievers = "*/CN=parity-portal.test" })
 			_, err := f.get(other, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"expired entry", []class{"expired"}, "auth_failures", false, func(t *testing.T, f frontend, user string) []class {
+		{"expired entry", []class{"expired"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, func(e *credstore.Entry) { e.NotAfter = time.Now().Add(-time.Hour) })
 			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"clamped GET", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+		{"clamped GET", []class{"ok"}, "gets", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, Lifetime: 10 * time.Hour})
 			c, _ := f.outcome(t, err)
@@ -384,7 +407,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			}
 			return []class{c}
 		}},
-		{"owner-restricted GET", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+		{"owner-restricted GET", []class{"ok"}, "gets", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, func(e *credstore.Entry) { e.MaxDelegation = 30 * time.Minute })
 			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
@@ -393,7 +416,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			}
 			return []class{c}
 		}},
-		{"GET for an ECDSA key", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+		{"GET for an ECDSA key", []class{"ok"}, "gets", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			keyAlg = pki.AlgECDSAP256
 			defer func() { keyAlg = pki.AlgRSA }()
@@ -406,7 +429,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			}
 			return []class{c}
 		}},
-		{"wallet selection by task hint", []class{"ok"}, "gets", false, func(t *testing.T, f frontend, user string) []class {
+		{"wallet selection by task hint", []class{"ok"}, "gets", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, func(e *credstore.Entry) { e.Name, e.TaskTags = "compute", []string{"job-submit"} })
 			seed(t, user, bob, func(e *credstore.Entry) { e.Name, e.TaskTags = "data", []string{"file-read", "file-write"} })
 			cred, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, TaskHint: "file-read"})
@@ -416,14 +439,14 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			}
 			return []class{c}
 		}},
-		{"OTP on GET: required, accepted, replayed, exhausted", otpRound, "", false, func(t *testing.T, f frontend, user string) []class {
+		{"OTP on GET: required, accepted, replayed, exhausted", otpRound, "", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			return otpRounds(t, registry, user, &spoken, f.outcome, func(answer string) error {
 				_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass, OTP: answer})
 				return err
 			})
 		}},
-		{"OTP on RETRIEVE: required, accepted, replayed, exhausted", otpRound, "", true, func(t *testing.T, f frontend, user string) []class {
+		{"OTP on RETRIEVE: required, accepted, replayed, exhausted", otpRound, "", func(t *testing.T, f frontend, user string) []class {
 			if err := f.store(alice, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: alice}); err != nil {
 				t.Fatal(err)
 			}
@@ -432,7 +455,7 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 				return err
 			})
 		}},
-		{"RETRIEVE round trip", []class{"ok"}, "retrieves", true, func(t *testing.T, f frontend, user string) []class {
+		{"RETRIEVE round trip", []class{"ok"}, "retrieves", func(t *testing.T, f frontend, user string) []class {
 			if err := f.store(alice, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: alice}); err != nil {
 				t.Fatal(err)
 			}
@@ -443,23 +466,23 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			}
 			return []class{c}
 		}},
-		{"RETRIEVE of a delegated entry", []class{"conflict"}, "auth_failures", true, func(t *testing.T, f frontend, user string) []class {
+		{"RETRIEVE of a delegated entry", []class{"conflict"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			_, err := f.retrieve(alice, core.RetrieveOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},
-		{"STORE overwrite by a non-owner", []class{"conflict"}, "auth_failures", true, func(t *testing.T, f frontend, user string) []class {
+		{"STORE overwrite by a non-owner", []class{"conflict"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			c, _ := f.outcome(t, f.store(mallory, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: mallory}))
 			return []class{c}
 		}},
-		{"DESTROY by a non-owner", []class{"denied"}, "auth_failures", true, func(t *testing.T, f frontend, user string) []class {
+		{"DESTROY by a non-owner", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			c, _ := f.outcome(t, f.destroy(mallory, user, parityPass))
 			return []class{c}
 		}},
-		{"DESTROY by the owner", []class{"ok"}, "destroys", true, func(t *testing.T, f frontend, user string) []class {
+		{"DESTROY by the owner", []class{"ok"}, "destroys", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			c, _ := f.outcome(t, f.destroy(alice, user, parityPass))
 			return []class{c}
@@ -468,9 +491,6 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 	for _, row := range rows {
 		for _, f := range frontends {
 			t.Run(row.name+"/"+f.name, func(t *testing.T) {
-				if row.beyondGet && f.retrieve == nil {
-					t.Skipf("%s does not carry this operation", f.name)
-				}
 				before := f.stats.Snapshot()
 				got := row.run(t, f, testpki.FreshName("parity"))
 				if !slices.Equal(got, row.want) {
