@@ -308,7 +308,7 @@ func BenchmarkCredstoreSealUnseal(b *testing.B) {
 		b.Run(fmt.Sprintf("kdf-iter=%d", iter), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sealed, err := pki.EncryptKeyPEM(key, pass, iter)
+				sealed, _, err := pki.EncryptKeyPEM(key, pass, iter)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -68,8 +68,8 @@ var killMatrix = []mutation{
 		why:      "zeroize tracks secret-typed results, not a []byte conversion of a request field; a Secret type that owns its wipe is ROADMAP 11(b)"},
 	{n: 4, what: "the seal key derived from the pass phrase is not wiped",
 		edits: one("internal/pki/encrypt.go",
-			"\t\treturn nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n\tdefer WipeBytes(key) // the cipher keeps its own schedule; drop ours\n",
-			"\t\treturn nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n"),
+			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n\tdefer WipeBytes(key) // the cipher keeps its own schedule; drop ours\n",
+			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n"),
 		caughtBy: "pass zeroize"},
 	{n: 5, what: "the derived pass-phrase verifier is not wiped",
 		edits: one("internal/credstore/store.go",
@@ -187,6 +187,10 @@ var killMatrix = []mutation{
 			"\tVerdictInternal                             // the repository or the transport failed\n",
 			"\tVerdictInternal                             // the repository or the transport failed\n\tVerdictThrottled                            // the peer is over its request budget\n"),
 		caughtBy: "pass verdict"},
+	{n: 30, what: "the stretched key the pass-phrase verifier is derived from is not wiped",
+		edits: one("internal/pki/encrypt.go",
+			"\tWipeBytes(key) // K opens the container; only its one-way image leaves\n", ""),
+		caughtBy: "pass zeroize"},
 }
 
 func TestKillMatrix(t *testing.T) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/credstore"
@@ -159,4 +160,42 @@ func TestPlanHealsUnderReplication(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	verifyPlacement(t, ring, 2, users, stores)
+}
+
+// TestApplyCopiesTheEntryAsHeld: a repair copy lands on another engine's
+// backend exactly as the source holds it, so a seal-derived verifier keeps
+// its scheme marker and stays checkable on the new replica.
+func TestApplyCopiesTheEntryAsHeld(t *testing.T) {
+	dst, err := credstore.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := map[NodeID]credstore.Backend{"a": credstore.NewMemStore(), "b": dst}
+	ring := NewRing(0)
+	ring.Add("a")
+	ring.Add("b")
+	if err := stores["a"].Put(&credstore.Entry{
+		Username: "u", Owner: "/C=US/O=Test/CN=owner", SealedKey: []byte("sealed"),
+		Verifier: []byte{1, 2, 3}, VerifierFromSeal: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	moves, err := Plan(ring, 2, stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(moves, stores); err != nil {
+		t.Fatal(err)
+	}
+	want, err := stores["a"].Get("u", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dst.Get("u", "")
+	if err != nil {
+		t.Fatalf("copy missing: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("copied entry differs:\n got %+v\nwant %+v", got, want)
+	}
 }

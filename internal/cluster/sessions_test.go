@@ -268,7 +268,7 @@ func TestSessionCutInCommitWindowIsAmbiguousNotReplayed(t *testing.T) {
 			if tc.cmd == protocol.CmdDestroy {
 				// Something to destroy, deposited without the client under test.
 				entry := &credstore.Entry{Username: heldUser, Owner: testpki.User(t, "held-owner").Subject()}
-				if err := entry.SetPassphrase([]byte(heldPass)); err != nil {
+				if err := entry.SetPassphrase([]byte(heldPass), 64); err != nil {
 					t.Fatal(err)
 				}
 				if err := nodes[0].srv.Store().Put(entry); err != nil {

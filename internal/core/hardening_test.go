@@ -208,7 +208,7 @@ func TestServerPurgeSweeper(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	e := &credstore.Entry{Username: "u", NotAfter: fakeNow.Add(time.Hour)}
-	if err := e.SetPassphrase([]byte("pass")); err != nil {
+	if err := e.SetPassphrase([]byte("pass"), 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put(e); err != nil {

@@ -356,6 +356,11 @@ func TestStoreRetrieve(t *testing.T) {
 	if entry.Kind != credstore.KindStored {
 		t.Errorf("kind = %v", entry.Kind)
 	}
+	// The blob's verifier is the server's own stretch, at the configured
+	// cost: a dump must not test guesses more cheaply than the blob itself.
+	if entry.VerifierIter != 64 {
+		t.Errorf("STORE'd verifier stretched %d times, want the configured 64", entry.VerifierIter)
+	}
 	back, err := cli.Retrieve(context.Background(), RetrieveOptions{
 		Username: testUser, Passphrase: testPass, CredName: "longterm",
 	})

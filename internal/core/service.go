@@ -529,7 +529,7 @@ func (s *Service) Store(peer string, req *protocol.Request, blob func() ([]byte,
 	}
 	passphrase := []byte(req.Passphrase)
 	defer pki.WipeBytes(passphrase)
-	if err := entry.SetPassphrase(passphrase); err != nil {
+	if err := entry.SetPassphrase(passphrase, s.cfg.KDFIterations); err != nil {
 		return fault("could not record pass phrase verifier", err)
 	}
 	if err := s.cfg.Store.Put(entry); err != nil {

@@ -43,22 +43,23 @@ func forEachBackend(t *testing.T, run func(t *testing.T, s Backend)) {
 // preserve Go's monotonic clock reading.
 func testEntry(username, name string) *Entry {
 	return &Entry{
-		Username:      username,
-		Name:          name,
-		Owner:         "/C=US/O=Test/CN=owner",
-		Kind:          KindDelegated,
-		CertsPEM:      []byte("-----BEGIN CERTIFICATE-----\nAA==\n-----END CERTIFICATE-----\n"),
-		SealedKey:     []byte("sealed-key-bytes"),
-		Verifier:      []byte{1, 2, 3},
-		VerifierSalt:  []byte{4, 5, 6},
-		VerifierIter:  4096,
-		Description:   "conformance entry",
-		Retrievers:    "/C=US/O=Test/*",
-		MaxDelegation: 2 * time.Hour,
-		TaskTags:      []string{"alpha", "beta"},
-		NotBefore:     time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
-		NotAfter:      time.Date(2026, 12, 31, 0, 0, 0, 0, time.UTC),
-		CreatedAt:     time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC),
+		Username:         username,
+		Name:             name,
+		Owner:            "/C=US/O=Test/CN=owner",
+		Kind:             KindDelegated,
+		CertsPEM:         []byte("-----BEGIN CERTIFICATE-----\nAA==\n-----END CERTIFICATE-----\n"),
+		SealedKey:        []byte("sealed-key-bytes"),
+		Verifier:         []byte{1, 2, 3},
+		VerifierSalt:     []byte{4, 5, 6},
+		VerifierIter:     4096,
+		VerifierFromSeal: true,
+		Description:      "conformance entry",
+		Retrievers:       "/C=US/O=Test/*",
+		MaxDelegation:    2 * time.Hour,
+		TaskTags:         []string{"alpha", "beta"},
+		NotBefore:        time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
+		NotAfter:         time.Date(2026, 12, 31, 0, 0, 0, 0, time.UTC),
+		CreatedAt:        time.Date(2026, 6, 1, 12, 0, 0, 0, time.UTC),
 	}
 }
 

@@ -25,7 +25,7 @@ func TestStaleTempFilesSweptOnOpen(t *testing.T) {
 		NotAfter:  time.Now().Add(time.Hour),
 		CreatedAt: time.Now(),
 	}
-	if err := entry.SetPassphrase([]byte("a long test pass phrase")); err != nil {
+	if err := entry.SetPassphrase([]byte("a long test pass phrase"), 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put(entry); err != nil {

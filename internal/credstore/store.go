@@ -62,12 +62,17 @@ type Entry struct {
 	// SealedKey is the pass-phrase-sealed private key (KindDelegated) or
 	// the client-sealed credential container (KindStored).
 	SealedKey []byte
-	// Verifier authenticates the pass phrase without unsealing:
-	// PBKDF2(passphrase, VerifierSalt). It lets the server reject bad pass
-	// phrases for opaque KindStored blobs.
-	Verifier     []byte
-	VerifierSalt []byte
-	VerifierIter int
+	// Verifier authenticates the pass phrase without unsealing, for INFO,
+	// DESTROY and RETRIEVE. With VerifierFromSeal it was derived from the
+	// seal's own stretch (pki.KeyPEMVerifier), whose salt and iteration
+	// count SealedKey records; otherwise it is PBKDF2-HMAC-SHA256(pass
+	// phrase, VerifierSalt, VerifierIter) — every KindStored entry, whose
+	// blob the server cannot open, and delegated entries written before
+	// the seal-derived scheme.
+	Verifier         []byte
+	VerifierSalt     []byte
+	VerifierIter     int
+	VerifierFromSeal bool
 
 	// Description is free text shown by myproxy-info.
 	Description string
@@ -165,34 +170,58 @@ var ErrNotFound = errors.New("credstore: no such credential")
 // ErrBadPassphrase is returned when pass-phrase verification fails.
 var ErrBadPassphrase = errors.New("credstore: pass phrase incorrect")
 
-const verifierIterations = 4096 // fast check; the sealing KDF is the slow one
+var errNoVerifier = errors.New("credstore: entry has no pass phrase verifier")
 
-// SetPassphrase computes and installs the verifier for a pass phrase.
-func (e *Entry) SetPassphrase(passphrase []byte) error {
+// SetPassphrase installs a PBKDF2 verifier for a pass phrase under a fresh
+// salt, at iter iterations (<= 0 selects pki.DefaultKDFIterations). It is
+// the verifier of sealed bytes the server cannot open; SealDelegated
+// derives its own.
+func (e *Entry) SetPassphrase(passphrase []byte, iter int) error {
+	if iter <= 0 {
+		iter = pki.DefaultKDFIterations
+	}
 	salt := make([]byte, 16)
 	if _, err := io.ReadFull(rand.Reader, salt); err != nil {
 		return fmt.Errorf("credstore: salt: %w", err)
 	}
-	e.VerifierSalt = salt
-	e.VerifierIter = verifierIterations
+	e.VerifierSalt, e.VerifierIter, e.VerifierFromSeal = salt, iter, false
 	//myproxy:allow secretescape the verifier digest is persisted by design; the KDF input, not this derived value, is the secret to wipe
-	e.Verifier = kdf.SHA256Key(passphrase, salt, e.VerifierIter, 32)
+	e.Verifier = kdf.SHA256Key(passphrase, salt, iter, 32)
 	return nil
 }
 
 // CheckPassphrase verifies a pass phrase against the entry's verifier in
-// constant time.
+// constant time, at the cost of one stretch.
 func (e *Entry) CheckPassphrase(passphrase []byte) error {
-	if len(e.Verifier) == 0 || len(e.VerifierSalt) == 0 || e.VerifierIter <= 0 {
-		return errors.New("credstore: entry has no pass phrase verifier")
+	if len(e.Verifier) == 0 {
+		return errNoVerifier
 	}
-	got := kdf.SHA256Key(passphrase, e.VerifierSalt, e.VerifierIter, 32)
+	got, err := e.verifierFor(passphrase)
+	if err != nil {
+		return err
+	}
 	ok := hmac.Equal(got, e.Verifier)
 	pki.WipeBytes(got) // the derived verifier is pass-phrase-equivalent
 	if !ok {
 		return ErrBadPassphrase
 	}
 	return nil
+}
+
+// verifierFor recomputes Verifier's value for a pass-phrase guess under
+// the entry's scheme. Stored parameters are input: a count no seal writes
+// is refused rather than run.
+func (e *Entry) verifierFor(passphrase []byte) ([]byte, error) {
+	if e.VerifierFromSeal {
+		return pki.KeyPEMVerifier(e.SealedKey, passphrase)
+	}
+	if len(e.VerifierSalt) == 0 || e.VerifierIter <= 0 {
+		return nil, errNoVerifier
+	}
+	if e.VerifierIter > pki.MaxKDFIterations {
+		return nil, fmt.Errorf("credstore: implausible verifier iteration count %d", e.VerifierIter)
+	}
+	return kdf.SHA256Key(passphrase, e.VerifierSalt, e.VerifierIter, 32), nil
 }
 
 // sha256sum is a helper for file-store naming.
@@ -208,20 +237,20 @@ func sha256sum(parts ...string) string {
 // SealDelegated packages a freshly delegated credential into an entry:
 // the private key is sealed under the pass phrase and the plaintext is the
 // caller's responsibility to discard (paper §5.1). kdfIter <= 0 selects
-// pki.DefaultKDFIterations.
+// pki.DefaultKDFIterations. The pass phrase is stretched once: the seal
+// key and the verifier both come from that stretch, so a guess against
+// either part of a dumped entry costs kdfIter iterations.
 func SealDelegated(e *Entry, cred *pki.Credential, passphrase []byte, kdfIter int) error {
-	keyPEM, err := pki.EncryptKeyPEM(cred.PrivateKey, passphrase, kdfIter)
+	keyPEM, verifier, err := pki.EncryptKeyPEM(cred.PrivateKey, passphrase, kdfIter)
 	if err != nil {
 		return err
 	}
 	e.Kind = KindDelegated
 	e.CertsPEM = pki.EncodeCertsPEM(cred.CertChain())
 	e.SealedKey = keyPEM
+	e.Verifier, e.VerifierSalt, e.VerifierIter, e.VerifierFromSeal = verifier, nil, 0, true
 	e.NotBefore = cred.Certificate.NotBefore
 	e.NotAfter = cred.Certificate.NotAfter
-	if err := e.SetPassphrase(passphrase); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -255,7 +284,9 @@ func UnsealDelegated(e *Entry, passphrase []byte) (*pki.Credential, error) {
 }
 
 // Reseal re-encrypts a delegated entry under a new pass phrase
-// (myproxy-change-passphrase). Stored (opaque) entries cannot be resealed
+// (myproxy-change-passphrase): two stretches, one to open and one to seal,
+// and the entry leaves in the seal-derived verifier scheme whichever
+// scheme it came in. Stored (opaque) entries cannot be resealed
 // server-side; the client must re-upload.
 func Reseal(e *Entry, oldPass, newPass []byte, kdfIter int) error {
 	cred, err := UnsealDelegated(e, oldPass)

@@ -1,7 +1,11 @@
 package credstore
 
 import (
+	"encoding/binary"
+	"encoding/pem"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +42,7 @@ func sampleEntry(t *testing.T, username, name string) *Entry {
 		NotAfter:      time.Now().Add(time.Hour).UTC().Truncate(time.Second),
 		CreatedAt:     time.Now().UTC().Truncate(time.Second),
 	}
-	if err := e.SetPassphrase([]byte("entry pass phrase")); err != nil {
+	if err := e.SetPassphrase([]byte("entry pass phrase"), 64); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -170,8 +174,11 @@ func TestStoreIsolationFromCallerMutation(t *testing.T) {
 
 func TestPassphraseVerifier(t *testing.T) {
 	e := &Entry{}
-	if err := e.SetPassphrase([]byte("open sesame")); err != nil {
+	if err := e.SetPassphrase([]byte("open sesame"), 64); err != nil {
 		t.Fatal(err)
+	}
+	if e.VerifierIter != 64 {
+		t.Errorf("verifier stretched %d times, want 64", e.VerifierIter)
 	}
 	if err := e.CheckPassphrase([]byte("open sesame")); err != nil {
 		t.Errorf("correct pass phrase rejected: %v", err)
@@ -181,6 +188,47 @@ func TestPassphraseVerifier(t *testing.T) {
 	}
 	if err := (&Entry{}).CheckPassphrase([]byte("x")); err == nil {
 		t.Error("entry without verifier accepted a pass phrase")
+	}
+	if err := e.SetPassphrase([]byte("open sesame"), 0); err != nil || e.VerifierIter != pki.DefaultKDFIterations {
+		t.Errorf("unset cost: verifier stretched %d times (%v), want pki.DefaultKDFIterations", e.VerifierIter, err)
+	}
+}
+
+// TestCheckPassphraseRefusesImplausibleCounts: an iteration count read
+// back from the store is input. One no seal writes (a corrupt FileStore
+// file, a bad rebalance copy) is refused at once, under either verifier
+// scheme, instead of pinning the caller for hours.
+func TestCheckPassphraseRefusesImplausibleCounts(t *testing.T) {
+	pbkdf2 := &Entry{}
+	if err := pbkdf2.SetPassphrase([]byte("open sesame"), 64); err != nil {
+		t.Fatal(err)
+	}
+	pbkdf2.VerifierIter = math.MaxInt
+
+	user := testpki.User(t, "store-alice")
+	p, err := proxy.New(user, proxy.Options{Type: proxy.RFC3820, Lifetime: time.Hour, KeyBits: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromSeal := &Entry{}
+	if err := SealDelegated(fromSeal, p, []byte("open sesame"), 64); err != nil {
+		t.Fatal(err)
+	}
+	block, _ := pem.Decode(fromSeal.SealedKey)
+	binary.BigEndian.PutUint32(block.Bytes[8:12], pki.MaxKDFIterations+1)
+	fromSeal.SealedKey = pem.EncodeToMemory(block)
+
+	for name, e := range map[string]*Entry{"pbkdf2": pbkdf2, "from seal": fromSeal} {
+		done := make(chan error, 1)
+		go func() { done <- e.CheckPassphrase([]byte("open sesame")) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "implausible") {
+				t.Errorf("%s: CheckPassphrase = %v, want an implausible-count refusal", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: CheckPassphrase still stretching after 10s", name)
+		}
 	}
 }
 
@@ -197,6 +245,15 @@ func TestSealUnsealDelegated(t *testing.T) {
 	}
 	if e.Kind != KindDelegated {
 		t.Error("kind not set")
+	}
+	if !e.VerifierFromSeal || e.VerifierSalt != nil || e.VerifierIter != 0 {
+		t.Error("verifier not derived from the seal's stretch")
+	}
+	if err := e.CheckPassphrase(pass); err != nil {
+		t.Errorf("verifier rejects the sealing pass phrase: %v", err)
+	}
+	if err := e.CheckPassphrase([]byte("wrong")); !errors.Is(err, ErrBadPassphrase) {
+		t.Errorf("verifier, wrong pass: %v", err)
 	}
 	if !e.NotAfter.Equal(p.Certificate.NotAfter) {
 		t.Error("validity not mirrored")
@@ -248,6 +305,9 @@ func TestReseal(t *testing.T) {
 	}
 	if err := e.CheckPassphrase(newPass); err != nil {
 		t.Errorf("verifier not updated: %v", err)
+	}
+	if err := e.CheckPassphrase(oldPass); !errors.Is(err, ErrBadPassphrase) {
+		t.Errorf("verifier still accepts the old pass phrase: %v", err)
 	}
 }
 

@@ -92,7 +92,7 @@ func (c *Credential) EncodePEM() []byte {
 // EncodeEncryptedPEM renders the credential with the private key sealed
 // under the pass phrase, the format for long-term credentials at rest.
 func (c *Credential) EncodeEncryptedPEM(passphrase []byte, iter int) ([]byte, error) {
-	keyPEM, err := EncryptKeyPEM(c.PrivateKey, passphrase, iter)
+	keyPEM, _, err := EncryptKeyPEM(c.PrivateKey, passphrase, iter)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,13 @@ package pki
 import (
 	"bytes"
 	"crypto/x509"
+	"encoding/pem"
 	"errors"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/kdf"
 )
 
 func testCredential(t *testing.T) *Credential {
@@ -120,6 +123,32 @@ func TestCredentialEncryptedPEM(t *testing.T) {
 	}
 	if _, err := DecodeCredentialPEM(data, []byte("wrong")); !errors.Is(err, ErrBadPassphrase) {
 		t.Errorf("wrong passphrase: err = %v, want ErrBadPassphrase", err)
+	}
+}
+
+// TestKeyPEMVerifier: the verifier EncryptKeyPEM returns is recomputed
+// from the sealed PEM alone for the right pass phrase and for no other, and
+// it is not the seal key, so storing it beside the container opens nothing.
+func TestKeyPEMVerifier(t *testing.T) {
+	cred := testCredential(t)
+	pass := []byte("swordfish passphrase")
+	keyPEM, verifier, err := EncryptKeyPEM(cred.PrivateKey, pass, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := KeyPEMVerifier(keyPEM, pass); err != nil || !bytes.Equal(got, verifier) {
+		t.Errorf("KeyPEMVerifier(right pass phrase) = %x, %v; want %x", got, err, verifier)
+	}
+	if got, err := KeyPEMVerifier(keyPEM, []byte("wrong")); err != nil || bytes.Equal(got, verifier) {
+		t.Errorf("KeyPEMVerifier(wrong pass phrase) = %x, %v; want another value", got, err)
+	}
+	block, _ := pem.Decode(keyPEM)
+	salt := block.Bytes[len(sealMagic)+4 : len(sealMagic)+4+sealSaltLen]
+	if bytes.Equal(verifier, kdf.SHA256Key(pass, salt, 64, sealKeyLen)) {
+		t.Error("the verifier is the seal key")
+	}
+	if _, err := KeyPEMVerifier([]byte("no key block"), pass); err == nil {
+		t.Error("KeyPEMVerifier accepted data without an ENCRYPTED GRID KEY block")
 	}
 }
 
