@@ -11,7 +11,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# vet fails first on any file gofmt would rewrite (a `//` line belongs
+# between a doc comment and a //myproxy: directive), then runs go vet.
 vet:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: run gofmt -w on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 # lint is the static-analysis gate (DESIGN.md "Static-analysis gate"): the
@@ -58,13 +62,17 @@ race-failover:
 
 # fuzz-smoke runs each native fuzz target for a few seconds: the wire
 # parsers (protocol requests/responses) and the GSI frame decoders, seeded
-# from the golden exchanges. A short time box keeps `make check` fast;
-# longer campaigns are a manual `go test -fuzz=... -fuzztime=10m`.
+# from the golden exchanges, and the byte-level proxy subject and
+# ProxyCertInfo readings against their encoding/asn1 references, seeded
+# from real chains. A short time box keeps `make check` fast; longer
+# campaigns are a manual `go test -fuzz=... -fuzztime=10m`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/gsi
 	$(GO) test -run='^$$' -fuzz=FuzzReadStreamFrame -fuzztime=5s ./internal/gsi
+	$(GO) test -run='^$$' -fuzz=FuzzParseProxyCertInfo -fuzztime=5s ./internal/proxy
+	$(GO) test -run='^$$' -fuzz=FuzzProxySubject -fuzztime=5s ./internal/proxy
 
 # stress repeats, under the race detector, the tests that were
 # schedule-dependent before the GSI endpoint existed once (DESIGN.md §18) —

@@ -16,6 +16,7 @@ import (
 // exchange runs one protocol exchange on an authenticated channel — a
 // whole connection, or one stream of a multiplexed session (sc is then the
 // session's unseal cache): read a request, parse it, answer it.
+//
 //myproxy:hotpath
 func (s *Server) exchange(ch gsi.Channel, sc *unsealCache) error {
 	reqData, err := ch.ReadMessage()
@@ -44,6 +45,7 @@ func (s *Server) reject(ch gsi.Channel, resp *protocol.Response, err error) erro
 // a connection from a stream beyond the unseal cache; only SESSION can — it
 // upgrades a whole connection to pipelined exchanges and is refused inside
 // a stream.
+//
 //myproxy:hotpath
 func (s *Server) dispatch(ch gsi.Channel, req *protocol.Request, sc *unsealCache) error {
 	peer := ch.PeerIdentity()
@@ -178,6 +180,7 @@ func unsealKey(e *credstore.Entry, passphrase []byte) [sha256.Size]byte {
 
 // lookup returns the cached unsealed credential, or nil. Nil-receiver
 // safe: a single-exchange connection has no cache.
+//
 //myproxy:hotpath
 func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *pki.Credential {
 	if c == nil {
@@ -195,6 +198,7 @@ func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *pki.Credent
 // add caches cred unless another stream raced it in first; it reports
 // whether cred is now owned by the cache (and must not be dropped by the
 // caller). Nil-receiver safe.
+//
 //myproxy:hotpath
 func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, cred *pki.Credential) bool {
 	if c == nil {
@@ -232,6 +236,7 @@ func (c *unsealCache) wipe() {
 // next operation of an already-open session. When the server begins to
 // close, the session takes no further stream, finishes the ones in flight
 // and ends — an idle one at once.
+//
 //myproxy:hotpath
 func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 	if s.cfg.DisableSessions {
@@ -283,6 +288,7 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 }
 
 // serveStream runs one protocol exchange on one session stream.
+//
 //myproxy:hotpath
 func (s *Server) serveStream(st *gsi.Stream, sc *unsealCache) {
 	s.svc.stats.Streams.Add(1)

@@ -316,6 +316,7 @@ func (s *Service) Put(peer string, req *protocol.Request, receive func(pki.KeySp
 // once the request has been authorized (the client generates the key); the
 // result is the PEM chain to ship. sc, when non-nil, is the calling
 // session's unseal cache.
+//
 //myproxy:hotpath
 func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr func() ([]byte, error)) ([]byte, *Verdict) {
 	if req.Renewal {
@@ -389,6 +390,7 @@ func (s *Service) renew(peer string, req *protocol.Request, csr func() ([]byte, 
 
 // delegate is the tail GET and renewal share: clamp the lifetime, obtain
 // the CSR, sign, count, audit. The repository is the exporter here.
+//
 //myproxy:hotpath
 func (s *Service) delegate(peer string, req *protocol.Request, entry *credstore.Entry, issuer *pki.Credential, csr func() ([]byte, error)) ([]byte, *Verdict) {
 	op, done := "GET", "DELEGATED"

@@ -272,6 +272,7 @@ func (c *Conn) armDeadline() error {
 }
 
 // WriteMessage sends one framed message over the channel.
+//
 //myproxy:hotpath
 func (c *Conn) WriteMessage(payload []byte) error {
 	if err := c.armDeadline(); err != nil {
@@ -281,6 +282,7 @@ func (c *Conn) WriteMessage(payload []byte) error {
 }
 
 // ReadMessage receives one framed message.
+//
 //myproxy:hotpath
 func (c *Conn) ReadMessage() ([]byte, error) {
 	if err := c.armDeadline(); err != nil {

@@ -29,6 +29,7 @@ import (
 // a CSR, receives the signed chain, and assembles the resulting proxy
 // credential. The returned credential is verified against roots before
 // being accepted. The zero spec selects RSA at pki.DefaultKeyBits.
+//
 //myproxy:hotpath
 func RequestDelegation(ch Channel, spec pki.KeySpec, roots *x509.CertPool) (*pki.Credential, error) {
 	return RequestDelegationFrom(ch, nil, spec, roots)
@@ -37,6 +38,7 @@ func RequestDelegation(ch Channel, spec pki.KeySpec, roots *x509.CertPool) (*pki
 // RequestDelegationFrom is RequestDelegation with the key pair drawn from
 // keys (typically a keypool.Pool), taking fresh-key generation off the
 // delegation hot path. A nil source generates synchronously.
+//
 //myproxy:hotpath
 func RequestDelegationFrom(ch Channel, keys proxy.KeySource, spec pki.KeySpec, roots *x509.CertPool) (*pki.Credential, error) {
 	var key crypto.Signer
@@ -89,13 +91,18 @@ func requestDelegationWithKey(ch Channel, key crypto.Signer, roots *x509.CertPoo
 // proxy certificate under issuer with the given options, sending back the
 // full chain (new proxy first, then issuer's chain). It returns the signed
 // certificate.
+//
 //myproxy:hotpath
 func Delegate(ch Channel, issuer *pki.Credential, opts proxy.Options) (*x509.Certificate, error) {
 	csrDER, err := ch.ReadMessage()
 	if err != nil {
 		return nil, fmt.Errorf("gsi: receive CSR: %w", err)
 	}
-	cert, chainPEM, err := SignCSR(csrDER, issuer, opts)
+	der, chainPEM, err := SignCSR(csrDER, issuer, opts)
+	if err != nil {
+		return nil, err
+	}
+	cert, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, err
 	}
@@ -116,13 +123,15 @@ func (csrError) Is(target error) bool { return target == ErrBadCSR }
 
 // SignCSR is the signing step of a delegation, shared by every transport
 // that can carry a CSR: it checks the request's proof of possession, signs
-// a proxy certificate for its key under issuer, and returns the certificate
-// and the PEM chain to ship (new proxy first, then issuer's chain). The
+// a proxy certificate for its key under issuer, and returns the
+// certificate's DER and the PEM chain to ship (new proxy first, then
+// issuer's chain); it does not parse what it signed. The
 // requested key's algorithm is taken from the CSR; any supported algorithm
 // (see pki.KeyAlgorithm) is accepted regardless of the issuer's own key
 // type — proxy chains may mix algorithms.
+//
 //myproxy:hotpath
-func SignCSR(csrDER []byte, issuer *pki.Credential, opts proxy.Options) (*x509.Certificate, []byte, error) {
+func SignCSR(csrDER []byte, issuer *pki.Credential, opts proxy.Options) (der, chainPEM []byte, err error) {
 	csr, err := x509.ParseCertificateRequest(csrDER)
 	if err != nil {
 		return nil, nil, csrError{fmt.Errorf("gsi: parse CSR: %w", err)}
@@ -134,11 +143,9 @@ func SignCSR(csrDER []byte, issuer *pki.Credential, opts proxy.Options) (*x509.C
 	if _, ok := pki.AlgorithmOf(csr.PublicKey); !ok {
 		return nil, nil, csrError{errors.New("gsi: CSR public key algorithm not supported")}
 	}
-	cert, err := proxy.Create(issuer, csr.PublicKey, opts)
-	if err != nil {
+	if der, err = proxy.CreateDER(issuer, csr.PublicKey, opts); err != nil {
 		return nil, nil, err
 	}
-	chain := []*x509.Certificate{cert}
-	chain = append(chain, issuer.CertChain()...)
-	return cert, pki.EncodeCertsPEM(chain), nil
+	chainPEM = pki.AppendCertPEM(nil, der)
+	return der, pki.AppendCertsPEM(chainPEM, issuer.CertChain()), nil
 }

@@ -1,6 +1,9 @@
 package gsi
 
 import (
+	"bytes"
+	"crypto/rand"
+	"crypto/x509"
 	"testing"
 	"time"
 
@@ -159,4 +162,62 @@ func TestDelegateGarbageCSR(t *testing.T) {
 	if err := <-errCh; err == nil {
 		t.Fatal("garbage CSR accepted")
 	}
+}
+
+// SignCSR ships the DER it signed without parsing it back: the returned DER
+// heads the PEM chain, and the issuer's chain follows it.
+func TestSignCSRShipsWhatItSigned(t *testing.T) {
+	issuer, csr := signCSRFixture(t)
+	der, chainPEM, err := SignCSR(csr, issuer, proxy.Options{Lifetime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs, err := pki.DecodeCertsPEM(chainPEM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(certs) != 1+len(issuer.CertChain()) || !bytes.Equal(certs[0].Raw, der) {
+		t.Fatalf("chain of %d certificates does not start with the signed DER", len(certs))
+	}
+	for i, c := range issuer.CertChain() {
+		if !bytes.Equal(certs[1+i].Raw, c.Raw) {
+			t.Errorf("chain[%d] is not the issuer's chain[%d]", 1+i, i)
+		}
+	}
+}
+
+// TestSignCSRAllocs pins the repository's signing step. It measures 162
+// objects, with or without -race, with Ed25519 keys on both sides; the bound
+// is that plus 10 %: parsing the signed certificate back (≈ 80) or
+// re-encoding the issuer subject through DN.Marshal (≈ 100) fails it.
+func TestSignCSRAllocs(t *testing.T) {
+	issuer, csr := signCSRFixture(t)
+	opts := proxy.Options{Lifetime: time.Hour}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := SignCSR(csr, issuer, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 178 {
+		t.Errorf("SignCSR allocates %.0f objects/op, want <= 178", allocs)
+	}
+}
+
+// signCSRFixture is a repository-style issuer (an Ed25519 proxy of a user)
+// and an Ed25519 CSR: signatures without RSA's allocation tail.
+func signCSRFixture(t *testing.T) (*pki.Credential, []byte) {
+	t.Helper()
+	issuer, err := proxy.New(testpki.User(t, "deleg-sign-alice"), proxy.Options{KeyAlgorithm: pki.AlgEd25519, Lifetime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := pki.GenerateSigner(pki.KeySpec{Algorithm: pki.AlgEd25519})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return issuer, csr
 }

@@ -1,8 +1,12 @@
 package gsi
 
 import (
+	"crypto/rand"
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"encoding/asn1"
 	"io"
+	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -82,6 +86,87 @@ func TestRequestDelegationRejectsUntrustedChain(t *testing.T) {
 		t.Fatalf("untrusted chain: %v", err)
 	}
 	<-errCh
+}
+
+// The acceptor's chain check (proxy.VerifyCache) refuses a peer proxy that
+// carries a critical extension nobody here recognises (RFC 5280 §4.2) or a
+// ProxyCertInfo that is not critical (RFC 3820 §3.8).
+func TestHandshakeRefusesUnhandledCriticalExtensions(t *testing.T) {
+	user := testpki.User(t, "harden-crit-alice")
+	server := testpki.Host(t, "myproxy.test")
+	certInfo := func(critical bool) pkix.Extension {
+		ext, err := (&proxy.CertInfo{PathLenConstraint: proxy.Unlimited, PolicyLanguage: proxy.OIDPolicyInheritAll}).Extension()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext.Critical = critical
+		return ext
+	}
+	unknown := pkix.Extension{Id: asn1.ObjectIdentifier{1, 2, 3, 4, 5}, Critical: true, Value: []byte{0x05, 0x00}}
+	for _, tc := range []struct {
+		name    string
+		exts    []pkix.Extension
+		refused string
+	}{
+		{"well-formed", []pkix.Extension{certInfo(true)}, ""},
+		{"unknown critical extension", []pkix.Extension{certInfo(true), unknown}, "unhandled critical extension"},
+		{"non-critical ProxyCertInfo", []pkix.Extension{certInfo(false)}, "ProxyCertInfo extension is not critical"},
+	} {
+		srvOpts := defaultOpts(t)
+		srvOpts.Cache = proxy.NewVerifyCache(0)
+		cliRaw, srvRaw := net.Pipe()
+		t.Cleanup(func() { cliRaw.Close(); srvRaw.Close() })
+		dl := time.Now().Add(30 * time.Second)
+		_ = cliRaw.SetDeadline(dl)
+		_ = srvRaw.SetDeadline(dl)
+		srvErr := make(chan error, 1)
+		go func() {
+			_, err := Server(srvRaw, server, srvOpts)
+			if err != nil {
+				srvRaw.Close() // release the client's side of the handshake
+			}
+			srvErr <- err
+		}()
+		_, _ = Client(cliRaw, craftProxy(t, user, tc.exts...), defaultOpts(t))
+		err := <-srvErr // the verdict is the server's
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
+			t.Errorf("%s: handshake error %v, want %q", tc.name, err, tc.refused)
+		}
+	}
+}
+
+// craftProxy signs under issuer a proxy that keeps the subject discipline
+// but carries exts as its only extensions.
+func craftProxy(t *testing.T, issuer *pki.Credential, exts ...pkix.Extension) *pki.Credential {
+	t.Helper()
+	key := testpki.Key(t, 3)
+	serial, err := rand.Int(rand.Reader, big.NewInt(1<<62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject, ok := pki.AppendCN(issuer.Certificate.RawSubject, serial.String())
+	if !ok {
+		t.Fatal("issuer subject is not in DN.Marshal form")
+	}
+	der, err := x509.CreateCertificate(rand.Reader, &x509.Certificate{
+		SerialNumber:    serial,
+		RawSubject:      subject,
+		NotBefore:       time.Now().Add(-time.Minute),
+		NotAfter:        time.Now().Add(time.Hour),
+		KeyUsage:        x509.KeyUsageDigitalSignature,
+		ExtraExtensions: exts,
+	}, issuer.Certificate, &key.PublicKey, issuer.PrivateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pki.Credential{Certificate: cert, PrivateKey: key, Chain: issuer.CertChain()}
 }
 
 func TestConnAfterCloseFails(t *testing.T) {

@@ -291,12 +291,14 @@ type Stream struct {
 }
 
 // WriteMessage sends one framed message on this stream.
+//
 //myproxy:hotpath
 func (st *Stream) WriteMessage(payload []byte) error {
 	return st.s.writeFrame(st, payload)
 }
 
 // ReadMessage receives the next message routed to this stream.
+//
 //myproxy:hotpath
 func (st *Stream) ReadMessage() ([]byte, error) {
 	var timeout <-chan time.Time

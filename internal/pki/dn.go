@@ -170,8 +170,17 @@ func (dn DN) Marshal() ([]byte, error) {
 
 // ParseRawDN decodes a DER RDNSequence (e.g. x509.Certificate.RawSubject)
 // into a DN, preserving component order. Multi-valued RDNs are flattened in
-// encoded order.
+// encoded order. A sequence in the form DN.Marshal emits is read on its
+// bytes; any other goes through encoding/asn1.
 func ParseRawDN(der []byte) (DN, error) {
+	if dn, ok := parseCanonicalDN(der); ok {
+		return dn, nil
+	}
+	return parseRawDNASN1(der)
+}
+
+// parseRawDNASN1 is ParseRawDN through encoding/asn1, for every shape.
+func parseRawDNASN1(der []byte) (DN, error) {
 	var seq pkix.RDNSequence
 	rest, err := asn1.Unmarshal(der, &seq)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/x509"
+	"encoding/base64"
 	"encoding/pem"
 	"errors"
 	"fmt"
@@ -306,16 +307,62 @@ func DecodeKeyPEM(data []byte) (crypto.Signer, error) {
 
 // EncodeCertPEM renders one certificate in PEM form.
 func EncodeCertPEM(cert *x509.Certificate) []byte {
-	return pem.EncodeToMemory(&pem.Block{Type: pemTypeCertificate, Bytes: cert.Raw})
+	return AppendCertPEM(nil, cert.Raw)
 }
 
 // EncodeCertsPEM renders a certificate chain, leaf first, in PEM form.
 func EncodeCertsPEM(certs []*x509.Certificate) []byte {
-	var out []byte
+	return AppendCertsPEM(nil, certs)
+}
+
+// AppendCertsPEM appends a certificate chain, leaf first, in PEM form to
+// dst, growing it at most once.
+func AppendCertsPEM(dst []byte, certs []*x509.Certificate) []byte {
+	n := 0
 	for _, c := range certs {
-		out = append(out, EncodeCertPEM(c)...)
+		n += certPEMLen(len(c.Raw))
 	}
+	dst = grow(dst, n)
+	for _, c := range certs {
+		dst = AppendCertPEM(dst, c.Raw)
+	}
+	return dst
+}
+
+const (
+	certPEMBegin = "-----BEGIN " + pemTypeCertificate + "-----\n"
+	certPEMEnd   = "-----END " + pemTypeCertificate + "-----\n"
+	pemLineBytes = 48 // encodes to one 64-character base64 line
+)
+
+// AppendCertPEM appends the CERTIFICATE block of one DER certificate to
+// dst: the bytes pem.EncodeToMemory writes for it.
+func AppendCertPEM(dst, der []byte) []byte {
+	dst = grow(dst, certPEMLen(len(der)))
+	dst = append(dst, certPEMBegin...)
+	for len(der) > 0 {
+		line := der[:min(len(der), pemLineBytes)]
+		dst = append(base64.StdEncoding.AppendEncode(dst, line), '\n')
+		der = der[len(line):]
+	}
+	return append(dst, certPEMEnd...)
+}
+
+// grow is slices.Grow in exactly one allocation, whether or not the race
+// detector has turned off the compiler's append(make) optimization.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
 	return out
+}
+
+// certPEMLen is the length of the block AppendCertPEM writes for n bytes.
+func certPEMLen(n int) int {
+	lines := (n + pemLineBytes - 1) / pemLineBytes
+	return len(certPEMBegin) + base64.StdEncoding.EncodedLen(n) + lines + len(certPEMEnd)
 }
 
 // DecodeCertsPEM parses every CERTIFICATE block in data, in order.

@@ -110,6 +110,16 @@ func PathLen(n int) *int { return &n }
 // returned certificate's subject is the issuer's subject plus one CN
 // component, per the GSI/RFC-3820 naming discipline.
 func Create(issuer *pki.Credential, pub crypto.PublicKey, opts Options) (*x509.Certificate, error) {
+	der, err := CreateDER(issuer, pub, opts)
+	if err != nil {
+		return nil, err
+	}
+	return x509.ParseCertificate(der)
+}
+
+// CreateDER is Create returning the signed certificate's DER, for a caller
+// that ships the bytes and has no use for the parsed certificate.
+func CreateDER(issuer *pki.Credential, pub crypto.PublicKey, opts Options) ([]byte, error) {
 	if issuer == nil || issuer.Certificate == nil || issuer.PrivateKey == nil {
 		return nil, errors.New("proxy: issuer credential incomplete")
 	}
@@ -127,7 +137,11 @@ func Create(issuer *pki.Credential, pub crypto.PublicKey, opts Options) (*x509.C
 	}
 	// A limited proxy may only issue further limited proxies: limitation
 	// is sticky (Globus semantics; services enforce the rest).
-	issuerLimited, err := isLimited(issuer.Certificate)
+	issuerInfo, issuerRFC, err := InfoFromCert(issuer.Certificate)
+	if err != nil {
+		return nil, err
+	}
+	issuerLimited, err := limitedBy(issuer.Certificate, issuerInfo, issuerRFC)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +150,7 @@ func Create(issuer *pki.Credential, pub crypto.PublicKey, opts Options) (*x509.C
 	}
 	// Enforce the issuer's own path-length constraint at signing time too;
 	// verification enforces it independently.
-	if ci, ok, err := InfoFromCert(issuer.Certificate); err != nil {
-		return nil, err
-	} else if ok && ci.PathLenConstraint == 0 {
+	if issuerRFC && issuerInfo.PathLenConstraint == 0 {
 		return nil, errors.New("proxy: issuer proxy forbids further delegation (pathlen 0)")
 	}
 
@@ -163,9 +175,15 @@ func Create(issuer *pki.Credential, pub crypto.PublicKey, opts Options) (*x509.C
 		return nil, fmt.Errorf("proxy: serial: %w", err)
 	}
 
-	issuerDN, err := pki.ParseRawDN(issuer.Certificate.RawSubject)
-	if err != nil {
-		return nil, fmt.Errorf("proxy: issuer subject: %w", err)
+	// The proxy subject is the issuer's plus one CN. A subject in the form
+	// DN.Marshal emits takes the CN appended to its bytes; any other is
+	// parsed here, before the options are judged, and re-encoded below.
+	issuerSubject := issuer.Certificate.RawSubject
+	var issuerDN pki.DN
+	if !pki.CanonicalRawDN(issuerSubject) {
+		if issuerDN, err = pki.ParseRawDN(issuerSubject); err != nil {
+			return nil, fmt.Errorf("proxy: issuer subject: %w", err)
+		}
 	}
 
 	var cn string
@@ -206,9 +224,11 @@ func Create(issuer *pki.Credential, pub crypto.PublicKey, opts Options) (*x509.C
 		return nil, fmt.Errorf("proxy: unknown proxy type %d", int(opts.Type))
 	}
 
-	rawSubject, err := issuerDN.WithCN(cn).Marshal()
-	if err != nil {
-		return nil, err
+	rawSubject, ok := pki.AppendCN(issuerSubject, cn)
+	if !ok {
+		if rawSubject, err = issuerDN.WithCN(cn).Marshal(); err != nil {
+			return nil, err
+		}
 	}
 
 	// RFC 3820 §3.6: digitalSignature is required for further delegation.
@@ -234,7 +254,7 @@ func Create(issuer *pki.Credential, pub crypto.PublicKey, opts Options) (*x509.C
 	if err != nil {
 		return nil, fmt.Errorf("proxy: sign proxy certificate: %w", err)
 	}
-	return x509.ParseCertificate(der)
+	return der, nil
 }
 
 // New generates a fresh key pair and creates a proxy credential signed by
@@ -265,9 +285,16 @@ func New(issuer *pki.Credential, opts Options) (*pki.Credential, error) {
 
 // isLimited reports whether cert is a limited proxy in either style.
 func isLimited(cert *x509.Certificate) (bool, error) {
-	if ci, ok, err := InfoFromCert(cert); err != nil {
+	ci, ok, err := InfoFromCert(cert)
+	if err != nil {
 		return false, err
-	} else if ok {
+	}
+	return limitedBy(cert, ci, ok)
+}
+
+// limitedBy is isLimited given cert's decoded ProxyCertInfo, if it has one.
+func limitedBy(cert *x509.Certificate, ci *CertInfo, rfc bool) (bool, error) {
+	if rfc {
 		return ci.PolicyLanguage.Equal(OIDPolicyLimited), nil
 	}
 	dn, err := pki.ParseRawDN(cert.RawSubject)

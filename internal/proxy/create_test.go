@@ -1,7 +1,11 @@
 package proxy
 
 import (
+	"bytes"
+	"crypto/rand"
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"math/big"
 	"testing"
 	"time"
 
@@ -257,5 +261,81 @@ func TestProxyKeyUsage(t *testing.T) {
 	}
 	if p.Certificate.IsCA {
 		t.Error("proxy must not be a CA")
+	}
+}
+
+// Create's subject is, byte for byte, the issuer's parsed subject plus one
+// CN, re-encoded by DN.Marshal — for a DN.Marshal-form issuer it is built
+// by appending to the issuer's bytes.
+func TestCreateSubjectBytes(t *testing.T) {
+	user := testpki.User(t, "proxy-alice")
+	p, err := New(user, Options{Type: Legacy, KeyAlgorithm: pki.AlgEd25519})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := user.SubjectDN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dn.WithCN("proxy").Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.Certificate.RawSubject, want) {
+		t.Errorf("subject %x, want %x", p.Certificate.RawSubject, want)
+	}
+}
+
+// An issuer whose subject is not in DN.Marshal's form — PrintableStrings,
+// as crypto/x509 writes a pkix.Name — takes the parse-and-re-encode path,
+// and the resulting chain verifies through the parsed subject comparison.
+func TestCreateFromPrintableStringIssuer(t *testing.T) {
+	ca := testpki.CA(t).Credential()
+	key := testpki.Key(t, 4)
+	serial, err := rand.Int(rand.Reader, big.NewInt(1<<62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	der, err := x509.CreateCertificate(rand.Reader, &x509.Certificate{
+		SerialNumber:          serial,
+		Subject:               pkix.Name{Country: []string{"US"}, Organization: []string{"Printable Grid"}, CommonName: testpki.FreshName("printable")},
+		NotBefore:             time.Now().Add(-time.Minute),
+		NotAfter:              time.Now().Add(time.Hour),
+		KeyUsage:              x509.KeyUsageDigitalSignature,
+		ExtKeyUsage:           []x509.ExtKeyUsage{x509.ExtKeyUsageClientAuth},
+		BasicConstraintsValid: true,
+	}, ca.Certificate, &key.PublicKey, ca.PrivateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pki.CanonicalRawDN(cert.RawSubject) {
+		t.Fatal("a pkix.Name subject reads as DN.Marshal form")
+	}
+	issuer := &pki.Credential{Certificate: cert, PrivateKey: key}
+	p, err := New(issuer, Options{Type: RFC3820, KeyAlgorithm: pki.AlgEd25519})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := issuer.SubjectDN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dn.WithCN(p.Certificate.SerialNumber.String()).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(p.Certificate.RawSubject, want) {
+		t.Errorf("subject %x, want the re-encoded %x", p.Certificate.RawSubject, want)
+	}
+	res, err := verifyChain(t, p)
+	if err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if !res.Identity.Equal(dn) {
+		t.Errorf("identity %s, want %s", res.Identity, dn)
 	}
 }

@@ -77,18 +77,23 @@ func (ci *CertInfo) Marshal() ([]byte, error) {
 	return asn1.Marshal(certInfoWithPathLen{PathLen: ci.PathLenConstraint, Policy: pol})
 }
 
-// ParseCertInfo decodes a DER ProxyCertInfo value.
+// ParseCertInfo decodes a DER ProxyCertInfo value. The first element's tag
+// picks the form: only an INTEGER there can be the path-length form, so
+// that form is tried only then, and the form without a path length — the
+// common, unlimited proxy — is decoded once.
 func ParseCertInfo(der []byte) (*CertInfo, error) {
-	var with certInfoWithPathLen
-	if rest, err := asn1.Unmarshal(der, &with); err == nil && len(rest) == 0 {
-		if with.PathLen < 0 {
-			return nil, fmt.Errorf("proxy: negative pCPathLenConstraint %d", with.PathLen)
+	if firstElementTag(der) == asn1.TagInteger {
+		var with certInfoWithPathLen
+		if rest, err := asn1.Unmarshal(der, &with); err == nil && len(rest) == 0 {
+			if with.PathLen < 0 {
+				return nil, fmt.Errorf("proxy: negative pCPathLenConstraint %d", with.PathLen)
+			}
+			return &CertInfo{
+				PathLenConstraint: with.PathLen,
+				PolicyLanguage:    with.Policy.PolicyLanguage,
+				Policy:            with.Policy.Policy,
+			}, nil
 		}
-		return &CertInfo{
-			PathLenConstraint: with.PathLen,
-			PolicyLanguage:    with.Policy.PolicyLanguage,
-			Policy:            with.Policy.Policy,
-		}, nil
 	}
 	var without certInfoNoPathLen
 	rest, err := asn1.Unmarshal(der, &without)
@@ -105,6 +110,24 @@ func ParseCertInfo(der []byte) (*CertInfo, error) {
 	}, nil
 }
 
+// firstElementTag returns the first byte inside the SEQUENCE der, or -1.
+// Wherever encoding/asn1 accepts the SEQUENCE's header, its contents start
+// where this reads them, so a tag other than INTEGER there is one the
+// path-length form cannot decode.
+func firstElementTag(der []byte) int {
+	if len(der) < 2 || der[0] != 0x30 {
+		return -1
+	}
+	at := 2
+	if der[1]&0x80 != 0 {
+		at += int(der[1] & 0x7f)
+	}
+	if at >= len(der) {
+		return -1
+	}
+	return int(der[at])
+}
+
 // Extension builds the pkix extension carrying this ProxyCertInfo. RFC 3820
 // requires the extension to be critical so that proxy-unaware validators
 // reject the certificate rather than treat it as the user.
@@ -119,15 +142,23 @@ func (ci *CertInfo) Extension() (pkix.Extension, error) {
 // InfoFromCert extracts the ProxyCertInfo extension from a certificate.
 // ok is false when the certificate carries no such extension.
 func InfoFromCert(cert *x509.Certificate) (ci *CertInfo, ok bool, err error) {
-	for _, ext := range cert.Extensions {
-		if !ext.Id.Equal(OIDProxyCertInfo) {
-			continue
-		}
-		ci, err := ParseCertInfo(ext.Value)
-		if err != nil {
-			return nil, true, err
-		}
-		return ci, true, nil
+	ext := certInfoExtension(cert)
+	if ext == nil {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	if ci, err = ParseCertInfo(ext.Value); err != nil {
+		return nil, true, err
+	}
+	return ci, true, nil
+}
+
+// certInfoExtension returns cert's ProxyCertInfo extension undecoded, or
+// nil when it carries none.
+func certInfoExtension(cert *x509.Certificate) *pkix.Extension {
+	for i := range cert.Extensions {
+		if cert.Extensions[i].Id.Equal(OIDProxyCertInfo) {
+			return &cert.Extensions[i]
+		}
+	}
+	return nil
 }

@@ -59,8 +59,14 @@ func (r *Result) IdentityString() string { return r.Identity.String() }
 // style: it carries a ProxyCertInfo extension, or its subject is its
 // issuer's subject plus a final CN of "proxy" or "limited proxy".
 func IsProxy(cert *x509.Certificate) bool {
-	if _, ok, _ := InfoFromCert(cert); ok {
+	if certInfoExtension(cert) != nil {
 		return true
+	}
+	// Most certificates are decided by the last attribute's bytes: unless
+	// it reads "proxy" or "limited proxy" the subject is no legacy proxy's,
+	// however the rest of it parses.
+	if v, ok := pki.LastValue(cert.RawSubject); ok && string(v) != "proxy" && string(v) != "limited proxy" {
+		return false
 	}
 	dn, err := pki.ParseRawDN(cert.RawSubject)
 	if err != nil || len(dn) == 0 {
@@ -235,22 +241,8 @@ func verifyProxyStep(parent, child *x509.Certificate, now time.Time) error {
 		return errors.New("issuer does not match signer subject")
 	}
 	// Subject discipline: child subject = parent subject + one CN RDN.
-	childDN, err := pki.ParseRawDN(child.RawSubject)
-	if err != nil {
+	if err := subjectExtends(parent.RawSubject, child.RawSubject); err != nil {
 		return err
-	}
-	parentDN, err := pki.ParseRawDN(parent.RawSubject)
-	if err != nil {
-		return err
-	}
-	if len(childDN) != len(parentDN)+1 {
-		return errors.New("subject must extend issuer subject by exactly one component")
-	}
-	if !childDN[:len(parentDN)].Equal(parentDN) {
-		return errors.New("subject does not extend issuer subject")
-	}
-	if childDN[len(childDN)-1].Type != "CN" {
-		return errors.New("appended subject component must be a CN")
 	}
 	// Raw signature check: CheckSignatureFrom would reject non-CA parents,
 	// which is the whole point of proxy certificates, so check the
@@ -261,6 +253,17 @@ func verifyProxyStep(parent, child *x509.Certificate, now time.Time) error {
 	// A proxy must never be a CA and its signer must be allowed to sign.
 	if child.BasicConstraintsValid && child.IsCA {
 		return errors.New("proxy certificate asserts CA basicConstraints")
+	}
+	// RFC 5280 §4.2: a critical extension the verifier does not recognise
+	// refuses the certificate. ProxyCertInfo is the one this package
+	// handles, and RFC 3820 §3.8 requires it to be critical.
+	for _, id := range child.UnhandledCriticalExtensions {
+		if !id.Equal(OIDProxyCertInfo) {
+			return fmt.Errorf("unhandled critical extension %v", id)
+		}
+	}
+	if ext := certInfoExtension(child); ext != nil && !ext.Critical {
+		return errors.New("ProxyCertInfo extension is not critical")
 	}
 	if ku := parent.KeyUsage; ku != 0 && ku&x509.KeyUsageDigitalSignature == 0 {
 		return errors.New("signer lacks digitalSignature key usage")
@@ -274,6 +277,33 @@ func verifyProxyStep(parent, child *x509.Certificate, now time.Time) error {
 	}
 	if now.After(child.NotAfter) {
 		return fmt.Errorf("expired at %v", child.NotAfter)
+	}
+	return nil
+}
+
+// subjectExtends checks that the subject child is the subject parent plus
+// one CN RDN. A pair in the form DN.Marshal emits is decided on its bytes;
+// any other is parsed and compared.
+func subjectExtends(parent, child []byte) error {
+	if pki.ExtendsByCN(parent, child) {
+		return nil
+	}
+	childDN, err := pki.ParseRawDN(child)
+	if err != nil {
+		return err
+	}
+	parentDN, err := pki.ParseRawDN(parent)
+	if err != nil {
+		return err
+	}
+	if len(childDN) != len(parentDN)+1 {
+		return errors.New("subject must extend issuer subject by exactly one component")
+	}
+	if !childDN[:len(parentDN)].Equal(parentDN) {
+		return errors.New("subject does not extend issuer subject")
+	}
+	if childDN[len(childDN)-1].Type != "CN" {
+		return errors.New("appended subject component must be a CN")
 	}
 	return nil
 }

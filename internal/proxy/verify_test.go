@@ -3,7 +3,10 @@ package proxy
 import (
 	"crypto/rand"
 	"crypto/x509"
+	"crypto/x509/pkix"
+	"encoding/asn1"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
@@ -358,5 +361,72 @@ func TestVerifyRejectsNonCNExtension(t *testing.T) {
 	chain := []*x509.Certificate{cert, user.Certificate}
 	if _, err := Verify(chain, VerifyOptions{Roots: rootPool(t)}); err == nil {
 		t.Fatal("proxy with non-CN subject extension accepted")
+	}
+}
+
+// craftProxy signs under issuer a proxy that keeps the subject discipline
+// but carries exts as its only extensions.
+func craftProxy(t *testing.T, issuer *pki.Credential, exts ...pkix.Extension) *pki.Credential {
+	t.Helper()
+	key := testpki.Key(t, 2)
+	serial, err := rand.Int(rand.Reader, big.NewInt(1<<62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject, ok := pki.AppendCN(issuer.Certificate.RawSubject, serial.String())
+	if !ok {
+		t.Fatal("issuer subject is not in DN.Marshal form")
+	}
+	der, err := x509.CreateCertificate(rand.Reader, &x509.Certificate{
+		SerialNumber:    serial,
+		RawSubject:      subject,
+		NotBefore:       time.Now().Add(-time.Minute),
+		NotAfter:        time.Now().Add(time.Hour),
+		KeyUsage:        x509.KeyUsageDigitalSignature,
+		ExtraExtensions: exts,
+	}, issuer.Certificate, &key.PublicKey, issuer.PrivateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pki.Credential{Certificate: cert, PrivateKey: key, Chain: issuer.CertChain()}
+}
+
+// certInfoExt is an inherit-all ProxyCertInfo with the given criticality.
+func certInfoExt(t *testing.T, critical bool) pkix.Extension {
+	t.Helper()
+	ext, err := (&CertInfo{PathLenConstraint: Unlimited, PolicyLanguage: OIDPolicyInheritAll}).Extension()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext.Critical = critical
+	return ext
+}
+
+// RFC 5280 §4.2: a critical extension the verifier does not recognise
+// refuses the certificate; an unknown non-critical one is ignored.
+func TestVerifyRejectsUnknownCriticalExtension(t *testing.T) {
+	user := testpki.User(t, "verify-alice")
+	unknown := pkix.Extension{Id: asn1.ObjectIdentifier{1, 2, 3, 4, 5}, Value: []byte{0x05, 0x00}}
+	if _, err := verifyChain(t, craftProxy(t, user, certInfoExt(t, true), unknown)); err != nil {
+		t.Fatalf("unknown non-critical extension refused: %v", err)
+	}
+	unknown.Critical = true
+	_, err := verifyChain(t, craftProxy(t, user, certInfoExt(t, true), unknown))
+	if err == nil || !strings.Contains(err.Error(), "unhandled critical extension 1.2.3.4.5") {
+		t.Fatalf("proxy with an unknown critical extension: %v", err)
+	}
+}
+
+// RFC 3820 §3.8: ProxyCertInfo must be critical, so that a proxy-unaware
+// verifier refuses the proxy rather than take it for the user.
+func TestVerifyRejectsNonCriticalProxyCertInfo(t *testing.T) {
+	user := testpki.User(t, "verify-alice")
+	_, err := verifyChain(t, craftProxy(t, user, certInfoExt(t, false)))
+	if err == nil || !strings.Contains(err.Error(), "ProxyCertInfo extension is not critical") {
+		t.Fatalf("proxy with a non-critical ProxyCertInfo: %v", err)
 	}
 }

@@ -257,12 +257,12 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 // clients reconnect without reconfiguration.
 func (d *Deployment) startRepo(i int, addr string) error {
 	srv, err := core.NewServer(core.ServerConfig{
-		Credential:           d.repoHosts[i],
-		Roots:                d.Roots,
-		Store:                d.repoStores[i],
-		AcceptedCredentials:  policy.NewACL("/C=US/O=Sim Grid/*"),
-		AuthorizedRetrievers: policy.NewACL("/C=US/O=Sim Grid/*"),
-		AuthorizedRenewers:   policy.NewACL("/C=US/O=Sim Grid/*"),
+		Credential:             d.repoHosts[i],
+		Roots:                  d.Roots,
+		Store:                  d.repoStores[i],
+		AcceptedCredentials:    policy.NewACL("/C=US/O=Sim Grid/*"),
+		AuthorizedRetrievers:   policy.NewACL("/C=US/O=Sim Grid/*"),
+		AuthorizedRenewers:     policy.NewACL("/C=US/O=Sim Grid/*"),
 		KDFIterations:          d.kdfIterations,
 		DelegationKeyAlgorithm: d.keyAlg,
 		DelegationKeyBits:      d.keyBits,
