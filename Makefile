@@ -46,11 +46,11 @@ race:
 	$(GO) test -race ./...
 
 # race-hotpath re-runs the concurrency-heavy performance substrate (key
-# pool, GSI channels, repository core, and the HTTP gateway that calls the
-# same service) under the race detector with a fresh count, independent of
-# the cached full run.
+# pool, GSI channels, the verification cache and its anchors, repository
+# core, and the HTTP gateway that calls the same service) under the race
+# detector with a fresh count, independent of the cached full run.
 race-hotpath:
-	$(GO) test -race -count=1 ./internal/keypool ./internal/gsi ./internal/core ./internal/httpgate
+	$(GO) test -race -count=1 ./internal/keypool ./internal/gsi ./internal/proxy ./internal/core ./internal/httpgate
 
 # race-failover re-runs the cluster package — the router over fakes, and the
 # held node sessions over real repositories (revocation, a silent node, a
@@ -79,13 +79,16 @@ fuzz-smoke:
 # pipelined session streams, refuse-before-read, the reused held connection —
 # the endpoint's own package, and the held session's life (DESIGN.md §14):
 # re-dial after a restart, a cut in and outside a commit window, the drain of
-# idle and busy sessions.
+# idle and busy sessions. Last, the chain mutator (DESIGN.md §9) over 60
+# blocks of seeds, 18 000 bent chains: each run in one process takes the
+# next block.
 stress:
 	$(GO) test -race -count=100 -run 'TestSessionPipelinesExchanges|TestSessionRedialsAfterServerRestart|TestCloseEndsAnIdleSessionAtOnce|TestCloseLetsAnInFlightStreamFinish' ./internal/core
 	$(GO) test -race -count=100 -run 'TestSessionCutIn' ./internal/cluster
 	$(GO) test -race -count=100 -run 'TestUnmappedIdentityRefused' ./internal/gram
 	$(GO) test -race -count=100 -run 'TestUnmappedIdentityRefused|TestReusedConnectionOutlivesFirstDeadline' ./internal/mss
 	$(GO) test -race -count=100 ./internal/gsi
+	$(GO) test -count=60 -run 'TestChainMutator' ./internal/proxy
 
 check: vet lint build race-hotpath race-failover fuzz-smoke stress race
 

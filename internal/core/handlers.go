@@ -54,12 +54,14 @@ func (s *Server) dispatch(ch gsi.Channel, req *protocol.Request, sc *unsealCache
 	switch req.Command {
 	case protocol.CmdPut:
 		// The go-ahead precedes the delegation in which the client signs a
-		// proxy for the key generated here.
+		// proxy for the key generated here. The chain is imported unverified:
+		// Service.Put verifies it once, under the repository's full options
+		// (revocation, depth bound), and answers a bad one as invalid.
 		return s.deliver(ch, s.svc.Put(peer, req, func(spec pki.KeySpec) (*pki.Credential, error) {
 			if err := s.respond(ch, protocol.OKResponse()); err != nil {
 				return nil, err
 			}
-			return gsi.RequestDelegationFrom(ch, s.cfg.KeySource, spec, s.cfg.Roots)
+			return gsi.RequestDelegationFrom(ch, s.cfg.KeySource, spec, nil)
 		}))
 	case protocol.CmdGet:
 		chain, v := s.svc.Get(peer, req, sc, s.followUp(ch))

@@ -2,17 +2,24 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"crypto/tls"
+	"crypto/x509"
+	"crypto/x509/pkix"
 	"encoding/binary"
+	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/credstore"
 	"repro/internal/gsi"
+	"repro/internal/pki"
 	"repro/internal/policy"
 	"repro/internal/protocol"
+	"repro/internal/proxy"
 	"repro/internal/testpki"
 )
 
@@ -226,5 +233,81 @@ func TestServerPurgeSweeper(t *testing.T) {
 			t.Fatal("sweeper never purged the expired entry")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A deposited chain that authenticates as the depositor but does not verify
+// (here, a proxy whose ProxyCertInfo is not critical) is the service's to
+// judge: it is verified once, under the repository's own options, and
+// answered as an invalid request, not as a failed delegation.
+func TestPutAnswersAnInvalidDepositedChainAsInvalid(t *testing.T) {
+	_, addr := startServer(t, nil)
+	alice := testpki.User(t, "core-alice")
+	conn, err := gsi.Dial(context.Background(), "tcp", addr, alice, gsi.AuthOptions{
+		Roots: testRoots(t), HandshakeTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	read := func() *protocol.Response {
+		t.Helper()
+		msg, err := conn.ReadMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := protocol.ParseResponse(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	req, err := protocol.MarshalRequest(&protocol.Request{
+		Command: protocol.CmdPut, Username: testUser, Passphrase: testPass, Lifetime: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMessage(req); err != nil {
+		t.Fatal(err)
+	}
+	if resp := read(); resp.Code != protocol.RespOK {
+		t.Fatalf("PUT refused before the delegation: %v", resp.Err())
+	}
+	csrDER, err := conn.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := x509.ParseCertificateRequest(csrDER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := (&proxy.CertInfo{PathLenConstraint: proxy.Unlimited, PolicyLanguage: proxy.OIDPolicyInheritAll}).Extension()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext.Critical = false
+	subject, ok := pki.AppendCN(alice.Certificate.RawSubject, "4711")
+	if !ok {
+		t.Fatal("user subject is not in DN.Marshal form")
+	}
+	der, err := x509.CreateCertificate(rand.Reader, &x509.Certificate{
+		SerialNumber:    big.NewInt(4711),
+		RawSubject:      subject,
+		NotBefore:       time.Now().Add(-time.Minute),
+		NotAfter:        time.Now().Add(time.Hour),
+		KeyUsage:        x509.KeyUsageDigitalSignature,
+		ExtraExtensions: []pkix.Extension{ext},
+	}, alice.Certificate, csr.PublicKey, alice.PrivateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WriteMessage(pki.AppendCertsPEM(pki.AppendCertPEM(nil, der), alice.CertChain())); err != nil {
+		t.Fatal(err)
+	}
+	resp := read()
+	if resp.Code != protocol.RespError || len(resp.Errors) != 1 ||
+		!strings.HasPrefix(resp.Errors[0], "delegated chain invalid: proxy: step 1 (4711): ProxyCertInfo extension is not critical") {
+		t.Fatalf("answer %d %q, want the invalid-chain verdict", resp.Code, resp.Errors)
 	}
 }

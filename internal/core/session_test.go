@@ -7,6 +7,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -197,12 +198,13 @@ func TestPutServerSideKeyAlgorithm(t *testing.T) {
 // Fig. 2 exchange over an established session — the multiplexed path
 // exists to amortize the handshake, key generation and chain verification,
 // and this test keeps the residue from regrowing. The count covers both
-// sides (client and in-process server) and measures 743 objects
-// steady-state (757 under -race); the bound is that plus 10 %, so parsing
-// the proxy subjects, ProxyCertInfo or the freshly signed certificate
-// again (≈ 475 objects between them) fails here.
+// sides (client and in-process server) and measures 559 objects
+// steady-state (573 under -race); the bound is that plus 10 %, so parsing
+// and verifying again the issuer chain the repository sends behind every
+// delegated proxy (≈ 185 objects), or the proxy subjects, ProxyCertInfo or
+// the freshly signed certificate (≈ 475 between them), fails here.
 // AllocsPerRun's warm-up run absorbs the session's first-use costs (unseal
-// cache fill, verify cache miss).
+// cache fill, verify cache and anchor misses).
 func TestSessionStreamAllocs(t *testing.T) {
 	_, addr := startServer(t, nil)
 	alice := testpki.User(t, "alloc-alice")
@@ -227,14 +229,14 @@ func TestSessionStreamAllocs(t *testing.T) {
 			t.Fatalf("session Get: %v", err)
 		}
 	})
-	if allocs > 815 {
-		t.Errorf("per-stream session Get allocates %.0f objects/op, want <= 815", allocs)
+	if allocs > 615 {
+		t.Errorf("per-stream session Get allocates %.0f objects/op, want <= 615", allocs)
 	}
 }
 
 // TestClientGetAllocs is TestSessionStreamAllocs for the per-exchange path:
 // one Client.Get dials, resumes TLS, delegates and closes. It measures
-// 2 008 objects (2 042 under -race); the bound is that plus 10 %.
+// 1 825 objects (1 860 under -race); the bound is that plus 10 %.
 func TestClientGetAllocs(t *testing.T) {
 	_, addr := startServer(t, nil)
 	alice := testpki.User(t, "alloc-ex-alice")
@@ -248,8 +250,51 @@ func TestClientGetAllocs(t *testing.T) {
 			t.Fatalf("Get: %v", err)
 		}
 	})
-	if allocs > 2210 {
-		t.Errorf("per-exchange Get allocates %.0f objects/op, want <= 2210", allocs)
+	if allocs > 2008 {
+		t.Errorf("per-exchange Get allocates %.0f objects/op, want <= 2008", allocs)
+	}
+}
+
+// The issuer chain behind every delegated proxy is verified once per
+// client: its per-exchange connections and the streams of all its sessions
+// import delegations through the dialer's one verification cache.
+func TestSessionsShareDelegationAnchors(t *testing.T) {
+	_, addr := startServer(t, nil)
+	mustPut(t, newClient(t, testpki.User(t, "anchor-alice"), addr), PutOptions{Lifetime: 24 * time.Hour})
+	cli := newClient(t, testpki.Host(t, "anchor-portal.test"), addr)
+	cli.KeyAlgorithm = pki.AlgEd25519
+	ctx := context.Background()
+	opts := GetOptions{Username: testUser, Passphrase: testPass, Lifetime: time.Hour}
+	if _, err := cli.Get(ctx, opts); err != nil { // files the anchor
+		t.Fatal(err)
+	}
+	const perSession = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*perSession)
+	for i := 0; i < 2; i++ {
+		sess, err := cli.NewSession(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		for j := 0; j < perSession; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := sess.Get(ctx, opts); err != nil {
+					errs <- err
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	vc := cli.dialer.VerifyCache()
+	if vc.AnchorMisses() != 1 || vc.AnchorHits() != 2*perSession {
+		t.Errorf("anchor misses %d hits %d, want 1 and %d", vc.AnchorMisses(), vc.AnchorHits(), 2*perSession)
 	}
 }
 

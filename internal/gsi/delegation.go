@@ -70,7 +70,20 @@ func requestDelegationWithKey(ch Channel, key crypto.Signer, roots *x509.CertPoo
 	if err != nil {
 		return nil, fmt.Errorf("gsi: receive delegated chain: %w", err)
 	}
-	certs, err := pki.DecodeCertsPEM(chainPEM)
+	// Behind the proxy just minted, the exporter sends the same issuer
+	// chain on every delegation of one credential. Through the endpoint's
+	// verification cache that chain is parsed and checked once, and each
+	// delegation after it parses and checks the new proxy alone.
+	var cache *proxy.VerifyCache
+	if c, ok := ch.(verifyCacher); ok && roots != nil {
+		cache = c.verifyCache()
+	}
+	opts := proxy.VerifyOptions{Roots: roots}
+	ders, err := pki.SplitCertsPEM(chainPEM)
+	var certs []*x509.Certificate
+	if err == nil {
+		certs, err = cache.ParseDelegated(ders, opts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("gsi: decode delegated chain: %w", err)
 	}
@@ -80,12 +93,22 @@ func requestDelegationWithKey(ch Channel, key crypto.Signer, roots *x509.CertPoo
 		return nil, errors.New("gsi: delegated certificate does not match requested key")
 	}
 	if roots != nil {
-		if _, err := proxy.Verify(cred.CertChain(), proxy.VerifyOptions{Roots: roots}); err != nil {
+		if _, err := cache.VerifyDelegated(certs, opts); err != nil {
 			return nil, fmt.Errorf("gsi: delegated chain rejected: %w", err)
 		}
 	}
 	return cred, nil
 }
+
+// verifyCacher is a channel of an endpoint that verifies through a
+// proxy.VerifyCache (AuthOptions.Cache): a connection, or a stream of one.
+type verifyCacher interface {
+	verifyCache() *proxy.VerifyCache
+}
+
+func (c *Conn) verifyCache() *proxy.VerifyCache { return c.auth.Cache }
+
+func (st *Stream) verifyCache() *proxy.VerifyCache { return st.s.conn.auth.Cache }
 
 // Delegate runs the exporting side: it receives the peer's CSR and signs a
 // proxy certificate under issuer with the given options, sending back the

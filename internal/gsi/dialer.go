@@ -44,8 +44,8 @@ type Dialer struct {
 	err  error
 }
 
-// connect dials the peer under ctx and authenticates it.
-func (d *Dialer) connect(ctx context.Context) (*Conn, error) {
+// init builds auth on first use.
+func (d *Dialer) init() {
 	d.once.Do(func() {
 		d.auth = AuthOptions{
 			Roots:            d.Roots,
@@ -55,6 +55,19 @@ func (d *Dialer) connect(ctx context.Context) (*Conn, error) {
 		}
 		d.auth.TLSConfig, d.err = NewClientTLSConfig(d.Credential, tls.NewLRUClientSessionCache(0))
 	})
+}
+
+// VerifyCache exposes the cache every connection of the dialer, and every
+// stream of one, verifies through: the peer's chain at each handshake, and
+// the issuer chains of the delegations it imports.
+func (d *Dialer) VerifyCache() *proxy.VerifyCache {
+	d.init()
+	return d.auth.Cache
+}
+
+// connect dials the peer under ctx and authenticates it.
+func (d *Dialer) connect(ctx context.Context) (*Conn, error) {
+	d.init()
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -367,19 +367,37 @@ func certPEMLen(n int) int {
 
 // DecodeCertsPEM parses every CERTIFICATE block in data, in order.
 func DecodeCertsPEM(data []byte) ([]*x509.Certificate, error) {
-	var certs []*x509.Certificate
+	ders, err := SplitCertsPEM(data)
+	if err != nil {
+		return nil, err
+	}
+	return ParseCerts(ders...)
+}
+
+// SplitCertsPEM returns the DER bytes of every CERTIFICATE block in data,
+// in order, without parsing them.
+func SplitCertsPEM(data []byte) ([][]byte, error) {
+	var ders [][]byte
 	for block, rest := pem.Decode(data); block != nil; block, rest = pem.Decode(rest) {
-		if block.Type != pemTypeCertificate {
-			continue
+		if block.Type == pemTypeCertificate {
+			ders = append(ders, block.Bytes)
 		}
-		c, err := x509.ParseCertificate(block.Bytes)
+	}
+	if len(ders) == 0 {
+		return nil, errors.New("pki: no CERTIFICATE blocks found")
+	}
+	return ders, nil
+}
+
+// ParseCerts parses DER certificates, in order.
+func ParseCerts(ders ...[]byte) ([]*x509.Certificate, error) {
+	certs := make([]*x509.Certificate, len(ders))
+	for i, der := range ders {
+		c, err := x509.ParseCertificate(der)
 		if err != nil {
 			return nil, fmt.Errorf("pki: parse certificate: %w", err)
 		}
-		certs = append(certs, c)
-	}
-	if len(certs) == 0 {
-		return nil, errors.New("pki: no CERTIFICATE blocks found")
+		certs[i] = c
 	}
 	return certs, nil
 }

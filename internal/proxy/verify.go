@@ -93,137 +93,245 @@ func IsProxy(cert *x509.Certificate) bool {
 // the EEC is validated with the RFC-3820 discipline — raw signature check,
 // subject = issuer-subject + one CN, no CA bit, validity window, sticky
 // limitation, path-length accounting, and no style mixing.
+//
+// A chain whose leaf is a proxy is verified in two halves: verifyAnchor
+// checks the issuer chain chain[1:] as the signer of exactly one more proxy,
+// and extend checks the leaf against it. VerifyCache.VerifyDelegated runs
+// the same two halves and memoizes the first.
 func Verify(chain []*x509.Certificate, opts VerifyOptions) (*Result, error) {
+	res, _, err := verify(chain, opts)
+	return res, err
+}
+
+// verify is Verify, also returning the window within which every
+// certificate the verdict rests on is valid.
+func verify(chain []*x509.Certificate, opts VerifyOptions) (*Result, window, error) {
 	if len(chain) == 0 {
-		return nil, errors.New("proxy: empty certificate chain")
+		return nil, window{}, errors.New("proxy: empty certificate chain")
 	}
 	if opts.Roots == nil {
-		return nil, errors.New("proxy: VerifyOptions.Roots is required")
+		return nil, window{}, errors.New("proxy: VerifyOptions.Roots is required")
 	}
-	now := opts.CurrentTime
-	if now.IsZero() {
-		now = time.Now()
+	opts = opts.resolved()
+	if !IsProxy(chain[0]) {
+		// The leaf is the EEC: there is no proxy step to walk.
+		a, err := root(chain, 0, opts)
+		if err != nil {
+			return nil, window{}, err
+		}
+		return &a.res, a.window, nil
 	}
-	maxDepth := opts.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = DefaultMaxDepth
+	a, err := verifyAnchor(chain[1:], opts)
+	if err != nil {
+		return nil, window{}, err
 	}
+	return a.extend(chain[0], opts)
+}
 
-	// Locate the EEC: first certificate from the leaf that is not a proxy.
-	eecIndex := 0
-	for eecIndex < len(chain) && IsProxy(chain[eecIndex]) {
-		eecIndex++
+// resolved fills in the defaults: the current time and the depth bound.
+func (o VerifyOptions) resolved() VerifyOptions {
+	if o.CurrentTime.IsZero() {
+		o.CurrentTime = time.Now()
 	}
-	if eecIndex == len(chain) {
+	if o.MaxDepth <= 0 {
+		o.MaxDepth = DefaultMaxDepth
+	}
+	return o
+}
+
+// anchor is the state of the walk down a verified chain at the point where
+// the next proxy is checked: what that proxy inherits from the certificates
+// above it. Path lengths were checked with that proxy counted below.
+type anchor struct {
+	// res is the verdict so far. Depth counts the proxies walked, and
+	// LeafInfo is the last one's ProxyCertInfo.
+	res Result
+	// style is the chain's proxy style: 0 none yet, 1 legacy, 2 RFC 3820.
+	style int
+	// signer is the certificate the next proxy must be signed by.
+	signer *x509.Certificate
+	// window is the validity every certificate walked shares, with every
+	// certificate of the path the standard library built, trust root
+	// included.
+	window window
+}
+
+// verifyAnchor checks issuers, a chain leaf first, as the signer of exactly
+// one more proxy: every check Verify makes on the certificates above a proxy
+// leaf, that proxy counted among those below. It returns the state that
+// proxy is then checked against by extend.
+func verifyAnchor(issuers []*x509.Certificate, opts VerifyOptions) (*anchor, error) {
+	// Locate the EEC: first certificate from the leaf that is not a proxy.
+	eec := 0
+	for eec < len(issuers) && IsProxy(issuers[eec]) {
+		eec++
+	}
+	if eec == len(issuers) {
 		return nil, errors.New("proxy: chain contains no end-entity certificate")
 	}
-	depth := eecIndex
-	if depth > maxDepth {
-		return nil, fmt.Errorf("proxy: delegation depth %d exceeds maximum %d", depth, maxDepth)
+	if depth := eec + 1; depth > opts.MaxDepth {
+		return nil, fmt.Errorf("proxy: delegation depth %d exceeds maximum %d", depth, opts.MaxDepth)
 	}
-	eec := chain[eecIndex]
-
-	// Validate EEC (and any CA intermediates above it) with stdlib rules.
-	intermediates := x509.NewCertPool()
-	for _, c := range chain[eecIndex+1:] {
-		intermediates.AddCert(c)
+	a, err := root(issuers, eec, opts)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := eec.Verify(x509.VerifyOptions{
-		Roots:         opts.Roots,
-		Intermediates: intermediates,
-		CurrentTime:   now,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	}); err != nil {
-		return nil, fmt.Errorf("proxy: end-entity verification: %w", err)
-	}
-
-	if opts.IsRevoked != nil {
-		for _, c := range chain {
-			if opts.IsRevoked(c) {
-				return nil, fmt.Errorf("proxy: certificate %q is revoked", c.SerialNumber)
-			}
+	// Walk proxy steps from the EEC down. Below issuers[i] are i+1 proxies:
+	// issuers[i-1] … issuers[0], and the one still to come.
+	for i := eec - 1; i >= 0; i-- {
+		if err := a.step(issuers[i], i+1, opts.CurrentTime); err != nil {
+			return nil, err
 		}
 	}
+	return a, nil
+}
 
-	identity, err := pki.ParseRawDN(eec.RawSubject)
+// extend checks leaf as the proxy a's chain signs, and returns the verdict
+// on the whole chain and the window it holds in. a is not changed.
+func (a anchor) extend(leaf *x509.Certificate, opts VerifyOptions) (*Result, window, error) {
+	if err := checkRevoked(opts.IsRevoked, leaf); err != nil {
+		return nil, window{}, err
+	}
+	if err := a.step(leaf, 0, opts.CurrentTime); err != nil {
+		return nil, window{}, err
+	}
+	a.window.narrow(leaf)
+	return &a.res, a.window, nil
+}
+
+// root validates chain[eec] (and any CA intermediates above it) with stdlib
+// rules, runs the revocation hook over every certificate of chain, and
+// returns the walk's state at the EEC.
+func root(chain []*x509.Certificate, eec int, opts VerifyOptions) (*anchor, error) {
+	cert := chain[eec]
+	intermediates := x509.NewCertPool()
+	for _, c := range chain[eec+1:] {
+		intermediates.AddCert(c)
+	}
+	built, err := cert.Verify(x509.VerifyOptions{
+		Roots:         opts.Roots,
+		Intermediates: intermediates,
+		CurrentTime:   opts.CurrentTime,
+		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("proxy: end-entity verification: %w", err)
+	}
+	if err := checkRevoked(opts.IsRevoked, chain...); err != nil {
+		return nil, err
+	}
+	identity, err := pki.ParseRawDN(cert.RawSubject)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: EEC subject: %w", err)
 	}
+	a := &anchor{res: Result{EEC: cert, Identity: identity}, signer: cert}
+	a.window.narrow(chain...)
+	a.window.narrow(built[0]...)
+	return a, nil
+}
 
-	res := &Result{EEC: eec, Identity: identity, Depth: depth}
-
-	// Walk proxy steps from the EEC down to the leaf.
-	style := 0 // 0 unknown, 1 legacy, 2 rfc3820
-	for i := eecIndex - 1; i >= 0; i-- {
-		parent, child := chain[i+1], chain[i]
-		if err := verifyProxyStep(parent, child, now); err != nil {
-			return nil, fmt.Errorf("proxy: step %d (%s): %w", eecIndex-i, childCN(child), err)
-		}
-		ci, isRFC, err := InfoFromCert(child)
+// step checks child as the next proxy down the chain, signed by a.signer
+// with below proxies under it, and takes it into the verdict.
+func (a *anchor) step(child *x509.Certificate, below int, now time.Time) error {
+	// Sticky limitation: once a limited proxy appears, everything below
+	// must also be limited.
+	if a.res.Limited {
+		limited, err := isLimited(child)
 		if err != nil {
-			return nil, fmt.Errorf("proxy: step %d: %w", eecIndex-i, err)
+			return err
 		}
-		if isRFC {
-			if style == 1 {
-				return nil, errors.New("proxy: chain mixes legacy and RFC-3820 proxies")
-			}
-			style = 2
-			// Path length: a proxy at this level allows at most
-			// ci.PathLenConstraint further proxies below it; "below" is
-			// the i proxies at indexes 0..i-1.
-			if ci.PathLenConstraint >= 0 && i > ci.PathLenConstraint {
-				return nil, fmt.Errorf("proxy: path length constraint %d violated (%d proxies below)",
-					ci.PathLenConstraint, i)
-			}
-			switch {
-			case ci.PolicyLanguage.Equal(OIDPolicyInheritAll):
-				// no change
-			case ci.PolicyLanguage.Equal(OIDPolicyLimited):
-				res.Limited = true
-			case ci.PolicyLanguage.Equal(OIDPolicyIndependent):
-				res.Independent = true
-			case ci.PolicyLanguage.Equal(OIDPolicyRestrictedOps):
-				ops, err := decodeOps(ci.Policy)
-				if err != nil {
-					return nil, err
-				}
-				res.RestrictedOps = intersectOps(res.RestrictedOps, ops)
-			default:
-				return nil, fmt.Errorf("proxy: unknown proxy policy language %v", ci.PolicyLanguage)
-			}
-			if i == 0 {
-				res.LeafInfo = ci
-			}
-		} else {
-			if style == 2 {
-				return nil, errors.New("proxy: chain mixes legacy and RFC-3820 proxies")
-			}
-			style = 1
-			dn, err := pki.ParseRawDN(child.RawSubject)
-			if err != nil {
-				return nil, err
-			}
-			switch dn[len(dn)-1].Value {
-			case "proxy":
-			case "limited proxy":
-				res.Limited = true
-			default:
-				return nil, fmt.Errorf("proxy: legacy proxy CN %q invalid", dn[len(dn)-1].Value)
-			}
-		}
-		// Sticky limitation: once a limited proxy appears, everything
-		// below must also be limited.
-		if res.Limited && i > 0 {
-			below, err := isLimited(chain[i-1])
-			if err != nil {
-				return nil, err
-			}
-			if !below {
-				return nil, errors.New("proxy: full proxy delegated beneath a limited proxy")
-			}
+		if !limited {
+			return errors.New("proxy: full proxy delegated beneath a limited proxy")
 		}
 	}
-	return res, nil
+	n := a.res.Depth + 1 // steps are numbered from the EEC down
+	if err := verifyProxyStep(a.signer, child, now); err != nil {
+		return fmt.Errorf("proxy: step %d (%s): %w", n, childCN(child), err)
+	}
+	ci, isRFC, err := InfoFromCert(child)
+	if err != nil {
+		return fmt.Errorf("proxy: step %d: %w", n, err)
+	}
+	if isRFC {
+		if a.style == 1 {
+			return errors.New("proxy: chain mixes legacy and RFC-3820 proxies")
+		}
+		a.style = 2
+		// Path length: a proxy at this level allows at most
+		// ci.PathLenConstraint further proxies below it.
+		if ci.PathLenConstraint >= 0 && below > ci.PathLenConstraint {
+			return fmt.Errorf("proxy: path length constraint %d violated (%d proxies below)",
+				ci.PathLenConstraint, below)
+		}
+		switch {
+		case ci.PolicyLanguage.Equal(OIDPolicyInheritAll):
+			// no change
+		case ci.PolicyLanguage.Equal(OIDPolicyLimited):
+			a.res.Limited = true
+		case ci.PolicyLanguage.Equal(OIDPolicyIndependent):
+			a.res.Independent = true
+		case ci.PolicyLanguage.Equal(OIDPolicyRestrictedOps):
+			ops, err := decodeOps(ci.Policy)
+			if err != nil {
+				return err
+			}
+			a.res.RestrictedOps = intersectOps(a.res.RestrictedOps, ops)
+		default:
+			return fmt.Errorf("proxy: unknown proxy policy language %v", ci.PolicyLanguage)
+		}
+	} else {
+		if a.style == 2 {
+			return errors.New("proxy: chain mixes legacy and RFC-3820 proxies")
+		}
+		a.style = 1
+		dn, err := pki.ParseRawDN(child.RawSubject)
+		if err != nil {
+			return err
+		}
+		switch dn[len(dn)-1].Value {
+		case "proxy":
+		case "limited proxy":
+			a.res.Limited = true
+		default:
+			return fmt.Errorf("proxy: legacy proxy CN %q invalid", dn[len(dn)-1].Value)
+		}
+	}
+	a.res.Depth = n
+	a.res.LeafInfo = ci // nil for a legacy proxy
+	a.signer = child
+	return nil
+}
+
+// checkRevoked runs the revocation hook, if any, over certs.
+func checkRevoked(isRevoked func(*x509.Certificate) bool, certs ...*x509.Certificate) error {
+	if isRevoked == nil {
+		return nil
+	}
+	for _, c := range certs {
+		if isRevoked(c) {
+			return fmt.Errorf("proxy: certificate %q is revoked", c.SerialNumber)
+		}
+	}
+	return nil
+}
+
+// window is the span of time within which every certificate it was
+// narrowed by is valid.
+type window struct{ notBefore, notAfter time.Time }
+
+func (w *window) narrow(certs ...*x509.Certificate) {
+	for _, c := range certs {
+		if c.NotBefore.After(w.notBefore) {
+			w.notBefore = c.NotBefore
+		}
+		if w.notAfter.IsZero() || c.NotAfter.Before(w.notAfter) {
+			w.notAfter = c.NotAfter
+		}
+	}
+}
+
+func (w window) contains(t time.Time) bool {
+	return !t.Before(w.notBefore) && !t.After(w.notAfter)
 }
 
 func childCN(cert *x509.Certificate) string {
