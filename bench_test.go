@@ -278,23 +278,6 @@ func BenchmarkScalabilityReposPerPortal(b *testing.B) {
 	}
 }
 
-// BenchmarkPortalDay runs one synthetic browser session (login as the
-// user, one job, logout) from the seeded portal-day trace generator —
-// the aggregate workload unit behind E4's scalability claims.
-func BenchmarkPortalDay(b *testing.B) {
-	d := newWarmDeployment(b, sim.Config{Users: 2, Portals: 2, WithGRAM: true})
-	seed(b, d)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.RunPortalDay(ctx, sim.DayConfig{
-			Seed: int64(i + 1), Sessions: 1, MaxJobsPerSession: 1, Concurrency: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCredstoreSealUnseal sweeps the sealing KDF cost — the
 // brute-force defense of paper §5.1 (E5). One iteration = one seal + one
 // unseal of a demo-sized RSA key.

@@ -10,8 +10,8 @@ import (
 // with a rationale. A credential repository generates keys, OTP seeds and
 // KDF salts; one absent-minded rand.Read near that code is a key-compromise
 // bug that review will not reliably catch. The legitimate uses — retry
-// jitter in internal/resilience, synthetic workload traces in internal/sim
-// — are annotated, which doubles as an inventory of every non-crypto
+// jitter in internal/resilience, the benchmark's seeded operation mix —
+// are annotated, which doubles as an inventory of every non-crypto
 // randomness source in the repository.
 var WeakRand = &Pass{
 	Name: "weakrand",

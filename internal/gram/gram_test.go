@@ -144,6 +144,13 @@ func TestLimitedProxyRefused(t *testing.T) {
 	if _, err := c2.Submit("echo", []string{"x"}, false); err == nil {
 		t.Fatal("legacy limited proxy submitted a job")
 	}
+	// A read-only restricted proxy is not limited, yet its policy still
+	// leaves out job submission (paper §6.5).
+	readOnly := userProxy(t, proxy.Options{Type: proxy.RFC3820Restricted, RestrictedOps: []string{proxy.OpFileRead}})
+	c3 := newGRAMClient(t, readOnly, addr)
+	if _, err := c3.Submit("echo", []string{"x"}, false); err == nil || !strings.Contains(err.Error(), "forbids job submission") {
+		t.Fatalf("read-only restricted proxy submit: %v", err)
+	}
 }
 
 func TestUnmappedIdentityRefused(t *testing.T) {

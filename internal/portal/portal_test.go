@@ -273,6 +273,11 @@ func TestPortalFullFlow(t *testing.T) {
 	}
 
 	// Logout destroys the session and its credential (paper §4.3).
+	portalURL, err := url.Parse(g.portalURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessionCookies := g.browser.Jar.Cookies(portalURL)
 	resp, _ = g.postForm(t, "/api/logout", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("logout status %d", resp.StatusCode)
@@ -280,6 +285,13 @@ func TestPortalFullFlow(t *testing.T) {
 	resp, _ = g.get(t, "/api/whoami")
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Errorf("whoami after logout = %d", resp.StatusCode)
+	}
+	// The portal forgot the session, not only the browser: replaying the
+	// old cookie is refused too.
+	g.browser.Jar.SetCookies(portalURL, sessionCookies)
+	resp, _ = g.get(t, "/api/whoami")
+	if resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("whoami with the logged-out session's cookie = %d", resp.StatusCode)
 	}
 }
 

@@ -309,7 +309,7 @@ func checkRevoked(isRevoked func(*x509.Certificate) bool, certs ...*x509.Certifi
 	}
 	for _, c := range certs {
 		if isRevoked(c) {
-			return fmt.Errorf("proxy: certificate %q is revoked", c.SerialNumber)
+			return fmt.Errorf("proxy: certificate with serial %s is revoked", c.SerialNumber)
 		}
 	}
 	return nil

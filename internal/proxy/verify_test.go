@@ -262,6 +262,10 @@ func TestVerifyRevocationHook(t *testing.T) {
 	if err == nil {
 		t.Fatal("revoked EEC accepted")
 	}
+	// The refusal names the serial in decimal, as grid-ca show prints it.
+	if msg := err.Error(); !strings.Contains(msg, "serial "+revokedSerial.String()+" ") || strings.Contains(msg, "%!") {
+		t.Errorf("revocation error %q does not name serial %s", msg, revokedSerial)
+	}
 }
 
 func TestVerifyEmptyAndNilInputs(t *testing.T) {

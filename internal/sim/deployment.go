@@ -1,3 +1,8 @@
+// Package sim is the deployment builder the repository's tests and
+// benchmarks share: a CA, user and portal identities, N repositories and
+// optionally a GRAM job manager, all on loopback TCP, with memoized clients
+// and the kill/restart/partition controls the cluster drills use.
+// bench_test.go builds the paper-figure benchmarks on it (DESIGN.md §3).
 package sim
 
 import (
@@ -15,7 +20,6 @@ import (
 	"repro/internal/gram"
 	"repro/internal/gsi"
 	"repro/internal/keypool"
-	"repro/internal/mss"
 	"repro/internal/pki"
 	"repro/internal/policy"
 	"repro/internal/proxy"
@@ -31,10 +35,6 @@ type Config struct {
 	Portals int
 	// Users is the number of user identities. Default 1.
 	Users int
-	// KeyBits sizes all RSA keys; default 1024 for measurement speed (the
-	// 2001 deployment used comparable sizes). Ignored for delegation keys
-	// when KeyAlgorithm is non-RSA.
-	KeyBits int
 	// KeyAlgorithm selects the delegation key algorithm for clients, the
 	// shared keypair pool, and server-side generation. The zero value is
 	// RSA, the paper-fidelity default; identity and CA keys stay RSA
@@ -55,9 +55,8 @@ type Config struct {
 	// the cluster default); failover tests shorten it so healing happens
 	// within the test.
 	Probation time.Duration
-	// WithGRAM/WithMSS add those services.
+	// WithGRAM adds a GRAM job manager.
 	WithGRAM bool
-	WithMSS  bool
 }
 
 // Deployment is a running simulated Grid.
@@ -75,12 +74,9 @@ type Deployment struct {
 	RepoAddrs  []string
 	GRAM       *gram.Server
 	GRAMAddr   string
-	MSS        *mss.Server
-	MSSAddr    string
 	Gridmap    *gsi.Gridmap
 	Passphrase string
 
-	keyBits       int
 	keyAlg        pki.KeyAlgorithm
 	kdfIterations int
 	replication   int
@@ -135,9 +131,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	if cfg.Users <= 0 {
 		cfg.Users = 1
 	}
-	if cfg.KeyBits <= 0 {
-		cfg.KeyBits = 1024
-	}
 	if cfg.KDFIterations <= 0 {
 		cfg.KDFIterations = 1024
 	}
@@ -146,7 +139,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	}
 	ca, err := pki.NewCA(pki.CAConfig{
 		Name:    pki.MustParseDN("/C=US/O=Sim Grid/CN=Sim CA"),
-		KeyBits: cfg.KeyBits,
+		KeyBits: pki.DemoKeyBits,
 	})
 	if err != nil {
 		return nil, err
@@ -159,12 +152,11 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		Roots:          roots,
 		Gridmap:        gsi.NewGridmap(),
 		Passphrase:     "simulation pass phrase",
-		keyBits:        cfg.KeyBits,
 		keyAlg:         cfg.KeyAlgorithm,
 		kdfIterations:  cfg.KDFIterations,
 		replication:    cfg.ReplicationFactor,
 		probation:      cfg.Probation,
-		keys:           keypool.New(cfg.KeyPoolSize, 0, pki.KeySpec{Algorithm: cfg.KeyAlgorithm, Bits: cfg.KeyBits}),
+		keys:           keypool.New(cfg.KeyPoolSize, 0, pki.KeySpec{Algorithm: cfg.KeyAlgorithm, Bits: pki.DemoKeyBits}),
 		partitioned:    make(map[string]bool),
 		clients:        make(map[clientKey]*core.Client),
 		clusterClients: make(map[int]*cluster.Client),
@@ -172,7 +164,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 	base := pki.MustParseDN("/C=US/O=Sim Grid")
 
 	for i := 0; i < cfg.Users; i++ {
-		cred, err := ca.IssueCredential(base.WithCN(fmt.Sprintf("user%03d", i)), 365*24*time.Hour, cfg.KeyBits)
+		cred, err := ca.IssueCredential(base.WithCN(fmt.Sprintf("user%03d", i)), 365*24*time.Hour, pki.DemoKeyBits)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -182,7 +174,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		d.Gridmap.Add(cred.Subject(), fmt.Sprintf("acct%03d", i))
 	}
 	for i := 0; i < cfg.Portals; i++ {
-		cred, err := ca.IssueHostCredential(base, fmt.Sprintf("portal%02d.sim", i), 365*24*time.Hour, cfg.KeyBits)
+		cred, err := ca.IssueHostCredential(base, fmt.Sprintf("portal%02d.sim", i), 365*24*time.Hour, pki.DemoKeyBits)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -190,7 +182,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		d.Portals = append(d.Portals, cred)
 	}
 	for i := 0; i < cfg.Repos; i++ {
-		host, err := ca.IssueHostCredential(base, fmt.Sprintf("myproxy%02d.sim", i), 365*24*time.Hour, cfg.KeyBits)
+		host, err := ca.IssueHostCredential(base, fmt.Sprintf("myproxy%02d.sim", i), 365*24*time.Hour, pki.DemoKeyBits)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -208,7 +200,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		}
 	}
 	if cfg.WithGRAM {
-		host, err := ca.IssueHostCredential(base, "gram.sim", 365*24*time.Hour, cfg.KeyBits)
+		host, err := ca.IssueHostCredential(base, "gram.sim", 365*24*time.Hour, pki.DemoKeyBits)
 		if err != nil {
 			d.Close()
 			return nil, err
@@ -228,27 +220,6 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		d.listeners = append(d.listeners, ln)
 		d.closers = append(d.closers, srv.Close)
 	}
-	if cfg.WithMSS {
-		host, err := ca.IssueHostCredential(base, "mss.sim", 365*24*time.Hour, cfg.KeyBits)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		srv, err := mss.NewServer(mss.Config{Credential: host, Roots: roots, Gridmap: d.Gridmap})
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		go srv.Serve(ln)
-		d.MSS, d.MSSAddr = srv, ln.Addr().String()
-		d.listeners = append(d.listeners, ln)
-		d.closers = append(d.closers, srv.Close)
-	}
 	return d, nil
 }
 
@@ -265,7 +236,7 @@ func (d *Deployment) startRepo(i int, addr string) error {
 		AuthorizedRenewers:     policy.NewACL("/C=US/O=Sim Grid/*"),
 		KDFIterations:          d.kdfIterations,
 		DelegationKeyAlgorithm: d.keyAlg,
-		DelegationKeyBits:      d.keyBits,
+		DelegationKeyBits:      pki.DemoKeyBits,
 		KeySource:              d.keys,
 		// A short drain makes KillRepo behave like a crash: in-flight
 		// sessions are cut, which is exactly the fault failover must absorb.
@@ -370,8 +341,8 @@ func (d *Deployment) Close() {
 	}
 }
 
-// Keys exposes the deployment-wide keypair pool (stocked at the
-// deployment's KeyBits).
+// Keys exposes the deployment-wide keypair pool (stocked at
+// pki.DemoKeyBits for RSA).
 func (d *Deployment) Keys() *keypool.Pool { return d.keys }
 
 // WarmKeys blocks until the pool holds at least n warm keys (or ctx
@@ -400,7 +371,7 @@ func (d *Deployment) client(key clientKey, cred *pki.Credential) *core.Client {
 		Addr:           d.RepoAddrs[key.repo],
 		ExpectedServer: "/C=US/O=Sim Grid/CN=myproxy*",
 		KeyAlgorithm:   d.keyAlg,
-		KeyBits:        d.keyBits,
+		KeyBits:        pki.DemoKeyBits,
 		KeySource:      d.keys,
 		DialContext:    d.dialContext,
 	}
@@ -446,7 +417,7 @@ func (d *Deployment) clusterConfig(cred *pki.Credential) cluster.Config {
 		Roots:             d.Roots,
 		ExpectedServer:    "/C=US/O=Sim Grid/CN=myproxy*",
 		KeyAlgorithm:      d.keyAlg,
-		KeyBits:           d.keyBits,
+		KeyBits:           pki.DemoKeyBits,
 		KeySource:         d.keys,
 		DialContext:       d.dialContext,
 	}
@@ -498,5 +469,5 @@ func (d *Deployment) Get(ctx context.Context, p, u, r int, lifetime time.Duratio
 // UserProxy creates a local short-term proxy for user u, as
 // grid-proxy-init would (paper §2.5).
 func (d *Deployment) UserProxy(u int, lifetime time.Duration) (*pki.Credential, error) {
-	return proxy.New(d.Users[u], proxy.Options{Lifetime: lifetime, KeyAlgorithm: d.keyAlg, KeyBits: d.keyBits, KeySource: d.keys})
+	return proxy.New(d.Users[u], proxy.Options{Lifetime: lifetime, KeyAlgorithm: d.keyAlg, KeyBits: pki.DemoKeyBits, KeySource: d.keys})
 }

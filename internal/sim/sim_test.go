@@ -2,74 +2,9 @@ package sim
 
 import (
 	"context"
-	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestLatencyRecorder(t *testing.T) {
-	r := NewLatencyRecorder()
-	if r.Mean() != 0 || r.Percentile(50) != 0 || r.Throughput() != 0 {
-		t.Error("empty recorder not zero")
-	}
-	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond} {
-		r.Add(d)
-	}
-	if got := r.Mean(); got != 25*time.Millisecond {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := r.Percentile(50); got != 20*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := r.Percentile(100); got != 40*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if r.Count() != 4 {
-		t.Errorf("Count = %d", r.Count())
-	}
-	if r.Summary() == "" {
-		t.Error("empty summary")
-	}
-	// Throughput without a window falls back to sample sum: 4 ops in
-	// 100ms = 40/s.
-	if got := r.Throughput(); got < 39 || got > 41 {
-		t.Errorf("Throughput = %v", got)
-	}
-}
-
-func TestRunConcurrent(t *testing.T) {
-	var ops atomic.Int64
-	rec, err := RunConcurrent(4, 100, func(worker, iter int) error {
-		ops.Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Count() != 100 {
-		t.Errorf("Count = %d", rec.Count())
-	}
-	if ops.Load() != 100 {
-		t.Errorf("ops = %d", ops.Load())
-	}
-}
-
-func TestRunConcurrentError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := RunConcurrent(2, 50, func(worker, iter int) error {
-		if iter == 5 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := RunConcurrent(0, 1, nil); err == nil {
-		t.Error("invalid workers accepted")
-	}
-}
 
 func TestDeploymentEndToEnd(t *testing.T) {
 	d, err := NewDeployment(Config{Repos: 2, Portals: 2, Users: 2})

@@ -4,7 +4,7 @@
 #
 # Two benchmark classes run with different -benchtime:
 #
-#   * deployment benchmarks (Fig. 1/2/3, scalability, portal-day, renewal)
+#   * deployment benchmarks (Fig. 1/2/3, scalability, renewal)
 #     run a fixed 100 iterations so the warm keypair pool (see
 #     bench_test.go benchKeyPool and DESIGN.md §9) covers the whole timed
 #     region — these measure hot-path request latency;
@@ -25,7 +25,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-DEPLOY_BENCH='BenchmarkFig1Init|BenchmarkFig2GetDelegation|BenchmarkFig2Algorithms|BenchmarkFig2Multiplexed|BenchmarkFig3PortalFlow|BenchmarkScalabilityPortalsPerRepo|BenchmarkScalabilityReposPerPortal|BenchmarkPortalDay|BenchmarkRenewal'
+DEPLOY_BENCH='BenchmarkFig1Init|BenchmarkFig2GetDelegation|BenchmarkFig2Algorithms|BenchmarkFig2Multiplexed|BenchmarkFig3PortalFlow|BenchmarkScalabilityPortalsPerRepo|BenchmarkScalabilityReposPerPortal|BenchmarkRenewal'
 MICRO_BENCH='BenchmarkDelegationChain|BenchmarkProxyCreate|BenchmarkRestrictedVerify|BenchmarkOTPVerify|BenchmarkWireDelegation|BenchmarkChannelEstablish|BenchmarkCredstoreSealUnseal|BenchmarkKDF'
 DEPLOY_TIME='100x'
 MICRO_TIME='2s'
