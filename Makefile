@@ -23,8 +23,8 @@ vet:
 # any finding without a //myproxy:allow <pass> <reason> pragma at its site,
 # then the kill matrix (internal/analysis/killmatrix_test.go), which plants
 # each recorded defect in a copy of the module and fails when the pass or
-# test recorded as its catcher no longer catches it — or when a pass is no
-# row's catcher.
+# test recorded as its catcher no longer catches it (a `race` catcher is a
+# test run under -race) — or when a pass is no row's catcher.
 lint:
 	$(GO) run ./cmd/myproxy-vet ./...
 	$(GO) test ./internal/analysis -run 'TestKillMatrix' -count=1 -timeout 30m -killmatrix

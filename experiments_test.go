@@ -3,11 +3,18 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 // citation matches a test or benchmark named in backquotes: `core.TestOTPFlow`
@@ -48,6 +55,60 @@ func TestExperimentsCiteLiveTests(t *testing.T) {
 		if err := declared(m[1], m[2]); err != nil {
 			t.Errorf("cited %s: %v", strings.TrimPrefix(m[0], "`"), err)
 		}
+	}
+}
+
+// TestProtocolTablesMatchTheCode holds two PROTOCOL.md tables to the code
+// they enumerate: §2's COMMAND row to the commands protocol knows, by
+// number and name, and §4's endpoint table to the POST routes httpgate.New
+// registers. (DESIGN.md §17's verdict table is held by
+// httpgate.TestRefuseMapsEveryVerdictKind.)
+func TestProtocolTablesMatchTheCode(t *testing.T) {
+	doc := readDoc(t, "PROTOCOL.md")
+
+	row := between(doc, "\n| `COMMAND` | ", " |")
+	if row == "" {
+		t.Fatal("PROTOCOL.md §2 has no COMMAND row")
+	}
+	documented, known := strings.Split(row, ", "), []string(nil)
+	for n := 0; n < 256; n++ {
+		if c := protocol.Command(n); c.Valid() {
+			known = append(known, strconv.Itoa(n)+" "+c.String())
+		}
+	}
+	if strings.Join(documented, ", ") != strings.Join(known, ", ") {
+		t.Errorf("PROTOCOL.md §2 COMMAND row lists\n\t%s\nprotocol knows\n\t%s", strings.Join(documented, ", "), strings.Join(known, ", "))
+	}
+
+	documented = regexp.MustCompile("(?m)^\\| `(POST /v1/\\w+)` \\|").FindAllString(between(doc, "\n## 4. ", "\n## "), -1)
+	for i, m := range documented {
+		documented[i] = strings.Trim(m, "|` ")
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "httpgate", "httpgate.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name != "New" {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "HandleFunc" {
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok {
+				route, _ := strconv.Unquote(lit.Value)
+				routes = append(routes, route)
+			}
+		}
+		return true
+	})
+	sort.Strings(documented)
+	sort.Strings(routes)
+	if strings.Join(documented, ", ") != strings.Join(routes, ", ") {
+		t.Errorf("PROTOCOL.md §4 lists endpoints\n\t%s\nhttpgate.New registers\n\t%s", strings.Join(documented, ", "), strings.Join(routes, ", "))
 	}
 }
 

@@ -8,7 +8,9 @@
 // classification — are enforced mechanically here, in CI, rather than by
 // review. Which passes exist is decided by the kill matrix
 // (killmatrix_test.go): a pass stays only while it is the cheapest catcher
-// of a defect planted at a real site.
+// of a defect planted at a real site. Lock discipline, goroutine lifetimes,
+// nil results and verdict mapping are not among them: for each, a short
+// test (some under -race) caught the planted defect first.
 //
 // The framework loads packages with full type information (see loader.go),
 // runs a set of Passes over each package unit, and filters the resulting
@@ -90,15 +92,9 @@ type Context struct {
 	// Summaries holds the per-function call summaries the dataflow passes
 	// consult to see one hop across a call (see summary.go).
 	Summaries summaryTable
-	// Guarded holds the //myproxy:guardedby annotations of the load (see
-	// guardedby.go).
-	Guarded *guardTable
-	// Verdicts holds the fully-qualified names of //myproxy:verdict-marked
-	// types whose constants must be handled exhaustively (see verdict.go).
-	Verdicts map[string]bool
 	// FuncDecls maps qualified function names to their declaration sites, so
-	// passes can look across the load at a callee's body (goroleak tests a
-	// spawned named function's CFG for termination).
+	// passes can look across the load at a callee's body (the hot cone walks
+	// from its roots; logtaint tells repository functions from the rest).
 	FuncDecls map[string]declSite
 	// CallGraph is the load's qualified-name call graph (callgraph.go); the
 	// interprocedural summary sweep orders its work by the graph's SCCs.

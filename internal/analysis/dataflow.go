@@ -8,7 +8,7 @@ import (
 
 // Forward may-analysis over CFGs. A fact attaches to a variable (its
 // types.Object) and means "on some path reaching this point, the variable is
-// in the tracked state" — holds unwiped secret bytes, may be nil. Passes
+// in the tracked state" — holds unwiped secret bytes. Passes
 // supply a transfer function (how statements create/kill/move facts) and a
 // report hook; the engine supplies the fixpoint iteration, the path-union
 // join, and err-branch refinement.
@@ -21,34 +21,14 @@ type fact struct {
 	// desc names what was acquired ("secret bytes from kdf.Key", ...).
 	desc string
 	// err, when non-nil, pairs the fact with an error variable assigned by
-	// the same call, enabling branch pruning:
-	//
-	//   - errLive == errIsNil (the default, "acquired"): the value only
-	//     exists when err == nil, so the fact dies on every err != nil edge.
-	//   - errLive == errNonNil: the fact holds only where the call failed
-	//     (a result that may be nil), so it dies on err == nil edges and
-	//     survives err != nil edges.
+	// the same call, enabling branch pruning: the value only exists when
+	// err == nil, so the fact dies on every err != nil edge.
 	//
 	// Reassigning the error variable clears the pairing (see clearErrPair):
 	// Go reuses the same object for `x, err := ...` redeclarations, so a
 	// stale pairing would prune facts on branches of an unrelated call.
-	err     types.Object
-	errLive errSense
-	// mayNil inverts the edge-refinement sense for the fact's own variable:
-	// the tracked state is "may be nil", so the fact dies where the variable
-	// is proven non-nil and survives where it compares equal to nil —
-	// exactly opposite to an obligation on a value, which dies on nil (a nil
-	// buffer holds nothing to wipe). Set only by the nilness pass; a pass
-	// never mixes mayNil and obligation facts in one flow.
-	mayNil bool
+	err types.Object
 }
-
-type errSense uint8
-
-const (
-	errIsNil  errSense = iota // fact lives only where err == nil
-	errNonNil                 // fact lives only where err != nil
-)
 
 // factSet maps tracked variables to their obligation. Sets are small (a
 // handful of entries per function), so copying at branch points is cheap.
@@ -80,7 +60,7 @@ func (fs factSet) join(src factSet) bool {
 			merged.acquired = v.acquired
 			merged.desc = v.desc
 		}
-		if v.err != merged.err || v.errLive != merged.errLive {
+		if v.err != merged.err {
 			merged.err = nil
 		}
 		if merged != old {
@@ -116,17 +96,11 @@ type flowHooks struct {
 }
 
 // runFlow iterates the CFG to a fixpoint and then replays each block once
-// with the report hook. seed, when non-nil, initializes the entry facts
-// (used by summary computation to model a parameter in the tracked state).
-// It returns the per-block entry fact sets; callers interested in "what is
-// still live at some return" read the exit block's set.
-func runFlow(pkg *Package, cfg *CFG, seed factSet, hooks flowHooks) []factSet {
+// with the report hook.
+func runFlow(pkg *Package, cfg *CFG, hooks flowHooks) {
 	in := make([]factSet, len(cfg.Blocks))
 	for i := range in {
 		in[i] = make(factSet)
-	}
-	if seed != nil {
-		in[cfg.Entry.Index] = seed.clone()
 	}
 
 	// Worklist fixpoint. Every block is queued once up front: joins only
@@ -172,7 +146,6 @@ func runFlow(pkg *Package, cfg *CFG, seed factSet, hooks flowHooks) []factSet {
 			}
 		}
 	}
-	return in
 }
 
 // refineCond prunes facts using the truth of a branch condition. Handles the
@@ -211,26 +184,17 @@ func refineCond(pkg *Package, cond ast.Expr, val bool, fs factSet) {
 }
 
 // refineNilFact applies the knowledge "obj ==/!= nil" to the set: facts on
-// obj itself die when obj is nil (a nil buffer holds nothing to wipe) — or,
-// for mayNil facts, when obj is proven non-nil — and facts paired with obj
-// as their error die per their errLive sense.
+// obj itself die when obj is nil (a nil buffer holds nothing to wipe), and
+// facts paired with obj as their error die where it is non-nil (the value
+// exists only on success).
 func refineNilFact(fs factSet, obj types.Object, objIsNil bool) {
-	if f, tracked := fs[obj]; tracked && objIsNil != f.mayNil {
+	if objIsNil {
 		delete(fs, obj)
+		return
 	}
 	for k, f := range fs {
-		if f.err != obj {
-			continue
-		}
-		switch f.errLive {
-		case errIsNil: // resource exists only on success
-			if !objIsNil {
-				delete(fs, k)
-			}
-		case errNonNil: // ownership transferred unless the call failed
-			if objIsNil {
-				delete(fs, k)
-			}
+		if f.err == obj {
+			delete(fs, k)
 		}
 	}
 }

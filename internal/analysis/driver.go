@@ -11,10 +11,7 @@ import (
 // passes first, then the flow-sensitive ones built on the CFG/dataflow
 // engine.
 var Passes = []*Pass{WeakRand, ConstTime, ErrWrap,
-	Zeroize,
-	LockCheck, GuardedBy, GoroLeak,
-	Verdict, Nilness,
-	SecretEscape, HotBlock,
+	Zeroize, SecretEscape, HotBlock,
 	LogTaint}
 
 // Report is the outcome of one analyzer run.
@@ -55,12 +52,7 @@ func Run(patterns []string, passes []*Pass) (*Report, error) {
 // (its bottom-up SCC order is inherently serial per component and cheap
 // relative to the passes).
 func RunPackages(pkgs []*Package, passes []*Pass) *Report {
-	ctx := &Context{
-		SecretTypes: collectSecretTypes(pkgs),
-		Verdicts:    collectVerdictTypes(pkgs),
-	}
-	guarded, guardDiags := collectGuarded(pkgs)
-	ctx.Guarded = guarded
+	ctx := &Context{SecretTypes: collectSecretTypes(pkgs)}
 	ctx.Summaries = buildSummaries(ctx, pkgs)
 	collectHotCone(ctx, pkgs)
 	// Pragmas may name any registered pass, not just the ones in this run:
@@ -74,7 +66,6 @@ func RunPackages(pkgs []*Package, passes []*Pass) *Report {
 		known[p.Name] = true
 	}
 	pragmas, pragmaDiags := collectPragmas(pkgs, known)
-	pragmaDiags = append(pragmaDiags, guardDiags...)
 
 	// Fan out per package; indexed result slots keep collection
 	// order-independent (sortDiags fixes the final order regardless).

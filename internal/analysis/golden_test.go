@@ -16,10 +16,7 @@ var update = flag.Bool("update", false, "rewrite the golden expect.txt files")
 // findings in "file:line:col: pass: message" form.
 var fixtures = []string{
 	"weakrand", "consttime", "errwrap", "pragma",
-	"zeroize",
-	"lockcheck", "guardedby", "goroleak",
-	"verdict", "nilness",
-	"secretescape", "hotblock",
+	"zeroize", "secretescape", "hotblock",
 	"logtaint",
 }
 

@@ -18,8 +18,8 @@ import (
 // calling a wrapper that eventually does network I/O is as much a finding as
 // the I/O itself. Lock state comes from PR 5's lock lattice (lock.go) — the
 // finding fires only when a mutex is must-held at the call, keeping branchy
-// false positives out. Like lockcheck, immediately deferred literal bodies
-// are skipped (they run at return under the enclosing flow), and calls
+// false positives out. Immediately deferred literal bodies are skipped (they
+// run at return under the enclosing flow), and calls
 // inside nested function literals are attributed to the literal's own cone
 // visit, not the creator's.
 var HotBlock = &Pass{
@@ -133,4 +133,42 @@ func hotBlockBody(ctx *Context, pkg *Package, key string, body *ast.BlockStmt) [
 		})
 	})
 	return diags
+}
+
+// deferredLitBodies collects the bodies of immediately deferred function
+// literals (`defer func() { ... }()`). They run at return time under
+// whatever locks the enclosing function still holds, so analyzing them as
+// independent zero-state bodies would misreport their lock state.
+func deferredLitBodies(pkg *Package) map[*ast.BlockStmt]bool {
+	out := make(map[*ast.BlockStmt]bool)
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			d, ok := n.(*ast.DeferStmt)
+			if !ok {
+				return true
+			}
+			if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
+				out[lit.Body] = true
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// anyMustHeld returns some mutex held on every path, preferring the earliest
+// acquisition for stable messages.
+func anyMustHeld(ls lockSet) (lockInfo, bool) {
+	var best lockInfo
+	found := false
+	for _, info := range ls {
+		if !info.heldMust() || info.pos == token.NoPos {
+			continue
+		}
+		if !found || info.pos < best.pos {
+			best = info
+			found = true
+		}
+	}
+	return best, found
 }

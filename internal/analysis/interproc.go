@@ -17,9 +17,8 @@ import (
 // iteration is confined to components that actually recurse.
 //
 // The facts propagated across call boundaries are the dataflow passes'
-// obligations: secret taint (secretResult, wipesParam), termination
-// (noReturn), and — via computeLockSummaries, which consumes the same
-// bottom-up order — lock acquisition and lock-requirement facts.
+// obligations: secret taint (secretResult, wipesParam) and termination
+// (noReturn).
 //
 // The only remaining seeds (seedSummaries) are the standard-library
 // primitive frontier: the DER marshalers have no source in the load, so
@@ -84,7 +83,6 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 
 	// Bottom-up sweep: callees before callers; iterate only inside
 	// recursive components.
-	ordered := make([]declSite, 0, len(decls))
 	for _, comp := range ctx.CallGraph.SCCs {
 		var members []declSite
 		for _, key := range comp {
@@ -95,7 +93,6 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 		if len(members) == 0 {
 			continue
 		}
-		ordered = append(ordered, members...)
 		if !sccIsRecursive(ctx.CallGraph, comp) {
 			updateSummary(ctx, t, members[0])
 			continue
@@ -112,12 +109,6 @@ func buildSummaries(ctx *Context, pkgs []*Package) summaryTable {
 			}
 		}
 	}
-
-	// Lock acquisition / requirement facts run their own fixpoint (the
-	// guardedby obligations flow caller-ward, against the summary
-	// direction); feeding it the bottom-up order makes it settle in one
-	// round plus a verification pass for non-recursive code.
-	computeLockSummaries(ctx, t, ordered)
 	return t
 }
 

@@ -27,7 +27,9 @@ var killMatrixFlag = flag.Bool("killmatrix", false, "apply every kill-matrix mut
 //
 // TestKillMatrix applies each row to one temp copy of the module and runs
 // the copy's own `myproxy-vet -json ./...`; for a row whose catcher is a
-// test it runs that test, for a row whose catcher is a pass the mutated
+// test it runs that test (for a "race" row under -race, and once more
+// without it, which must pass: the defect is a data race no plain run can
+// see), for a row whose catcher is a pass the mutated
 // package's tests (which must still pass, or the pass is not the cheapest
 // catcher). It fails when a recorded catcher no longer catches, when a pass
 // starts firing on a row recorded as a gap, when a registered pass is no
@@ -42,7 +44,8 @@ type mutation struct {
 	n     int
 	what  string
 	edits []edit
-	// caughtBy is "pass <name>", "test <package dir> <TestName>" or "none".
+	// caughtBy is "pass <name>", "test <package dir> <TestName>", "race
+	// <package dir> <TestName>" (the test fails only under -race) or "none".
 	caughtBy string
 	// why explains a "none" row.
 	why string
@@ -65,7 +68,7 @@ var killMatrix = []mutation{
 			"\tpassphrase := []byte(req.Passphrase)\n\tdefer pki.WipeBytes(passphrase)\n\tif err := entry.CheckPassphrase(passphrase); err != nil {\n\t\treturn s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, \"DESTROY",
 			"\tpassphrase := []byte(req.Passphrase)\n\tif err := entry.CheckPassphrase(passphrase); err != nil {\n\t\treturn s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, \"DESTROY"),
 		caughtBy: "none",
-		why:      "zeroize tracks secret-typed results, not a []byte conversion of a request field; a Secret type that owns its wipe is ROADMAP 11(b)"},
+		why:      "zeroize tracks secret-typed results, not a []byte conversion of a request field; a Secret type that owns its wipe is ROADMAP 13(d)"},
 	{n: 4, what: "the seal key derived from the pass phrase is not wiped",
 		edits: one("internal/pki/encrypt.go",
 			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n\tdefer WipeBytes(key) // the cipher keeps its own schedule; drop ours\n",
@@ -121,11 +124,11 @@ var killMatrix = []mutation{
 	{n: 15, what: "Sessions.Len reads the table without its lock",
 		edits: one("internal/portal/session.go",
 			"func (s *Sessions) Len() int {\n\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n", "func (s *Sessions) Len() int {\n"),
-		caughtBy: "pass guardedby"},
+		caughtBy: "race internal/portal TestSessionsLenUnderConcurrentCreate"},
 	{n: 16, what: "Sessions.Len returns with the lock held",
 		edits: one("internal/portal/session.go",
 			"func (s *Sessions) Len() int {\n\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n", "func (s *Sessions) Len() int {\n\ts.mu.Lock()\n"),
-		caughtBy: "pass lockcheck"},
+		caughtBy: "test internal/portal TestSessionsLenUnderConcurrentCreate"},
 	{n: 17, what: "the HTTP gateway forgets VerdictConflict",
 		edits: one("internal/httpgate/httpgate.go",
 			"\tcase core.VerdictConflict:\n\t\tstatus = http.StatusConflict\n", ""),
@@ -158,12 +161,12 @@ var killMatrix = []mutation{
 	{n: 23, what: "the fallback key generator sends on an unbuffered channel nobody may read",
 		edits: one("internal/keypool/keypool.go",
 			"\tch := make(chan result, 1)\n", "\tch := make(chan result)\n"),
-		caughtBy: "pass goroleak"},
+		caughtBy: "test internal/keypool TestCancelledFallbackGeneratorExits"},
 	{n: 24, what: "the client's INFO reads the response before looking at the error",
 		edits: one("internal/core/client.go",
 			"\t}, \"\")\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\treturn resp.Infos, nil\n",
 			"\t}, \"\")\n\treturn resp.Infos, err\n"),
-		caughtBy: "pass nilness"},
+		caughtBy: "test internal/core TestInfoFromAVanishingRepositoryIsAnError"},
 	{n: 25, what: "the session's unseal cache hashes the sealed key under its mutex",
 		edits: one("internal/core/handlers.go",
 			"\tk := unsealKey(e, passphrase)\n\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn c.m[k]\n",
@@ -186,11 +189,38 @@ var killMatrix = []mutation{
 		edits: one("internal/core/service.go",
 			"\tVerdictInternal                             // the repository or the transport failed\n",
 			"\tVerdictInternal                             // the repository or the transport failed\n\tVerdictThrottled                            // the peer is over its request budget\n"),
-		caughtBy: "pass verdict"},
+		caughtBy: "test internal/httpgate TestRefuseMapsEveryVerdictKind"},
 	{n: 30, what: "the stretched key the pass-phrase verifier is derived from is not wiped",
 		edits: one("internal/pki/encrypt.go",
 			"\tWipeBytes(key) // K opens the container; only its one-way image leaves\n", ""),
 		caughtBy: "pass zeroize"},
+	// Rows 31-35 plant the defects of the deleted guardedby, lockcheck,
+	// goroleak, nilness and verdict passes at a second site where each pass
+	// fired, to show that a test, not the pass, was the cheapest catcher
+	// beyond its birthplace too.
+	{n: 31, what: "a handler's exit takes its connection out of the drain set without the lock",
+		edits: one("internal/gsi/acceptor.go",
+			"\t\ta.mu.Lock()\n\t\tdelete(a.active, raw)\n\t\ta.mu.Unlock()\n", "\t\tdelete(a.active, raw)\n"),
+		caughtBy: "race internal/gsi TestDrainTimeoutForceClosesAndReports"},
+	{n: 32, what: "Health.Suspect returns with the lock held",
+		edits: one("internal/cluster/health.go",
+			"func (h *Health) Suspect(node NodeID) bool {\n\th.mu.Lock()\n\tdefer h.mu.Unlock()\n",
+			"func (h *Health) Suspect(node NodeID) bool {\n\th.mu.Lock()\n"),
+		caughtBy: "test internal/cluster TestHealthProbationExpiresAndHeals"},
+	{n: 33, what: "the server's purge and stats loops never end",
+		edits: one("internal/core/server.go",
+			"\t\tcase <-s.acceptor.Done():\n\t\t\treturn\n", "\t\tcase <-s.acceptor.Done():\n"),
+		caughtBy: "test internal/core TestServerBackgroundLoopsEndOnClose"},
+	{n: 34, what: "the client's RETRIEVE opens the blob before looking at the error",
+		edits: one("internal/core/client.go",
+			"\t\tOTP:        opts.OTP,\n\t}, \"\")\n\tif err != nil {\n\t\treturn nil, err\n\t}\n\tplain, err := pki.OpenBytes(resp.Blob,",
+			"\t\tOTP:        opts.OTP,\n\t}, \"\")\n\tplain, err := pki.OpenBytes(resp.Blob,"),
+		caughtBy: "test internal/core TestOTPGatesRetrieve"},
+	{n: 35, what: "KeySpec.Normalize forgets Ed25519, which keeps the Bits it was spelled with",
+		edits: one("internal/pki/keys.go",
+			"\tcase AlgECDSAP256, AlgEd25519:\n\t\ts.Bits = 0\n\tdefault:\n\t\ts.Bits = 0\n",
+			"\tcase AlgECDSAP256:\n\t\ts.Bits = 0\n"),
+		caughtBy: "test internal/pki TestNormalizeDropsBitsFromFixedStrengthAlgorithms"},
 }
 
 func TestKillMatrix(t *testing.T) {
@@ -237,19 +267,27 @@ func TestKillMatrix(t *testing.T) {
 		}
 		fired := firingPasses(t, work)
 		kind, arg, _ := strings.Cut(m.caughtBy, " ")
+		caught := ""
 		switch kind {
 		case "pass":
 			if !fired[arg] {
 				t.Errorf("row %d (%s): %s no longer fires (fired: %v)", m.n, m.what, arg, keys(fired))
 			}
 			pkg := filepath.ToSlash(filepath.Dir(m.edits[0].file))
-			if out, failed := runTest(work, pkg, ".*"); failed {
+			if out, failed := runTest(work, pkg, ".*", false); failed {
 				t.Errorf("row %d (%s): %s's own tests catch it now, cheaper than %s: record the test\n%s", m.n, m.what, pkg, arg, out)
 			}
-		case "test":
+		case "test", "race":
 			pkg, name, _ := strings.Cut(arg, " ")
-			if out, failed := runTest(work, pkg, name); !failed {
+			out, failed := runTest(work, pkg, name, kind == "race")
+			if !failed {
 				t.Errorf("row %d (%s): %s %s still passes:\n%s", m.n, m.what, pkg, name, out)
+			}
+			caught = firstFailure(out)
+			if kind == "race" {
+				if out, failed := runTest(work, pkg, name, false); failed {
+					t.Errorf("row %d (%s): %s %s fails without -race too, which is cheaper: record it as a test\n%s", m.n, m.what, pkg, name, out)
+				}
 			}
 		case "none":
 			if m.why == "" {
@@ -261,7 +299,7 @@ func TestKillMatrix(t *testing.T) {
 		default:
 			t.Errorf("row %d: unknown catcher %q", m.n, m.caughtBy)
 		}
-		t.Logf("row %2d: caught by %-60s passes firing: %v", m.n, m.caughtBy, keys(fired))
+		t.Logf("row %2d: caught by %-70s passes firing: %v %s", m.n, m.caughtBy, keys(fired), caught)
 		for file, data := range original {
 			if err := os.WriteFile(file, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -296,7 +334,7 @@ func catcherExists(root, caughtBy string) error {
 			}
 		}
 		return fmt.Errorf("catcher %q is not a registered pass", caughtBy)
-	case "test":
+	case "test", "race":
 		pkg, name, _ := strings.Cut(arg, " ")
 		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pkg), "*_test.go"))
 		if err != nil {
@@ -393,11 +431,27 @@ func firingPasses(t *testing.T, work string) map[string]bool {
 	return fired
 }
 
-func runTest(work, pkg, name string) (string, bool) {
-	cmd := exec.Command("go", "test", "-count=1", "-timeout=60s", "-run", "^"+name+"$", "./"+pkg)
+func runTest(work, pkg, name string, race bool) (string, bool) {
+	args := []string{"test", "-count=1", "-timeout=60s"}
+	if race {
+		args = append(args, "-race")
+	}
+	args = append(args, "-run", "^"+name+"$", "./"+pkg)
+	cmd := exec.Command("go", args...)
 	cmd.Dir = work
 	out, err := cmd.CombinedOutput()
 	return string(out), err != nil
+}
+
+// firstFailure picks the line of a failed test run that says how it failed,
+// for the -killmatrix log.
+func firstFailure(out string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "panic:") || strings.Contains(line, "DATA RACE") {
+			return "(" + strings.TrimSpace(line) + ")"
+		}
+	}
+	return ""
 }
 
 func keys(m map[string]bool) []string {

@@ -77,173 +77,124 @@ func parseLockPkg(t *testing.T, src string) *Package {
 	return &Package{ImportPath: "p", Fset: fset, Files: []*ast.File{file}, Types: tpkg, Info: info}
 }
 
-// lockDiags runs lockcheck's per-body analysis over the named function.
-func lockDiags(t *testing.T, src, fn string) []Diagnostic {
+// heldAtWork runs the lock flow over fn and reports, for each call to work()
+// in source order, whether some mutex is held on every path to it — the
+// question hotblock asks at a costly call.
+func heldAtWork(t *testing.T, src, fn string) []bool {
 	t.Helper()
-	pkg := parseLockPkg(t, src)
-	ctx := &Context{}
+	pkg := parseLockPkg(t, "func work() {}\n\n"+src)
 	for _, decl := range pkg.Files[0].Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == fn && fd.Body != nil {
-			return lockCheckBody(ctx, pkg, fn, fd.Body)
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Name.Name != fn || fd.Body == nil {
+			continue
 		}
+		held := make(map[token.Pos]bool)
+		runLockFlow(pkg, buildCFG(pkg, fn, fd.Body, nil), func(n ast.Node, ls lockSet) {
+			applyCalls(pkg, n, func(call *ast.CallExpr) {
+				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "work" {
+					_, held[call.Pos()] = anyMustHeld(ls)
+				}
+			})
+		})
+		var out []bool
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if h, seen := held[call.Pos()]; seen {
+					out = append(out, h)
+				}
+			}
+			return true
+		})
+		return out
 	}
 	t.Fatalf("function %q not found", fn)
 	return nil
 }
 
-// TestLockFlowDeferUnlock pins the defer-unlock lattice semantics: a
-// registered defer covers every later path (defMust), clears the pending
-// leak bit (leakMay), and stays pending across temporary releases — while a
-// defer on only *some* paths covers nothing at the join.
+// TestLockFlowDeferUnlock pins the must-held semantics hotblock relies on:
+// a deferred unlock runs at return, so the mutex stays held for the rest of
+// the body; an explicit unlock releases it under a pending defer; a lock
+// taken on only some paths is not held at the join; TryLock is never
+// credited.
 func TestLockFlowDeferUnlock(t *testing.T) {
 	tests := []struct {
 		name string
 		src  string
-		fn   string
-		want []string // required substrings, one per expected finding
+		want []bool // held at each work() call, in source order
 	}{
 		{
-			name: "direct defer discharges every return",
-			src: `func f(mu *sync.Mutex, fail bool) int {
+			name: "a deferred unlock holds the mutex until return",
+			src: `func f(mu *sync.Mutex) {
 				mu.Lock()
 				defer mu.Unlock()
-				if fail {
-					return -1
-				}
-				return 1
+				work()
 			}`,
-			fn: "f",
+			want: []bool{true},
 		},
 		{
-			name: "no defer leaks out of the early return",
-			src: `func f(mu *sync.Mutex, fail bool) int {
+			name: "an unlock in a deferred closure holds it too",
+			src: `func f(mu *sync.Mutex) {
 				mu.Lock()
-				if fail {
-					return -1
-				}
-				mu.Unlock()
-				return 1
+				defer func() { mu.Unlock() }()
+				work()
 			}`,
-			fn:   "f",
-			want: []string{"still locked"},
+			want: []bool{true},
 		},
 		{
-			name: "unlock inside a deferred closure discharges",
-			src: `func f(mu *sync.Mutex, n *int) int {
-				mu.Lock()
-				defer func() {
-					*n++
-					mu.Unlock()
-				}()
-				return *n
-			}`,
-			fn: "f",
-		},
-		{
-			name: "defer stays pending across release and re-acquisition",
-			src: `func f(mu *sync.Mutex, n *int) {
-				mu.Lock()
-				defer mu.Unlock()
-				*n++
-				mu.Unlock()
-				mu.Lock()
-				*n++
-			}`,
-			fn: "f",
-		},
-		{
-			name: "defer on one branch only does not cover the join",
-			src: `func f(mu *sync.Mutex, c bool) {
-				mu.Lock()
-				if c {
-					defer mu.Unlock()
-				}
-			}`,
-			fn:   "f",
-			want: []string{"still locked"},
-		},
-		{
-			name: "re-lock under a pending defer is not a double-lock leak",
+			name: "an explicit unlock releases under a pending defer",
 			src: `func f(mu *sync.Mutex) {
 				mu.Lock()
 				defer mu.Unlock()
 				mu.Unlock()
+				work()
 				mu.Lock()
+				work()
 			}`,
-			fn: "f",
+			want: []bool{false, true},
 		},
 		{
-			name: "rwmutex read side defers discharge too",
-			src: `func f(mu *sync.RWMutex, n *int) int {
+			name: "a lock taken on one branch is not held at the join",
+			src: `func f(mu *sync.Mutex, c bool) {
+				if c {
+					mu.Lock()
+					work()
+				}
+				work()
+			}`,
+			want: []bool{true, false},
+		},
+		{
+			name: "the rwmutex read side is held under its deferred runlock",
+			src: `func f(mu *sync.RWMutex) {
 				mu.RLock()
 				defer mu.RUnlock()
-				return *n
+				work()
+				mu.RUnlock()
+				work()
 			}`,
-			fn: "f",
+			want: []bool{true, false},
 		},
 		{
-			name: "runlock with no rlock on any path",
-			src: `func f(mu *sync.RWMutex) {
-				mu.RUnlock()
+			name: "a trylock is never credited",
+			src: `func f(mu *sync.Mutex) {
+				if mu.TryLock() {
+					work()
+				}
 			}`,
-			fn:   "f",
-			want: []string{"RUnlock"},
+			want: []bool{false},
 		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			diags := lockDiags(t, tt.src, tt.fn)
-			if len(diags) != len(tt.want) {
-				t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(tt.want), renderLockDiags(diags))
-			}
-			for i, sub := range tt.want {
-				if !strings.Contains(diags[i].Message, sub) {
-					t.Errorf("finding %d = %q, want substring %q", i, diags[i].Message, sub)
-				}
+			if got := heldAtWork(t, tt.src, "f"); fmt.Sprint(got) != fmt.Sprint(tt.want) {
+				t.Errorf("held at work() = %v, want %v", got, tt.want)
 			}
 		})
 	}
 }
 
-// TestLockFlowSelectComm pins the select exemption: a communication lowered
-// into a select's clause block is the idiomatic bounded wait and is not a
-// bare channel operation, while the same receive outside a select is.
-func TestLockFlowSelectComm(t *testing.T) {
-	selectSrc := `func f(mu *sync.Mutex, ch, quit chan int) int {
-		mu.Lock()
-		defer mu.Unlock()
-		select {
-		case v := <-ch:
-			return v
-		case <-quit:
-			return 0
-		}
-	}`
-	if diags := lockDiags(t, selectSrc, "f"); len(diags) != 0 {
-		t.Errorf("select communications under a lock must be exempt, got:\n%s", renderLockDiags(diags))
-	}
-
-	bareSrc := `func f(mu *sync.Mutex, ch chan int) int {
-		mu.Lock()
-		defer mu.Unlock()
-		return <-ch
-	}`
-	diags := lockDiags(t, bareSrc, "f")
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "channel receive") {
-		t.Errorf("bare receive under a lock must be reported, got:\n%s", renderLockDiags(diags))
-	}
-}
-
-func renderLockDiags(ds []Diagnostic) string {
-	var b strings.Builder
-	for _, d := range ds {
-		fmt.Fprintf(&b, "  %s: %s: %s\n", d.Pos, d.Pass, d.Message)
-	}
-	return b.String()
-}
-
-// TestCFGSelectEdges pins the select lowering the comm exemption relies on:
-// one clause block per communication, each fed from the head and rejoining
+// TestCFGSelectEdges pins the select lowering: one clause block per
+// communication, each fed from the head and rejoining
 // at the after block, with the comm statement lowered into its clause block.
 func TestCFGSelectEdges(t *testing.T) {
 	cfg := parseCFG(t, `func f(ch, quit chan int) int {

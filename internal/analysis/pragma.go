@@ -20,9 +20,6 @@ const (
 	allowPrefix  = "//myproxy:allow"
 	// secretMarker labels a named type as secret-bearing (see secret.go).
 	secretMarker = "//myproxy:secret"
-	// verdictMarker labels a named type as a protocol verdict whose
-	// constants must be handled exhaustively (see verdict.go).
-	verdictMarker = "//myproxy:verdict"
 )
 
 // allowance is one parsed //myproxy:allow pragma.
@@ -54,12 +51,6 @@ func collectPragmas(pkgs []*Package, knownPasses map[string]bool) (pragmaIndex, 
 					}
 					if text == secretMarker {
 						continue // handled by secret.go
-					}
-					if text == verdictMarker {
-						continue // handled by verdict.go
-					}
-					if strings.HasPrefix(text, guardedbyMarker) {
-						continue // parsed (and validated) by guardedby.go
 					}
 					if text == hotpathMarker {
 						continue // handled by hotpath.go

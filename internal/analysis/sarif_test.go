@@ -11,11 +11,11 @@ import (
 // right rule with a 1-based physical location.
 func TestSARIFEncoding(t *testing.T) {
 	findings := []Diagnostic{
-		{Pass: "lockcheck", File: "internal/core/server.go", Line: 42, Col: 7,
-			Message: "mu is still locked when f returns"},
-		{Pass: "goroleak", File: "internal/portal/portal.go", Line: 9, Col: 2,
-			Message: "goroutine has no terminating path"},
-		{Pass: "goroleak", File: "internal/portal/portal.go", Line: 0, Col: 0,
+		{Pass: "hotblock", File: "internal/core/server.go", Line: 42, Col: 7,
+			Message: "c.mu is held across unsealKey (hashing)"},
+		{Pass: "zeroize", File: "internal/portal/portal.go", Line: 9, Col: 2,
+			Message: "secret bytes are not wiped"},
+		{Pass: "zeroize", File: "internal/portal/portal.go", Line: 0, Col: 0,
 			Message: "position-less finding"},
 	}
 	out, err := SARIF(findings, Passes)
@@ -93,9 +93,9 @@ func TestSARIFEncoding(t *testing.T) {
 		t.Fatalf("results = %d, want %d", len(run.Results), len(findings))
 	}
 	first := run.Results[0]
-	if first.RuleID != "lockcheck" || first.RuleIndex != ruleIdx["lockcheck"] {
-		t.Errorf("result 0 ruleId/ruleIndex = %q/%d, want lockcheck/%d",
-			first.RuleID, first.RuleIndex, ruleIdx["lockcheck"])
+	if first.RuleID != "hotblock" || first.RuleIndex != ruleIdx["hotblock"] {
+		t.Errorf("result 0 ruleId/ruleIndex = %q/%d, want hotblock/%d",
+			first.RuleID, first.RuleIndex, ruleIdx["hotblock"])
 	}
 	if first.Level != "warning" || first.Message.Text != findings[0].Message {
 		t.Errorf("result 0 level/message = %q/%q", first.Level, first.Message.Text)

@@ -38,18 +38,6 @@ type funcSummary struct {
 	// wipes is keyed by parameter index (variadic parameters use their
 	// declared index).
 	wipes map[int]bool
-	// locksFields maps mutex field paths of the receiver ("mu", "inner.mu",
-	// "" for an embedded mutex locked via the receiver itself) that the
-	// method acquires at some point; the value records a write acquisition
-	// (Lock) vs read (RLock). lockcheck uses it to flag calling a method
-	// that re-acquires a mutex the caller already holds.
-	locksFields map[string]bool
-	// requiresLock maps mutex field paths (relative to the receiver) whose
-	// lock the *caller* must hold: the method accesses a //myproxy:guardedby
-	// field without locking internally. The value records whether a write
-	// lock is needed. Propagated to a fixpoint through same-receiver helper
-	// calls (see computeLockSummaries).
-	requiresLock map[string]bool
 }
 
 func (s *funcSummary) wipesParam(i int) bool { return s != nil && s.wipes[i] }
@@ -106,7 +94,7 @@ func seedSummaries() summaryTable {
 }
 
 // declSite is one function declaration of the load, with everything the
-// summary stages (and the goroleak pass, via Context.FuncDecls) need. The
+// summary stages (and the hot cone, via Context.FuncDecls) need. The
 // interprocedural driver that orders and iterates the stages lives in
 // interproc.go.
 type declSite struct {
@@ -201,42 +189,12 @@ func isClearCall(pkg *Package, call *ast.CallExpr, obj types.Object) bool {
 	return len(call.Args) == 1 && identObj(pkg, call.Args[0]) == obj
 }
 
-var deadlineMethodNames = map[string]bool{
-	"SetDeadline":        true,
-	"SetReadDeadline":    true,
-	"SetWriteDeadline":   true,
-	"SetMessageTimeout":  true,
-	"SetSessionDeadline": true,
-}
-
 // --- shared type predicates ---
 
 var errorType = types.Universe.Lookup("error").Type()
 
 func isErrorVar(obj types.Object) bool {
 	return obj != nil && types.Identical(obj.Type(), errorType)
-}
-
-// hasDeadline reports whether t can be armed with SetDeadline.
-func hasDeadline(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if hasMethodNamed(t, "SetDeadline") {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			return hasMethodNamed(types.NewPointer(t), "SetDeadline")
-		}
-	}
-	return false
-}
-
-func hasMethodNamed(t types.Type, name string) bool {
-	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
-	_, ok := obj.(*types.Func)
-	return ok
 }
 
 func isByteSlice(t types.Type) bool {
@@ -290,15 +248,6 @@ func shallowRoot(n ast.Node) ast.Node {
 	default:
 		return n
 	}
-}
-
-// closeReceiver matches x.Close() and returns x's object.
-func closeReceiver(pkg *Package, call *ast.CallExpr) types.Object {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Close" || len(call.Args) != 0 {
-		return nil
-	}
-	return identObj(pkg, sel.X)
 }
 
 // mentionsObj reports whether the node references obj anywhere (including

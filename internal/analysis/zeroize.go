@@ -34,7 +34,7 @@ func runZeroize(ctx *Context, pkg *Package) []Diagnostic {
 	funcBodies(pkg, func(name string, body *ast.BlockStmt) {
 		cfg := ctx.cfgOf(pkg, name, body)
 		reported := make(map[types.Object]bool)
-		runFlow(pkg, cfg, nil, flowHooks{
+		runFlow(pkg, cfg, flowHooks{
 			transfer: func(n ast.Node, fs factSet) {
 				zeroizeTransfer(ctx, pkg, n, fs)
 			},
@@ -150,7 +150,7 @@ func zeroizeAssign(ctx *Context, pkg *Package, as *ast.AssignStmt, fs factSet) {
 		if desc, ok := secretProducer(ctx, pkg, genCall); ok {
 			for _, o := range lhs {
 				if o != nil && isByteSlice(o.Type()) {
-					fs[o] = fact{acquired: as.Pos(), desc: desc, err: errObj, errLive: errIsNil}
+					fs[o] = fact{acquired: as.Pos(), desc: desc, err: errObj}
 				}
 			}
 		}

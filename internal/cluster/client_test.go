@@ -23,9 +23,9 @@ type fakeRepo struct {
 // fakeCluster coordinates the fakes: per-node failure modes and call logs.
 type fakeCluster struct {
 	mu sync.Mutex
-	//myproxy:guardedby mu
+	// Guarded by mu.
 	fail map[NodeID]error // non-nil: every op on this node returns it
-	//myproxy:guardedby mu
+	// Guarded by mu.
 	calls map[NodeID][]string
 }
 

@@ -21,7 +21,7 @@ type Health struct {
 	now       func() time.Time // test seam; nil = time.Now
 
 	mu sync.Mutex
-	//myproxy:guardedby mu
+	// Guarded by mu.
 	down map[NodeID]time.Time // node -> when it last failed
 }
 

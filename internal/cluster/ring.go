@@ -47,9 +47,9 @@ type Ring struct {
 	vnodes int
 
 	mu sync.RWMutex
-	//myproxy:guardedby mu
+	// Guarded by mu.
 	points []ringPoint // sorted by hash
-	//myproxy:guardedby mu
+	// Guarded by mu.
 	members map[NodeID]struct{}
 }
 

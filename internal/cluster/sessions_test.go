@@ -40,7 +40,7 @@ type testNode struct {
 type tapListener struct {
 	net.Listener
 	mu   sync.Mutex
-	last *faultnet.Conn //myproxy:guardedby mu
+	last *faultnet.Conn // guarded by mu
 }
 
 func (l *tapListener) Accept() (net.Conn, error) {

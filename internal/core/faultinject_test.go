@@ -175,6 +175,19 @@ func TestDestroyAmbiguousAfterLostConfirmation(t *testing.T) {
 	}
 }
 
+// A repository that reads an INFO request and hangs up yields an error,
+// not a listing read off the missing response.
+func TestInfoFromAVanishingRepositoryIsAnError(t *testing.T) {
+	addr := startFakeRepository(t, func(conn *gsi.Conn) {
+		conn.ReadMessage() // read the request, then hang up unanswered
+	})
+	cli := newClient(t, testpki.User(t, "core-alice"), addr)
+	cli.Retry = fastRetry(1)
+	if infos, err := cli.Info(context.Background(), testUser, testPass); err == nil {
+		t.Fatalf("Info = %v, nil error from a repository that hung up", infos)
+	}
+}
+
 // Pre-response faults on mutations ARE retried: a connect failure before
 // the request ever left cannot have committed anything.
 func TestDestroyRetriesConnectFailures(t *testing.T) {

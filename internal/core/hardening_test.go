@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"math/big"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +234,34 @@ func TestServerPurgeSweeper(t *testing.T) {
 			t.Fatal("sweeper never purged the expired entry")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// The background loops a server starts (the purge sweeper, the stats
+// flush) end when it closes, instead of outliving it.
+func TestServerBackgroundLoopsEndOnClose(t *testing.T) {
+	srv, err := NewServer(ServerConfig{
+		Credential:           testpki.Host(t, "myproxy.test"),
+		Roots:                testRoots(t),
+		Store:                credstore.NewMemStore(),
+		AcceptedCredentials:  policy.NewACL("*"),
+		AuthorizedRetrievers: policy.NewACL("*"),
+		PurgeInterval:        time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Server).every(") {
+		select {
+		case <-tick.C:
+		case <-timeout:
+			t.Fatal("a background loop is still running after Close")
+		}
 	}
 }
 

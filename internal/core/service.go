@@ -63,10 +63,9 @@ func (s *Service) revoked(c *x509.Certificate) bool {
 }
 
 // VerdictKind classes a refusal. Front-ends map the class onto their own
-// encoding (DESIGN.md §17: wire response code, HTTP status); the marker
-// makes myproxy-vet require every switch over it to be exhaustive.
-//
-//myproxy:verdict
+// encoding (DESIGN.md §17: wire response code, HTTP status);
+// httpgate.TestRefuseMapsEveryVerdictKind reads this declaration and fails
+// until the gateway and §17 both map a new kind.
 type VerdictKind int
 
 const (
@@ -162,8 +161,13 @@ func (s *Service) selected(op, peer string, req *protocol.Request) (*credstore.E
 }
 
 // retrievable runs what GET and RETRIEVE share: the retriever ACL, the OTP
-// gate, wallet selection, and the per-credential retriever list, which
-// composes with the server ACL. blob asks for a client-sealed deposit.
+// gate, wallet selection, the refusal of a renewable entry, and the
+// per-credential retriever list, which composes with the server ACL. blob
+// asks for a client-sealed deposit.
+//
+// A renewable entry is sealed under the empty pass phrase (myproxy-init
+// -n), so a GET could open it without knowing anything: only RENEWAL, with
+// its renewer ACL and owner match, may delegate from it.
 func (s *Service) retrievable(op, peer string, req *protocol.Request, blob bool) (*credstore.Entry, *Verdict) {
 	if v := s.admit(op, peer, "authorized_retrievers", s.cfg.AuthorizedRetrievers); v != nil {
 		return nil, v
@@ -178,6 +182,9 @@ func (s *Service) retrievable(op, peer string, req *protocol.Request, blob bool)
 	if blob && entry.Kind != credstore.KindStored {
 		return nil, s.refuse(VerdictConflict, peer, "credential is not retrievable; use get-delegation",
 			"%s %q/%q is %s", op, req.Username, entry.Name, entry.Kind)
+	}
+	if entry.Renewable {
+		return nil, s.refuse(VerdictDenied, peer, deniedMsg, "%s %q/%q is renewable: only RENEWAL delegates it", op, req.Username, entry.Name)
 	}
 	if entry.Retrievers != "" && !policy.MatchDN(entry.Retrievers, peer) {
 		return nil, s.refuse(VerdictDenied, peer, deniedMsg, "%s %q/%q: %s not in credential retriever list", op, req.Username, entry.Name, peer)

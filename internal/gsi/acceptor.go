@@ -55,10 +55,10 @@ type Acceptor struct {
 	sem chan struct{} // one token per served connection; nil without a cap
 
 	mu        sync.Mutex
-	listeners map[net.Listener]struct{} //myproxy:guardedby mu
-	active    map[net.Conn]struct{}     //myproxy:guardedby mu
+	listeners map[net.Listener]struct{} // guarded by mu
+	active    map[net.Conn]struct{}     // guarded by mu
 	conns     sync.WaitGroup
-	closed    bool //myproxy:guardedby mu
+	closed    bool // guarded by mu
 	// quit is closed (under mu) to broadcast shutdown; receives are
 	// deliberately lock-free — the channel is its own synchronization.
 	quit chan struct{}

@@ -87,7 +87,7 @@ func TestChannelCarriesMessages(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		//myproxy:allow goroleak connectPair arms a 30s deadline on the underlying pipe and t.Cleanup closes it
+		// connectPair arms a 30s deadline on the underlying pipe and t.Cleanup closes it
 		msg, err := srv.ReadMessage()
 		if err == nil && string(msg) == "ping" {
 			err = srv.WriteMessage([]byte("pong"))
@@ -203,7 +203,7 @@ func awaitRead(t *testing.T, c *Conn) truncationResult {
 	t.Helper()
 	done := make(chan truncationResult, 1)
 	go func() {
-		//myproxy:allow goroleak connectPair arms a 30s deadline on the underlying pipe, and awaitRead fails the test after 10s
+		// connectPair arms a 30s deadline on the underlying pipe, and awaitRead fails the test after 10s
 		msg, err := c.ReadMessage()
 		done <- truncationResult{msg, err}
 	}()

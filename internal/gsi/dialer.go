@@ -141,7 +141,7 @@ type Caller struct {
 	Dialer
 
 	mu   sync.Mutex
-	conn *Conn //myproxy:guardedby mu
+	conn *Conn // guarded by mu
 }
 
 // Exchange sends request and decodes the peer's answer into reply, both as
@@ -160,7 +160,7 @@ func (c *Caller) Exchange(request, reply any, between func(*Conn) error) error {
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		ctx, cancel := context.WithTimeout(context.Background(), orDefault(c.Timeout))
-		//myproxy:allow lockcheck mu deliberately serializes the one held connection for a whole exchange; the timeout here and the deadline below bound the hold
+		// mu deliberately serializes the one held connection for a whole exchange; the timeout here and the deadline below bound the hold
 		c.conn, err = c.connect(ctx)
 		cancel()
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // caller.
 type Gridmap struct {
 	mu      sync.RWMutex
-	entries map[string]string //myproxy:guardedby mu
+	entries map[string]string // guarded by mu
 }
 
 // NewGridmap builds an empty gridmap.

@@ -32,7 +32,7 @@ func TestRequestDelegationRejectsForeignKey(t *testing.T) {
 	go func() {
 		// A hostile exporter: read the CSR, ignore its key, and send back
 		// a proxy minted for a DIFFERENT (attacker-held) key.
-		//myproxy:allow goroleak connectPair arms a 30s deadline on the underlying pipe and t.Cleanup closes it
+		// connectPair arms a 30s deadline on the underlying pipe and t.Cleanup closes it
 		if _, err := srv.ReadMessage(); err != nil {
 			errCh <- err
 			return

@@ -140,10 +140,11 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		AcceptedCredentials: policy.NewACL("/C=US/O=Test Grid/*"),
 		AuthorizedRetrievers: policy.NewACL(
 			"*/CN=parity-portal.test", "*/CN=parity-other.test", "*/CN=parity-alice"),
-		Lifetimes:         policy.LifetimePolicy{MaxDelegated: 2 * time.Hour},
-		OTP:               registry,
-		KDFIterations:     64,
-		DelegationKeyBits: 1024,
+		AuthorizedRenewers: policy.NewACL("*/CN=parity-other.test", "*/CN=parity-alice"),
+		Lifetimes:          policy.LifetimePolicy{MaxDelegated: 2 * time.Hour},
+		OTP:                registry,
+		KDFIterations:      64,
+		DelegationKeyBits:  1024,
 	}
 	srv, err := core.NewServer(cfg)
 	if err != nil {
@@ -301,16 +302,16 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		},
 	}}
 
-	// seed deposits a delegated proxy of owner straight into the shared
-	// store, shaped by mutate.
-	seed := func(t *testing.T, username string, owner *pki.Credential, mutate func(*credstore.Entry)) {
+	// deposit puts a delegated proxy of owner, sealed under passphrase,
+	// straight into the shared store, shaped by mutate.
+	deposit := func(t *testing.T, username string, owner *pki.Credential, passphrase string, mutate func(*credstore.Entry)) {
 		t.Helper()
 		p, err := proxy.New(owner, proxy.Options{Lifetime: 24 * time.Hour, KeyBits: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		entry := &credstore.Entry{Username: username, Owner: owner.Subject()}
-		if err := credstore.SealDelegated(entry, p, []byte(parityPass), 64); err != nil {
+		if err := credstore.SealDelegated(entry, p, []byte(passphrase), 64); err != nil {
 			t.Fatal(err)
 		}
 		if mutate != nil {
@@ -319,6 +320,19 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		if err := cfg.Store.Put(entry); err != nil {
 			t.Fatal(err)
 		}
+	}
+	seed := func(t *testing.T, username string, owner *pki.Credential, mutate func(*credstore.Entry)) {
+		t.Helper()
+		deposit(t, username, owner, parityPass, mutate)
+	}
+	// renewableGet deposits what `myproxy-init -n` leaves — alice's proxy,
+	// renewable, sealed under the empty pass phrase — and has peer ask for
+	// it with a plain GET and no pass phrase.
+	renewableGet := func(t *testing.T, f frontend, user string, peer *pki.Credential) []class {
+		deposit(t, user, alice, "", func(e *credstore.Entry) { e.Renewable = true })
+		_, err := f.get(peer, core.GetOptions{Username: user})
+		c, _ := f.outcome(t, err)
+		return []class{c}
 	}
 	// delegated asserts a successful GET's identity and clamped lifetime.
 	delegated := func(t *testing.T, cred *pki.Credential, identity *pki.Credential, max time.Duration) {
@@ -391,6 +405,15 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			_, err := f.get(other, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
+		}},
+		{"renewer's GET of a renewable entry", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
+			return renewableGet(t, f, user, other)
+		}},
+		{"retriever's GET of a renewable entry", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
+			return renewableGet(t, f, user, portal)
+		}},
+		{"owner's plain GET of a renewable entry", []class{"denied"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
+			return renewableGet(t, f, user, alice)
 		}},
 		{"expired entry", []class{"expired"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, func(e *credstore.Entry) { e.NotAfter = time.Now().Add(-time.Hour) })

@@ -7,6 +7,8 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -276,6 +278,34 @@ func TestContextCancellationDuringFallback(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Get did not unblock on context cancellation")
+	}
+}
+
+// A Get its context gave up on must not strand its fallback generator: the
+// key finished after the caller left has a slot to land in, and the
+// generator's goroutine exits.
+func TestCancelledFallbackGeneratorExits(t *testing.T) {
+	release := make(chan struct{})
+	p := newTestPool(t, 1, func(spec pki.KeySpec) (crypto.Signer, error) {
+		<-release
+		return rawGen(spec)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.Get(ctx, testSpec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Get under a cancelled ctx = %v, want context.Canceled", err)
+	}
+	close(release)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for strings.Contains(string(buf[:runtime.Stack(buf, true)]), "generateSync.func") {
+		select {
+		case <-tick.C:
+		case <-timeout:
+			t.Fatal("the fallback generator is still blocked after its caller left")
+		}
 	}
 }
 

@@ -27,13 +27,10 @@ const DemoKeyBits = 1024
 // KeyAlgorithm selects the public-key algorithm for freshly generated
 // credentials and delegation keys. The zero value is RSA, the algorithm the
 // paper's 2001 deployment used — everything defaults to paper fidelity, and
-// the modern curves are strictly opt-in (the -key-alg flags). The verdict
-// marker makes myproxy-vet require every switch dispatching on a
-// KeyAlgorithm to handle all declared algorithms or carry an explicit
-// default: adding a curve must never silently fall through a key-handling
-// path.
-//
-//myproxy:verdict
+// the modern curves are strictly opt-in (the -key-alg flags). Every switch
+// on a KeyAlgorithm ends in a default that refuses or names the value, so a
+// curve added here without its cases fails loudly instead of falling
+// through a key-handling path.
 type KeyAlgorithm int
 
 const (

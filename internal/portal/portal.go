@@ -80,7 +80,7 @@ type Portal struct {
 	// paying a full handshake (DESIGN.md §9). A spec naming several nodes
 	// maps to one cluster client (which memoizes per-node clients itself).
 	clientsMu sync.Mutex
-	clients   map[string]core.Repository //myproxy:guardedby clientsMu
+	clients   map[string]core.Repository // guarded by clientsMu
 }
 
 // New builds the portal.

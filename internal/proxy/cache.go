@@ -44,7 +44,7 @@ import (
 // verdicts only.
 type VerifyCache struct {
 	mu      sync.Mutex
-	entries map[[sha256.Size]byte]*cacheEntry //myproxy:guardedby mu
+	entries map[[sha256.Size]byte]*cacheEntry // guarded by mu
 	max     int
 
 	hits, misses             atomic.Int64

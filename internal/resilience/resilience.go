@@ -58,7 +58,7 @@ type Policy struct {
 // concurrency-safe, so guard it.
 var (
 	randMu sync.Mutex
-	//myproxy:guardedby randMu
+	// Guarded by randMu.
 	sharedRand = rand.New(rand.NewSource(time.Now().UnixNano())) //myproxy:allow weakrand backoff jitter decorrelates retry storms; not key material
 )
 

@@ -90,7 +90,7 @@ func TestClusterFailoverKillOneReplica(t *testing.T) {
 				done   atomic.Int64
 				wg     sync.WaitGroup
 				errsMu sync.Mutex
-				//myproxy:guardedby errsMu
+				// Guarded by errsMu.
 				errs []error
 			)
 			killed := make(chan struct{})

@@ -94,14 +94,14 @@ type Deployment struct {
 	// repoMu serializes kill/restart transitions and guards the listener
 	// slice those transitions replace.
 	repoMu sync.Mutex
-	//myproxy:guardedby repoMu
+	// Guarded by repoMu.
 	repoLns []net.Listener
 
 	// partitioned marks repository addresses whose traffic the simulated
 	// network drops at connect time (faultnet-style injected failures) —
 	// the process is up, the network path is not.
 	partMu sync.Mutex
-	//myproxy:guardedby partMu
+	// Guarded by partMu.
 	partitioned map[string]bool
 
 	// clients memoizes one core.Client per (credential, repo) pair so the
@@ -109,8 +109,8 @@ type Deployment struct {
 	// repeated Get/Put calls — the deployment then measures the steady
 	// state a long-running portal actually sees.
 	clientsMu sync.Mutex
-	clients   map[clientKey]*core.Client //myproxy:guardedby clientsMu
-	//myproxy:guardedby clientsMu
+	clients   map[clientKey]*core.Client // guarded by clientsMu
+	// Guarded by clientsMu.
 	clusterClients map[int]*cluster.Client
 }
 
