@@ -70,7 +70,7 @@ func cmdRing(args []string) {
 	if len(nodes) == 0 {
 		cliutil.Fatalf("myproxy-admin ring: -nodes is required")
 	}
-	ring := cluster.NewRing(0, nodes...)
+	ring := cluster.NewRing(nodes...)
 
 	if *username != "" {
 		replicas := ring.Successors(*username, *rf)
@@ -128,7 +128,7 @@ func cmdRebalance(args []string) {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	planFromFlags(cluster.NewRing(0, ids...), *rf, stores, *dryRun)
+	planFromFlags(cluster.NewRing(ids...), *rf, stores, *dryRun)
 }
 
 // cmdDecommission drains one node: the ring is built WITHOUT it, its store
@@ -158,5 +158,5 @@ func cmdDecommission(args []string) {
 		cliutil.Fatalf("myproxy-admin decommission: %d remaining node(s) cannot hold rf=%d", len(remaining), *rf)
 	}
 	sort.Slice(remaining, func(i, j int) bool { return remaining[i] < remaining[j] })
-	planFromFlags(cluster.NewRing(0, remaining...), *rf, stores, *dryRun)
+	planFromFlags(cluster.NewRing(remaining...), *rf, stores, *dryRun)
 }

@@ -42,7 +42,7 @@ func main() {
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent sessions (0 = unlimited)")
 	msgTimeout := flag.Duration("message-timeout", 0, "per-message I/O deadline, evicts stalled peers (0 = session timeout)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight sessions on shutdown (0 = wait forever)")
-	statsFile := flag.String("stats-file", "", "stats snapshot file for myproxy-admin stats (default <store>/server.stats)")
+	statsFile := flag.String("stats-file", "", "stats snapshot file for myproxy-admin stats (default <dir>/server.stats for a file backend, none for mem)")
 	keypoolSize := flag.Int("keypool", keypool.DefaultSize, "background keypair pool size for deposits (0 disables)")
 	keyAlg := flag.String("key-alg", "rsa-2048", "key algorithm for server-generated deposit keys (rsa-2048, ecdsa-p256, ed25519)")
 	sessionTimeout := flag.Duration("session-timeout", 0, "multiplexed session lifetime cap (0 = 5m)")
@@ -118,10 +118,10 @@ func main() {
 		SessionTimeout:         *sessionTimeout,
 		DisableSessions:        *noSessions,
 	}
-	if cfg.StatsFile == "" {
+	if fs, ok := store.(*credstore.FileStore); ok && cfg.StatsFile == "" {
 		// Note: not a .json name — the store treats every *.json in its
 		// directory as a credential entry.
-		cfg.StatsFile = filepath.Join(*storeDir, "server.stats")
+		cfg.StatsFile = filepath.Join(fs.Dir(), "server.stats")
 	}
 	if *legacyProxies {
 		cfg.DelegationProxyType = proxy.Legacy
@@ -157,7 +157,7 @@ func main() {
 		srv.Close()
 	}()
 
-	logger.Printf("repository %s listening on %s (store %s)", srv.Identity(), *listen, *storeDir)
+	logger.Printf("repository %s listening on %s (backend %s)", srv.Identity(), *listen, spec)
 	err = srv.ListenAndServe(*listen)
 	if errors.Is(err, net.ErrClosed) {
 		logger.Printf("drained, exiting")

@@ -32,11 +32,6 @@ type Config struct {
 	// ReplicationFactor is how many nodes hold each username's credentials
 	// (0 selects DefaultReplicationFactor).
 	ReplicationFactor int
-	// WriteQuorum is the acknowledgements a mutation needs (0 selects a
-	// majority of the replication factor).
-	WriteQuorum int
-	// VnodesPerNode tunes ring granularity (0 selects DefaultVnodes).
-	VnodesPerNode int
 	// Probation is how long a failed node is deprioritized before being
 	// retried (0 selects DefaultProbation).
 	Probation time.Duration
@@ -55,7 +50,6 @@ type Config struct {
 	KeyAlgorithm   pki.KeyAlgorithm
 	KeyBits        int
 	KeySource      proxy.KeySource
-	ProxyType      proxy.Type
 	Timeout        time.Duration
 	DialContext    func(ctx context.Context, network, addr string) (net.Conn, error)
 	Retry          resilience.Policy
@@ -93,7 +87,7 @@ func New(cfg Config) (*Client, error) {
 	if cfg.ReplicationFactor < 1 {
 		return nil, fmt.Errorf("cluster: replication factor %d < 1", cfg.ReplicationFactor)
 	}
-	ring := NewRing(cfg.VnodesPerNode)
+	ring := NewRing()
 	addrs := make(map[NodeID]string, len(cfg.Nodes))
 	clients := make(map[NodeID]core.Repository, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
@@ -110,10 +104,9 @@ func New(cfg Config) (*Client, error) {
 	return &Client{
 		addrs: addrs,
 		router: &Router{
-			Ring:        ring,
-			Health:      NewHealth(cfg.Probation),
-			RF:          cfg.ReplicationFactor,
-			WriteQuorum: cfg.WriteQuorum,
+			Ring:   ring,
+			Health: NewHealth(cfg.Probation),
+			RF:     cfg.ReplicationFactor,
 		},
 		clients: clients,
 	}, nil
@@ -179,7 +172,6 @@ func (cfg *Config) nodeClient(n NodeConfig, held bool) core.Repository {
 		KeyAlgorithm:   cfg.KeyAlgorithm,
 		KeyBits:        cfg.KeyBits,
 		KeySource:      cfg.KeySource,
-		ProxyType:      cfg.ProxyType,
 		Timeout:        cfg.Timeout,
 		DialContext:    cfg.DialContext,
 		Retry:          cfg.Retry,

@@ -14,7 +14,7 @@ import (
 func seedCluster(t *testing.T, rf, users int, ids ...NodeID) (map[NodeID]credstore.Backend, *Ring) {
 	t.Helper()
 	stores := make(map[NodeID]credstore.Backend, len(ids))
-	ring := NewRing(0)
+	ring := NewRing()
 	for _, id := range ids {
 		stores[id] = credstore.NewMemStore()
 		ring.Add(id)
@@ -171,7 +171,7 @@ func TestApplyCopiesTheEntryAsHeld(t *testing.T) {
 		t.Fatal(err)
 	}
 	stores := map[NodeID]credstore.Backend{"a": credstore.NewMemStore(), "b": dst}
-	ring := NewRing(0)
+	ring := NewRing()
 	ring.Add("a")
 	ring.Add("b")
 	if err := stores["a"].Put(&credstore.Entry{

@@ -29,10 +29,10 @@ import (
 // placement stable when a node moves hosts.
 type NodeID string
 
-// DefaultVnodes is the number of ring points each node projects. 64 virtual
-// nodes keep the per-node load spread within a few percent of uniform for
-// small clusters while keeping Successors lookups cheap.
-const DefaultVnodes = 64
+// vnodes is the number of ring points each node projects. 64 virtual nodes
+// keep the per-node load spread within a few percent of uniform for small
+// clusters while keeping Successors lookups cheap.
+const vnodes = 64
 
 // ringPoint is one virtual node: a position on the uint64 hash circle owned
 // by a physical node.
@@ -44,8 +44,6 @@ type ringPoint struct {
 // Ring is a consistent-hash ring over repository nodes. The zero value is
 // unusable; construct with NewRing. All methods are safe for concurrent use.
 type Ring struct {
-	vnodes int
-
 	mu sync.RWMutex
 	// Guarded by mu.
 	points []ringPoint // sorted by hash
@@ -53,13 +51,9 @@ type Ring struct {
 	members map[NodeID]struct{}
 }
 
-// NewRing builds a ring with vnodes virtual nodes per member (values below 1
-// select DefaultVnodes) and the given initial members.
-func NewRing(vnodes int, nodes ...NodeID) *Ring {
-	if vnodes < 1 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{vnodes: vnodes, members: make(map[NodeID]struct{})}
+// NewRing builds a ring with the given initial members.
+func NewRing(nodes ...NodeID) *Ring {
+	r := &Ring{members: make(map[NodeID]struct{})}
 	for _, n := range nodes {
 		r.add(n)
 	}
@@ -88,7 +82,7 @@ func (r *Ring) add(node NodeID) {
 	}
 	r.members[node] = struct{}{}
 	pts := r.points
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		pts = append(pts, ringPoint{
 			hash: hashPoint(string(node) + "#" + strconv.Itoa(i)),
 			node: node,

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingSuccessorsDistinctAndDeterministic(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
+	r := NewRing("a", "b", "c")
 	for _, user := range []string{"alice", "bob", "carol", "", "a-very-long-username"} {
 		got := r.Successors(user, 2)
 		if len(got) != 2 {
@@ -24,11 +24,11 @@ func TestRingSuccessorsDistinctAndDeterministic(t *testing.T) {
 }
 
 func TestRingSuccessorsClampedToMembership(t *testing.T) {
-	r := NewRing(0, "a", "b")
+	r := NewRing("a", "b")
 	if got := r.Successors("alice", 5); len(got) != 2 {
 		t.Errorf("Successors beyond membership: %v", got)
 	}
-	if got := NewRing(0).Successors("alice", 2); got != nil {
+	if got := NewRing().Successors("alice", 2); got != nil {
 		t.Errorf("empty ring: %v", got)
 	}
 	if got := r.Successors("alice", 0); got != nil {
@@ -40,7 +40,7 @@ func TestRingSuccessorsClampedToMembership(t *testing.T) {
 // removing one of N nodes must only re-home keys that the removed node
 // owned — every other key keeps its primary.
 func TestRingStabilityUnderMembershipChange(t *testing.T) {
-	r := NewRing(0, "a", "b", "c", "d")
+	r := NewRing("a", "b", "c", "d")
 	users := make([]string, 200)
 	for i := range users {
 		users[i] = fmt.Sprintf("user-%03d", i)
@@ -77,7 +77,7 @@ func TestRingStabilityUnderMembershipChange(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0, "a", "b", "c")
+	r := NewRing("a", "b", "c")
 	counts := map[NodeID]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -91,7 +91,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingAddRemoveIdempotent(t *testing.T) {
-	r := NewRing(0, "a")
+	r := NewRing("a")
 	r.Add("a")
 	if got := r.Len(); got != 1 {
 		t.Errorf("double add: %d members", got)
@@ -103,13 +103,29 @@ func TestRingAddRemoveIdempotent(t *testing.T) {
 }
 
 func TestHealthProbationExpiresAndHeals(t *testing.T) {
+	// A method that returns holding h.mu hangs the next call: the guard
+	// fails the test in seconds rather than at the binary's timeout.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		probationExpiresAndHeals(t)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Health stalled: a method kept its lock")
+	}
+}
+
+func probationExpiresAndHeals(t *testing.T) {
 	now := time.Unix(1000, 0)
 	h := NewHealth(2 * time.Second)
 	h.now = func() time.Time { return now }
 
 	h.MarkDown("b")
 	if !h.Suspect("b") {
-		t.Fatal("freshly failed node not suspect")
+		t.Error("freshly failed node not suspect")
+		return
 	}
 	if got := h.Order([]NodeID{"a", "b", "c"}); !reflect.DeepEqual(got, []NodeID{"a", "c", "b"}) {
 		t.Errorf("Order with b down: %v", got)

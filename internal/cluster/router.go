@@ -20,8 +20,8 @@ import (
 //     server verdict is an answer, not a failure, and trying another replica
 //     would at best duplicate it and at worst mask an authorization denial
 //     behind a replica-specific error. Only transport faults fail over.
-//   - Write: fan out to ALL R replicas concurrently and demand Quorum
-//     acknowledgements. Fewer acks than the quorum is classified through
+//   - Write: fan out to ALL R replicas concurrently and demand a majority
+//     of acknowledgements. Fewer acks than the quorum is classified through
 //     resilience.QuorumOutcome: unanimous definitive rejection is Permanent,
 //     anything partial is ambiguous (retry-safe only for commands
 //     protocol.Command.Idempotent says may be replayed).
@@ -31,9 +31,6 @@ type Router struct {
 	// RF is the replication factor: each username's credentials live on its
 	// RF ring successors. Values below 1 select 1.
 	RF int
-	// WriteQuorum is the acknowledgements a mutation needs; values below 1
-	// select a majority of RF (RF/2 + 1).
-	WriteQuorum int
 }
 
 // rf returns the effective replication factor.
@@ -44,13 +41,10 @@ func (r *Router) rf() int {
 	return r.RF
 }
 
-// quorum returns the effective write quorum, capped by the replica count
-// actually available for the key.
+// quorum returns the write quorum, a majority of RF, capped by the replica
+// count actually available for the key.
 func (r *Router) quorum(replicas int) int {
-	q := r.WriteQuorum
-	if q < 1 {
-		q = r.rf()/2 + 1
-	}
+	q := r.rf()/2 + 1
 	if q > replicas {
 		q = replicas
 	}

@@ -224,14 +224,14 @@ func (h *hookKeys) Get(_ context.Context, spec pki.KeySpec) (crypto.Signer, erro
 // hookStore calls hook before the first Delete: inside a DESTROY's commit
 // window.
 type hookStore struct {
-	credstore.Store
+	credstore.Backend
 	once sync.Once
 	hook func()
 }
 
 func (h *hookStore) Delete(username, name string) error {
 	h.once.Do(h.hook)
-	return h.Store.Delete(username, name)
+	return h.Backend.Delete(username, name)
 }
 
 // A node session cut inside a mutation's commit window leaves the outcome
@@ -257,7 +257,7 @@ func TestSessionCutInCommitWindowIsAmbiguousNotReplayed(t *testing.T) {
 			cut := func() { nodes[0].tap.lastConn().Close() }
 			nodes = startNodes(t, 1, func(_ int, cfg *core.ServerConfig) {
 				cfg.KeySource = &hookKeys{hook: cut}
-				cfg.Store = &hookStore{Store: credstore.NewMemStore(), hook: cut}
+				cfg.Store = &hookStore{Backend: credstore.NewMemStore(), hook: cut}
 			})
 			stats := &core.Stats{}
 			owner := heldClient(t, testpki.User(t, "held-owner"), nodes, 1, func(cfg *Config) {
@@ -314,14 +314,13 @@ func TestSessionCutInGetIsRetriedOnAFreshSession(t *testing.T) {
 
 // A node whose link goes silent under an open session — a partitioned peer
 // takes the request into its socket buffer and never answers — costs a read
-// the attempt's own deadline, not the stream timeout: the router fails over
-// and the caller is answered well inside its context.
+// the client's timeout for one attempt: the router fails over and the caller
+// is answered well inside its context.
 func TestReadFailsOverFromASilentNode(t *testing.T) {
 	nodes := startNodes(t, 2, nil)
 	deposit(t, nodes, 2)
 	portal := heldClient(t, testpki.Host(t, "held-silent.test"), nodes, 2, func(cfg *Config) {
-		cfg.Retry = resilience.Policy{PerAttemptTimeout: 2 * time.Second}
-		cfg.Timeout = time.Hour // the stream timeout must not be what ends the wait
+		cfg.Timeout = 2 * time.Second
 		cfg.Probation = time.Hour
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

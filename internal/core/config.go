@@ -31,7 +31,7 @@ type ServerConfig struct {
 	// authentication.
 	Roots *x509.CertPool
 	// Store is the credential store; nil selects an in-memory store.
-	Store credstore.Store
+	Store credstore.Backend
 
 	// AcceptedCredentials lists DN patterns allowed to delegate or store
 	// credentials (paper §5.1, "typically users"). Empty denies all.
@@ -59,14 +59,10 @@ type ServerConfig struct {
 	// KDFIterations tunes the sealing KDF; 0 selects
 	// pki.DefaultKDFIterations. Experiment E5 sweeps this.
 	KDFIterations int
-	// MaxChainDepth bounds client proxy chains (0 = proxy.DefaultMaxDepth).
-	MaxChainDepth int
-	// RequestTimeout bounds one client session (0 = 30s).
-	RequestTimeout time.Duration
 	// MessageTimeout bounds each protocol message inside a session (the
 	// slowloris guard): a client that stops making message-level progress
 	// for this long is evicted, freeing its slot for live sessions. 0
-	// selects RequestTimeout (one budget for the whole session).
+	// selects gsi.DefaultTimeout, which also bounds one whole session.
 	MessageTimeout time.Duration
 	// MaxConcurrent caps simultaneously served connections; further
 	// accepts wait for a free slot (backpressure) instead of piling up
@@ -84,12 +80,9 @@ type ServerConfig struct {
 	// client's transparent downgrade is exercised in tests).
 	DisableSessions bool
 	// StatsFile, when non-empty, is where the server persists an
-	// operation-counter snapshot (JSON) on shutdown and every
-	// StatsFlushInterval, for offline inspection by myproxy-admin stats.
+	// operation-counter snapshot (JSON) on shutdown and every 30 seconds,
+	// for offline inspection by myproxy-admin stats.
 	StatsFile string
-	// StatsFlushInterval is the periodic stats flush period when StatsFile
-	// is set (0 = 30s).
-	StatsFlushInterval time.Duration
 	// PurgeInterval, when positive, sweeps expired credentials from the
 	// store on this period (see credstore.PurgeExpired).
 	PurgeInterval time.Duration
@@ -106,12 +99,6 @@ type ServerConfig struct {
 	// -keypool flag — taking RSA generation off the deposit path. nil
 	// generates synchronously.
 	KeySource proxy.KeySource
-	// VerifyCache, when non-nil, memoizes client chain verifications so
-	// repeat connections from the same portal skip the RSA chain walk;
-	// nil lets NewServer build a default-sized cache. Revocation is
-	// re-checked on every cache hit, and the cache is invalidated when
-	// the revocation hook is replaced (Server.SetRevoked).
-	VerifyCache *proxy.VerifyCache
 
 	// OTP, when non-nil, holds one-time-password state per username
 	// (paper §6.3). Users registered in it must answer the current OTP

@@ -16,15 +16,9 @@ import (
 	"repro/internal/testpki"
 )
 
-// fastRetry is a prompt policy for tests: tight backoff, no jitter delay
-// surprises.
+// fastRetry is a prompt policy for tests: a millisecond's backoff.
 func fastRetry(attempts int) resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts: attempts,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    5 * time.Millisecond,
-		Jitter:      0.01,
-	}
+	return resilience.Policy{MaxAttempts: attempts, BaseDelay: time.Millisecond}
 }
 
 // --- Acceptance (a): Get rides out connect failures and a handshake reset.
@@ -236,12 +230,11 @@ func TestContextCancelAbortsInFlightRoundTrip(t *testing.T) {
 // deadline without taking other sessions down with it.
 
 func TestStalledClientEvictedByMessageDeadline(t *testing.T) {
-	// MessageTimeout must be well under the 10s session budget to prove
+	// MessageTimeout must be well under the 30s session budget to prove
 	// per-message eviction, but not so tight that the live client's own
 	// think-time (RSA keygen between messages) trips it on a loaded
 	// machine.
 	srv, addr := startServer(t, func(cfg *ServerConfig) {
-		cfg.RequestTimeout = 10 * time.Second
 		cfg.MessageTimeout = 2 * time.Second
 	})
 	alice := testpki.User(t, "core-alice")
@@ -269,7 +262,7 @@ func TestStalledClientEvictedByMessageDeadline(t *testing.T) {
 	}
 
 	// The stalled session is evicted at the message deadline, well before
-	// the 10s session budget.
+	// the 30s session budget.
 	deadline := time.Now().Add(8 * time.Second)
 	for srv.Stats().Timeouts.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -290,7 +283,6 @@ func TestStalledClientFreesSlotUnderBackpressure(t *testing.T) {
 	// As above: short enough to free the slot quickly, generous enough
 	// that the live client's keygen pauses don't trip it under load.
 	_, addr := startServer(t, func(cfg *ServerConfig) {
-		cfg.RequestTimeout = 10 * time.Second
 		cfg.MessageTimeout = 2 * time.Second
 		cfg.MaxConcurrent = 1
 	})
@@ -396,7 +388,6 @@ func TestCloseDrainsInFlightDelegation(t *testing.T) {
 // holding shutdown hostage.
 func TestDrainTimeoutForceClosesStragglers(t *testing.T) {
 	srv, addr := startServer(t, func(cfg *ServerConfig) {
-		cfg.RequestTimeout = 30 * time.Second
 		cfg.DrainTimeout = 200 * time.Millisecond
 	})
 	// A client that handshakes and then stalls forever holds a session open.

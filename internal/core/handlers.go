@@ -35,7 +35,7 @@ func (s *Server) exchange(ch gsi.Channel, sc *unsealCache) error {
 // finds the counter already moved.
 func (s *Server) reject(ch gsi.Channel, resp *protocol.Response, err error) error {
 	s.svc.stats.Errors.Add(1)
-	s.cfg.logf("request from %s rejected: %v", ch.PeerIdentity(), err)
+	s.svc.cfg.logf("request from %s rejected: %v", ch.PeerIdentity(), err)
 	_ = s.respond(ch, resp) // the exchange is over either way
 	return nil
 }
@@ -49,7 +49,7 @@ func (s *Server) reject(ch gsi.Channel, resp *protocol.Response, err error) erro
 //myproxy:hotpath
 func (s *Server) dispatch(ch gsi.Channel, req *protocol.Request, sc *unsealCache) error {
 	peer := ch.PeerIdentity()
-	s.cfg.logf("%s %s username=%q cred=%q from %v", peer, req.Command, req.Username, req.CredName, ch.RemoteAddr())
+	s.svc.cfg.logf("%s %s username=%q cred=%q from %v", peer, req.Command, req.Username, req.CredName, ch.RemoteAddr())
 
 	switch req.Command {
 	case protocol.CmdPut:
@@ -61,7 +61,7 @@ func (s *Server) dispatch(ch gsi.Channel, req *protocol.Request, sc *unsealCache
 			if err := s.respond(ch, protocol.OKResponse()); err != nil {
 				return nil, err
 			}
-			return gsi.RequestDelegationFrom(ch, s.cfg.KeySource, spec, nil)
+			return gsi.RequestDelegationFrom(ch, s.svc.cfg.KeySource, spec, nil)
 		}))
 	case protocol.CmdGet:
 		chain, v := s.svc.Get(peer, req, sc, s.followUp(ch))
@@ -241,13 +241,13 @@ func (c *unsealCache) wipe() {
 //
 //myproxy:hotpath
 func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
-	if s.cfg.DisableSessions {
+	if s.svc.cfg.DisableSessions {
 		// A refusal here is the downgrade signal: the client falls back to
 		// one connection per exchange, exactly what a pre-session server's
 		// "unsupported command" answer produces.
 		return s.respond(conn, protocol.ErrorResponse("session mode not supported"))
 	}
-	timeout := s.cfg.SessionTimeout
+	timeout := s.svc.cfg.SessionTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Minute
 	}
@@ -256,7 +256,7 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 	}
 	// Per-message deadlines belong to the one-exchange mode; a session is
 	// capped absolutely instead (armDeadline is disarmed by the Session).
-	if err := conn.SetDeadline(s.cfg.now().Add(timeout)); err != nil {
+	if err := conn.SetDeadline(s.svc.cfg.now().Add(timeout)); err != nil {
 		return err
 	}
 	s.svc.stats.Sessions.Add(1)
@@ -272,7 +272,7 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 			// The client closed the connection, the session cap expired or
 			// the server is draining — the normal end of a session, not a
 			// server fault. The deferred Wait lets in-flight streams finish.
-			s.cfg.logf("session with %s ended: %v", conn.PeerIdentity(), err)
+			s.svc.cfg.logf("session with %s ended: %v", conn.PeerIdentity(), err)
 			return nil
 		}
 		if err := conn.Reverify(); err != nil {
@@ -296,6 +296,6 @@ func (s *Server) serveStream(st *gsi.Stream, sc *unsealCache) {
 	s.svc.stats.Streams.Add(1)
 	if err := s.exchange(st, sc); err != nil {
 		s.svc.stats.Errors.Add(1)
-		s.cfg.logf("stream with %s: %v", st.PeerIdentity(), err)
+		s.svc.cfg.logf("stream with %s: %v", st.PeerIdentity(), err)
 	}
 }

@@ -125,7 +125,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 
 func TestServerHalfOpenConnectionTimesOut(t *testing.T) {
 	_, addr := startServer(t, func(cfg *ServerConfig) {
-		cfg.RequestTimeout = 300 * time.Millisecond
+		cfg.MessageTimeout = 300 * time.Millisecond
 	})
 	alice := testpki.User(t, "core-alice")
 	conn, err := gsi.Dial(context.Background(), "tcp", addr, alice, gsi.AuthOptions{

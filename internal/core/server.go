@@ -17,7 +17,6 @@ import (
 // behind the MYPROXYv2 codecs, as the handler of a GSI acceptor (which owns
 // the listeners, TLS, authentication, slots and the drain).
 type Server struct {
-	cfg      ServerConfig
 	svc      *Service
 	acceptor *gsi.Acceptor
 }
@@ -89,16 +88,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: svc.cfg, svc: svc}
+	s := &Server{svc: svc}
 	s.acceptor, err = gsi.NewAcceptor(gsi.AcceptorConfig{
-		Credential: cfg.Credential,
-		Auth: gsi.AuthOptions{
-			Roots:     cfg.Roots,
-			MaxDepth:  cfg.MaxChainDepth,
-			IsRevoked: svc.revoked,
-			Cache:     cfg.VerifyCache,
-		},
-		SessionTimeout: cfg.RequestTimeout,
+		Credential:     cfg.Credential,
+		Auth:           gsi.AuthOptions{Roots: cfg.Roots, IsRevoked: svc.revoked},
 		MessageTimeout: cfg.MessageTimeout,
 		MaxConcurrent:  cfg.MaxConcurrent,
 		DrainTimeout:   cfg.DrainTimeout,
@@ -112,14 +105,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		go s.every(cfg.PurgeInterval, s.purge)
 	}
 	if cfg.StatsFile != "" {
-		interval := cfg.StatsFlushInterval
-		if interval <= 0 {
-			interval = 30 * time.Second
-		}
-		go s.every(interval, s.flushStats)
+		go s.every(statsFlushInterval, s.flushStats)
 	}
 	return s, nil
 }
+
+// statsFlushInterval is how often a server with a stats file rewrites it.
+const statsFlushInterval = 30 * time.Second
 
 // every runs fn on a period until Close begins.
 func (s *Server) every(interval time.Duration, fn func()) {
@@ -138,24 +130,24 @@ func (s *Server) every(interval time.Duration, fn func()) {
 // purge removes expired credentials (dead weight and residual risk on the
 // repository host, paper §5.1).
 func (s *Server) purge() {
-	n, err := credstore.PurgeExpired(s.svc.cfg.Store, s.cfg.now(), false)
+	n, err := credstore.PurgeExpired(s.svc.cfg.Store, s.svc.cfg.now(), false)
 	if err != nil {
-		s.cfg.logf("purge: %v", err)
+		s.svc.cfg.logf("purge: %v", err)
 	} else if n > 0 {
-		s.cfg.logf("purged %d expired credential(s)", n)
+		s.svc.cfg.logf("purged %d expired credential(s)", n)
 	}
 }
 
 // flushStats persists the counter snapshot for offline inspection
 // (myproxy-admin stats): periodically, and a last time in Close.
 func (s *Server) flushStats() {
-	if err := s.svc.stats.WriteFile(s.cfg.StatsFile); err != nil {
-		s.cfg.logf("stats flush: %v", err)
+	if err := s.svc.stats.WriteFile(s.svc.cfg.StatsFile); err != nil {
+		s.svc.cfg.logf("stats flush: %v", err)
 	}
 }
 
 // Store exposes the backing store (admin tooling, tests).
-func (s *Server) Store() credstore.Store { return s.svc.cfg.Store }
+func (s *Server) Store() credstore.Backend { return s.svc.cfg.Store }
 
 // VerifyCache exposes the chain-verification cache (diagnostics, tests).
 func (s *Server) VerifyCache() *proxy.VerifyCache { return s.acceptor.VerifyCache() }
@@ -174,7 +166,7 @@ func (s *Server) SetRevoked(fn func(*x509.Certificate) bool) {
 func (s *Server) Stats() *Stats { return &s.svc.stats }
 
 // Identity returns the repository's Grid identity.
-func (s *Server) Identity() string { return s.cfg.Credential.Subject() }
+func (s *Server) Identity() string { return s.svc.cfg.Credential.Subject() }
 
 // ListenAndServe listens on addr and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -195,7 +187,7 @@ func (s *Server) Serve(ln net.Listener) error { return s.acceptor.Serve(ln) }
 // stats file.
 func (s *Server) Close() error {
 	err := s.acceptor.Close()
-	if s.cfg.StatsFile != "" {
+	if s.svc.cfg.StatsFile != "" {
 		s.flushStats()
 	}
 	return err
@@ -206,16 +198,16 @@ func (s *Server) event(ev gsi.Event, peer net.Addr, err error) {
 	switch ev {
 	case gsi.EventAuthFailed:
 		s.svc.stats.AuthFailures.Add(1)
-		s.cfg.logf("authentication failed from %v: %v", peer, err)
+		s.svc.cfg.logf("authentication failed from %v: %v", peer, err)
 	case gsi.EventRefused:
 		s.svc.stats.DrainRefusals.Add(1)
-		s.cfg.logf("refused connection from %v: server draining", peer)
+		s.svc.cfg.logf("refused connection from %v: server draining", peer)
 	case gsi.EventForceClosed:
 		s.svc.stats.ForcedCloses.Add(1)
-		s.cfg.logf("drain timeout: force-closing session with %v", peer)
+		s.svc.cfg.logf("drain timeout: force-closing session with %v", peer)
 	case gsi.EventPanic:
 		s.svc.stats.Errors.Add(1)
-		s.cfg.logf("panic serving %v: %v", peer, err)
+		s.svc.cfg.logf("panic serving %v: %v", peer, err)
 	}
 }
 
@@ -226,10 +218,10 @@ func (s *Server) serve(conn *gsi.Conn) {
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
 			s.svc.stats.Timeouts.Add(1)
-			s.cfg.logf("session with %s evicted: message deadline exceeded", conn.PeerIdentity())
+			s.svc.cfg.logf("session with %s evicted: message deadline exceeded", conn.PeerIdentity())
 			return
 		}
 		s.svc.stats.Errors.Add(1)
-		s.cfg.logf("session with %s: %v", conn.PeerIdentity(), err)
+		s.svc.cfg.logf("session with %s: %v", conn.PeerIdentity(), err)
 	}
 }

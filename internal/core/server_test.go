@@ -27,7 +27,6 @@ func startServer(t *testing.T, mutate func(*ServerConfig)) (*Server, string) {
 		AuthorizedRetrievers: policy.NewACL("/C=US/O=Test Grid/*"),
 		KDFIterations:        64, // fast tests; production default is 64k
 		DelegationKeyBits:    1024,
-		RequestTimeout:       10 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)

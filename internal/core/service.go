@@ -50,7 +50,7 @@ func NewService(cfg ServerConfig) (*Service, error) {
 }
 
 // Backend exposes the backing store (admin tooling, co-hosted front-ends).
-func (s *Service) Backend() credstore.Store { return s.cfg.Store }
+func (s *Service) Backend() credstore.Backend { return s.cfg.Store }
 
 // Stats exposes the operation counters, filled the same way whichever
 // front-end carried the request.
@@ -272,7 +272,7 @@ func (s *Service) Put(peer string, req *protocol.Request, receive func(pki.KeySp
 	// clients may only deposit their own credentials. The chain's leaf is
 	// freshly minted, so this verification is never cache-served.
 	res, err := proxy.Verify(cred.CertChain(), proxy.VerifyOptions{
-		Roots: s.cfg.Roots, MaxDepth: s.cfg.MaxChainDepth, IsRevoked: s.revoked,
+		Roots: s.cfg.Roots, IsRevoked: s.revoked,
 	})
 	if err != nil {
 		return &Verdict{Kind: VerdictInvalid, Public: "delegated chain invalid: " + err.Error(), Err: err}

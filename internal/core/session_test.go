@@ -340,7 +340,7 @@ func TestSessionCarriesEveryOperation(t *testing.T) {
 // gatedStore parks every List of one username until released, and says
 // when one has arrived: a repository that has stopped answering one stream.
 type gatedStore struct {
-	credstore.Store
+	credstore.Backend
 	stuck            string
 	entered, release chan struct{}
 }
@@ -350,7 +350,7 @@ func (g *gatedStore) List(username string) ([]*credstore.Entry, error) {
 		g.entered <- struct{}{}
 		<-g.release
 	}
-	return g.Store.List(username)
+	return g.Backend.List(username)
 }
 
 // TestSessionStreamReturnsWhenItsContextIsDone: an operation on a session
@@ -359,7 +359,7 @@ func (g *gatedStore) List(username string) ([]*credstore.Entry, error) {
 // connection it already holds.
 func TestSessionStreamReturnsWhenItsContextIsDone(t *testing.T) {
 	store := &gatedStore{
-		Store: credstore.NewMemStore(), stuck: "stuck-user",
+		Backend: credstore.NewMemStore(), stuck: "stuck-user",
 		entered: make(chan struct{}), release: make(chan struct{}),
 	}
 	defer close(store.release)
@@ -431,7 +431,7 @@ func restart(t *testing.T, srv *Server, addr string) *Server {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := NewServer(srv.cfg)
+	again, err := NewServer(srv.svc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // weight and residual risk on the repository host (paper §5.1), so
 // operators purge them periodically (cmd/myproxy-admin) and the server can
 // sweep on an interval.
-func PurgeExpired(store Store, now time.Time, dryRun bool) (int, error) {
+func PurgeExpired(store Backend, now time.Time, dryRun bool) (int, error) {
 	usernames, err := store.Usernames()
 	if err != nil {
 		return 0, err

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPurgeExpired(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
+	storeImpls(t, func(t *testing.T, s Backend) {
 		live := sampleEntry(t, "alice", "live")
 		live.NotAfter = time.Now().Add(time.Hour)
 		dead := sampleEntry(t, "alice", "dead")

@@ -160,10 +160,6 @@ type Backend interface {
 	Usernames() ([]string, error)
 }
 
-// Store is the historical name for the storage interface; it is the same
-// contract as Backend.
-type Store = Backend
-
 // ErrNotFound is returned for missing credentials.
 var ErrNotFound = errors.New("credstore: no such credential")
 

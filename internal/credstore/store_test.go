@@ -14,8 +14,8 @@ import (
 	"repro/internal/testpki"
 )
 
-// storeImpls runs a subtest against each Store implementation.
-func storeImpls(t *testing.T, fn func(t *testing.T, s Store)) {
+// storeImpls runs a subtest against each Backend implementation.
+func storeImpls(t *testing.T, fn func(t *testing.T, s Backend)) {
 	t.Run("mem", func(t *testing.T) { fn(t, NewMemStore()) })
 	t.Run("file", func(t *testing.T) {
 		fs, err := NewFileStore(t.TempDir())
@@ -49,7 +49,7 @@ func sampleEntry(t *testing.T, username, name string) *Entry {
 }
 
 func TestStoreCRUD(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
+	storeImpls(t, func(t *testing.T, s Backend) {
 		e := sampleEntry(t, "jdoe", "")
 		if err := s.Put(e); err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func TestStoreCRUD(t *testing.T) {
 }
 
 func TestStoreRejectsEmptyUsername(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
+	storeImpls(t, func(t *testing.T, s Backend) {
 		if err := s.Put(&Entry{}); err == nil {
 			t.Error("empty username accepted")
 		}
@@ -90,7 +90,7 @@ func TestStoreRejectsEmptyUsername(t *testing.T) {
 }
 
 func TestStoreReplace(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
+	storeImpls(t, func(t *testing.T, s Backend) {
 		e := sampleEntry(t, "jdoe", "")
 		if err := s.Put(e); err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestStoreReplace(t *testing.T) {
 }
 
 func TestStoreListOrdering(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
+	storeImpls(t, func(t *testing.T, s Backend) {
 		for _, name := range []string{"zeta", "", "alpha"} {
 			if err := s.Put(sampleEntry(t, "jdoe", name)); err != nil {
 				t.Fatal(err)
@@ -138,7 +138,7 @@ func TestStoreListOrdering(t *testing.T) {
 }
 
 func TestStoreUsernames(t *testing.T) {
-	storeImpls(t, func(t *testing.T, s Store) {
+	storeImpls(t, func(t *testing.T, s Backend) {
 		for _, u := range []string{"carol", "alice", "bob", "alice"} {
 			if err := s.Put(sampleEntry(t, u, "")); err != nil {
 				t.Fatal(err)

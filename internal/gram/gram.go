@@ -83,11 +83,6 @@ type Config struct {
 	Credential *pki.Credential
 	Roots      *x509.CertPool
 	Gridmap    *gsi.Gridmap
-	// Runners maps executable names to implementations; nil selects
-	// BuiltinRunners().
-	Runners map[string]Runner
-	// SessionTimeout bounds one client session (0 = 30s).
-	SessionTimeout time.Duration
 	// Renewal, when non-nil, lets delegated jobs that name a RenewUser be
 	// kept alive past their proxy lifetime: the manager runs a renewal
 	// agent against the configured MyProxy repository (paper §6.6).
@@ -133,17 +128,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Credential == nil || cfg.Roots == nil || cfg.Gridmap == nil {
 		return nil, errors.New("gram: credential, roots, and gridmap required")
 	}
-	runners := cfg.Runners
-	if runners == nil {
-		runners = BuiltinRunners(cfg.Roots)
-	}
-	s := &Server{cfg: cfg, runners: runners, jobs: make(map[string]*job)}
+	s := &Server{cfg: cfg, runners: BuiltinRunners(cfg.Roots), jobs: make(map[string]*job)}
 	var err error
 	s.acceptor, err = gsi.NewAcceptor(gsi.AcceptorConfig{
-		Credential:     cfg.Credential,
-		Auth:           gsi.AuthOptions{Roots: cfg.Roots},
-		SessionTimeout: cfg.SessionTimeout,
-		Handler:        s.serve,
+		Credential: cfg.Credential,
+		Auth:       gsi.AuthOptions{Roots: cfg.Roots},
+		Handler:    s.serve,
 	})
 	if err != nil {
 		return nil, err

@@ -24,15 +24,15 @@ const (
 type AcceptorConfig struct {
 	// Credential is the service's host credential.
 	Credential *pki.Credential
-	// Auth says how peers are verified: Roots (required), MaxDepth,
-	// IsRevoked, Cache. The acceptor fills in the handshake timeout, one TLS
+	// Auth says how peers are verified: Roots (required), IsRevoked,
+	// Cache. The acceptor fills in the handshake timeout, one TLS
 	// configuration for all its connections (so sessions resume) and, when
 	// Cache is nil, a verification cache of the default size.
 	Auth AuthOptions
-	// SessionTimeout bounds one accepted session (0 = DefaultTimeout);
-	// MessageTimeout bounds the handshake and each message inside it — the
-	// slowloris guard (0, or more than SessionTimeout, = SessionTimeout).
-	SessionTimeout, MessageTimeout time.Duration
+	// MessageTimeout bounds the handshake and each message of a session —
+	// the slowloris guard (0, or more than DefaultTimeout, = DefaultTimeout).
+	// DefaultTimeout bounds the whole session.
+	MessageTimeout time.Duration
 	// MaxConcurrent caps simultaneously served connections; further accepts
 	// wait for a slot — backpressure rather than goroutine pileup. 0 = no cap.
 	MaxConcurrent int
@@ -70,9 +70,8 @@ func NewAcceptor(cfg AcceptorConfig) (*Acceptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.SessionTimeout = orDefault(cfg.SessionTimeout)
-	if cfg.MessageTimeout <= 0 || cfg.MessageTimeout > cfg.SessionTimeout {
-		cfg.MessageTimeout = cfg.SessionTimeout
+	if cfg.MessageTimeout <= 0 || cfg.MessageTimeout > DefaultTimeout {
+		cfg.MessageTimeout = DefaultTimeout
 	}
 	cfg.Auth.HandshakeTimeout, cfg.Auth.TLSConfig = cfg.MessageTimeout, tlsCfg
 	if cfg.Auth.Cache == nil {
@@ -181,7 +180,7 @@ func (a *Acceptor) handle(raw net.Conn) {
 	}
 	defer conn.Close()
 	conn.draining = a.quit
-	conn.SetSessionDeadline(time.Now().Add(a.cfg.SessionTimeout))
+	conn.SetSessionDeadline(time.Now().Add(DefaultTimeout))
 	conn.SetMessageTimeout(a.cfg.MessageTimeout)
 	a.cfg.Handler(conn)
 }

@@ -18,8 +18,6 @@ import (
 type AuthOptions struct {
 	// Roots are the trusted CA certificates; required.
 	Roots *x509.CertPool
-	// MaxDepth bounds proxy chain depth (0 = proxy.DefaultMaxDepth).
-	MaxDepth int
 	// IsRevoked is an optional revocation hook applied to every peer
 	// certificate.
 	IsRevoked func(*x509.Certificate) bool
@@ -166,7 +164,6 @@ func authenticatePeer(tc *tls.Conn, opts AuthOptions) (*proxy.Result, error) {
 	// cheap, it never skips revocation).
 	res, err := opts.Cache.Verify(state.PeerCertificates, proxy.VerifyOptions{
 		Roots:     opts.Roots,
-		MaxDepth:  opts.MaxDepth,
 		IsRevoked: opts.IsRevoked,
 	})
 	if err != nil {

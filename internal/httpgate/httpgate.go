@@ -49,11 +49,7 @@ func New(cfg core.ServerConfig) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	verifyCache := cfg.VerifyCache
-	if verifyCache == nil {
-		verifyCache = proxy.NewVerifyCache(0)
-	}
-	g := &Gateway{cfg: cfg, svc: svc, mux: http.NewServeMux(), verifyCache: verifyCache}
+	g := &Gateway{cfg: cfg, svc: svc, mux: http.NewServeMux(), verifyCache: proxy.NewVerifyCache(0)}
 	g.mux.HandleFunc("POST /v1/get", g.requireIdentity(g.handleGet))
 	g.mux.HandleFunc("POST /v1/info", g.requireIdentity(g.handleInfo))
 	g.mux.HandleFunc("POST /v1/store", g.requireIdentity(g.handleStore))
@@ -64,7 +60,7 @@ func New(cfg core.ServerConfig) (*Gateway, error) {
 
 // Store exposes the backing store so a gateway can be co-hosted with a
 // core.Server over the same credentials.
-func (g *Gateway) Store() credstore.Store { return g.svc.Backend() }
+func (g *Gateway) Store() credstore.Backend { return g.svc.Backend() }
 
 // Serve runs HTTPS with client-certificate authentication on ln.
 func (g *Gateway) Serve(ln net.Listener) error {
@@ -108,7 +104,6 @@ func (g *Gateway) requireIdentity(h identityHandler) http.HandlerFunc {
 		}
 		res, err := g.verifyCache.Verify(r.TLS.PeerCertificates, proxy.VerifyOptions{
 			Roots:       g.cfg.Roots,
-			MaxDepth:    g.cfg.MaxChainDepth,
 			IsRevoked:   g.cfg.IsRevoked,
 			CurrentTime: g.now(),
 		})

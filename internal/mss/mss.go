@@ -50,8 +50,6 @@ type Config struct {
 	Gridmap *gsi.Gridmap
 	// MaxObjectBytes bounds one stored object (0 = 256 KiB).
 	MaxObjectBytes int
-	// SessionTimeout bounds one client session (0 = 30s).
-	SessionTimeout time.Duration
 }
 
 // Server is an in-memory mass storage service: the handler of a GSI
@@ -78,10 +76,9 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, objects: make(map[string]map[string][]byte)}
 	var err error
 	s.acceptor, err = gsi.NewAcceptor(gsi.AcceptorConfig{
-		Credential:     cfg.Credential,
-		Auth:           gsi.AuthOptions{Roots: cfg.Roots},
-		SessionTimeout: cfg.SessionTimeout,
-		Handler:        s.serve,
+		Credential: cfg.Credential,
+		Auth:       gsi.AuthOptions{Roots: cfg.Roots},
+		Handler:    s.serve,
 	})
 	if err != nil {
 		return nil, err

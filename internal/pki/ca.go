@@ -16,7 +16,6 @@ import (
 // certificates and maintains a revocation list.
 type CA struct {
 	cred *Credential
-	alg  KeyAlgorithm
 
 	mu         sync.Mutex
 	nextSerial int64
@@ -27,12 +26,7 @@ type CA struct {
 type CAConfig struct {
 	// Name is the CA's own DN, e.g. /C=US/O=Example Grid/CN=Example CA.
 	Name DN
-	// Algorithm selects the key algorithm for the CA key and for keys the
-	// CA generates in IssueCredential/IssueHostCredential; the zero value
-	// is RSA (paper fidelity).
-	Algorithm KeyAlgorithm
-	// KeyBits is the RSA modulus size; 0 selects DefaultKeyBits. Ignored
-	// for non-RSA algorithms.
+	// KeyBits is the size of the CA's RSA key; 0 selects DefaultKeyBits.
 	KeyBits int
 	// Lifetime of the self-signed CA certificate; 0 selects ten years.
 	Lifetime time.Duration
@@ -49,7 +43,7 @@ func NewCA(cfg CAConfig) (*CA, error) {
 	key := cfg.Key
 	if key == nil {
 		var err error
-		key, err = GenerateSigner(KeySpec{Algorithm: cfg.Algorithm, Bits: cfg.KeyBits})
+		key, err = GenerateSigner(KeySpec{Bits: cfg.KeyBits})
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +76,6 @@ func NewCA(cfg CAConfig) (*CA, error) {
 	}
 	return &CA{
 		cred:       &Credential{Certificate: cert, PrivateKey: key},
-		alg:        cfg.Algorithm,
 		nextSerial: 2,
 		revoked:    make(map[string]time.Time),
 	}, nil
@@ -184,11 +177,11 @@ func (ca *CA) Issue(req IssueRequest) (*x509.Certificate, error) {
 	return x509.ParseCertificate(der)
 }
 
-// IssueCredential generates a key pair (of the CA's configured algorithm)
-// and issues a certificate for it in one step, returning a complete
-// credential. keyBits == 0 selects DefaultKeyBits (RSA only).
+// IssueCredential generates an RSA key pair and issues a certificate for it
+// in one step, returning a complete credential. keyBits == 0 selects
+// DefaultKeyBits.
 func (ca *CA) IssueCredential(subject DN, lifetime time.Duration, keyBits int) (*Credential, error) {
-	key, err := GenerateSigner(KeySpec{Algorithm: ca.alg, Bits: keyBits})
+	key, err := GenerateSigner(KeySpec{Bits: keyBits})
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +200,7 @@ func (ca *CA) IssueCredentialForKey(subject DN, lifetime time.Duration, key cryp
 // IssueHostCredential issues a host/service credential for hostname with
 // subject CN=hostname appended to base.
 func (ca *CA) IssueHostCredential(base DN, hostname string, lifetime time.Duration, keyBits int) (*Credential, error) {
-	key, err := GenerateSigner(KeySpec{Algorithm: ca.alg, Bits: keyBits})
+	key, err := GenerateSigner(KeySpec{Bits: keyBits})
 	if err != nil {
 		return nil, err
 	}

@@ -12,18 +12,12 @@ import (
 	"strings"
 )
 
-// PassphrasePolicy validates user-chosen pass phrases.
+// PassphrasePolicy validates user-chosen pass phrases: the two checks §4.1
+// names, a minimum length and a dictionary of weak phrases.
 type PassphrasePolicy struct {
 	// MinLength is the minimum pass phrase length in bytes; 0 selects
 	// DefaultMinPassphraseLength.
 	MinLength int
-	// RequireMixedClasses demands at least two character classes
-	// (letters, digits, other).
-	RequireMixedClasses bool
-	// ExtraDictionary supplements the built-in weak-password dictionary.
-	ExtraDictionary []string
-	// DisableDictionary skips dictionary checks entirely.
-	DisableDictionary bool
 }
 
 // DefaultMinPassphraseLength matches the MyProxy C implementation's
@@ -56,46 +50,17 @@ func (p PassphrasePolicy) Check(passphrase string) error {
 	if strings.TrimSpace(passphrase) == "" {
 		return fmt.Errorf("%w: all whitespace", ErrWeakPassphrase)
 	}
-	if p.RequireMixedClasses && characterClasses(passphrase) < 2 {
-		return fmt.Errorf("%w: needs at least two character classes", ErrWeakPassphrase)
-	}
-	if !p.DisableDictionary {
-		lower := strings.ToLower(passphrase)
-		stripped := strings.Map(func(r rune) rune {
-			if r >= '0' && r <= '9' {
-				return -1
-			}
-			return r
-		}, lower)
-		for _, dict := range [2][]string{builtinDictionary, p.ExtraDictionary} {
-			for _, word := range dict {
-				w := strings.ToLower(word)
-				if lower == w || stripped == w {
-					return fmt.Errorf("%w: found in dictionary", ErrWeakPassphrase)
-				}
-			}
+	lower := strings.ToLower(passphrase)
+	stripped := strings.Map(func(r rune) rune {
+		if r >= '0' && r <= '9' {
+			return -1
+		}
+		return r
+	}, lower)
+	for _, word := range builtinDictionary {
+		if lower == word || stripped == word {
+			return fmt.Errorf("%w: found in dictionary", ErrWeakPassphrase)
 		}
 	}
 	return nil
-}
-
-func characterClasses(s string) int {
-	var letter, digit, other bool
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z':
-			letter = true
-		case r >= '0' && r <= '9':
-			digit = true
-		default:
-			other = true
-		}
-	}
-	n := 0
-	for _, b := range []bool{letter, digit, other} {
-		if b {
-			n++
-		}
-	}
-	return n
 }

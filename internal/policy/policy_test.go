@@ -38,24 +38,6 @@ func TestPassphraseDictionary(t *testing.T) {
 	if err := p.Check("correct horse battery"); err != nil {
 		t.Errorf("strong phrase rejected: %v", err)
 	}
-	custom := PassphrasePolicy{ExtraDictionary: []string{"sitename"}}
-	if err := custom.Check("sitename"); !errors.Is(err, ErrWeakPassphrase) {
-		t.Errorf("extra dictionary ignored: %v", err)
-	}
-	off := PassphrasePolicy{DisableDictionary: true}
-	if err := off.Check("password"); err != nil {
-		t.Errorf("dictionary check not disabled: %v", err)
-	}
-}
-
-func TestPassphraseMixedClasses(t *testing.T) {
-	p := PassphrasePolicy{RequireMixedClasses: true}
-	if err := p.Check("onlyletters"); !errors.Is(err, ErrWeakPassphrase) {
-		t.Errorf("single-class accepted: %v", err)
-	}
-	if err := p.Check("letters4nd"); err != nil {
-		t.Errorf("two-class rejected: %v", err)
-	}
 }
 
 func TestMatchDN(t *testing.T) {

@@ -64,8 +64,6 @@ type Config struct {
 	KeySource proxy.KeySource
 	// Logger receives audit lines; nil disables logging.
 	Logger *log.Logger
-	// Now is the clock (tests).
-	Now func() time.Time
 }
 
 // Portal is the web application.
@@ -93,7 +91,7 @@ func New(cfg Config) (*Portal, error) {
 	}
 	p := &Portal{
 		cfg:      cfg,
-		sessions: NewSessions(cfg.SessionLifetime, cfg.Now),
+		sessions: NewSessions(cfg.SessionLifetime, nil),
 		mux:      http.NewServeMux(),
 		clients:  make(map[string]core.Repository),
 	}
@@ -141,13 +139,6 @@ func (p *Portal) Serve(ln net.Listener) error {
 
 // sweepInterval is how often a serving portal drops expired sessions.
 const sweepInterval = time.Minute
-
-func (p *Portal) now() time.Time {
-	if p.cfg.Now != nil {
-		return p.cfg.Now()
-	}
-	return time.Now()
-}
 
 // repoClient returns the memoized repository client for repoAddr, creating
 // it on first use. Reusing the client is what lets its TLS session cache and

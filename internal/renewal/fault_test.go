@@ -30,7 +30,6 @@ func TestRenewOnceRetriesTransientFailures(t *testing.T) {
 		c.Retry = resilience.Policy{
 			MaxAttempts: 3,
 			BaseDelay:   time.Millisecond,
-			MaxDelay:    5 * time.Millisecond,
 		}
 		return c
 	}

@@ -81,9 +81,9 @@ type Config struct {
 	// credential; called for every renewal so the (rotating) working proxy
 	// is always the authenticator. Required.
 	NewClient func(cred *pki.Credential) *core.Client
-	// Username/CredName identify the stored renewable credential.
+	// Username names the stored renewable credential (its default
+	// credential).
 	Username string
-	CredName string
 	// Threshold triggers renewal when less than this much lifetime
 	// remains (0 = 15 minutes).
 	Threshold time.Duration
@@ -94,8 +94,6 @@ type Config struct {
 	Interval time.Duration
 	// OnRenew, if non-nil, observes successful renewals.
 	OnRenew func(cred *pki.Credential)
-	// Now is the clock (tests); nil selects time.Now.
-	Now func() time.Time
 }
 
 // Renewer drives credential renewal for one job.
@@ -126,13 +124,6 @@ func New(cfg Config) (*Renewer, error) {
 	return &Renewer{cfg: cfg}, nil
 }
 
-func (r *Renewer) now() time.Time {
-	if r.cfg.Now != nil {
-		return r.cfg.Now()
-	}
-	return time.Now()
-}
-
 // NeedsRenewal reports whether the held credential is within the renewal
 // threshold.
 func (r *Renewer) NeedsRenewal() bool {
@@ -140,7 +131,7 @@ func (r *Renewer) NeedsRenewal() bool {
 	if cred == nil {
 		return true
 	}
-	return cred.TimeLeftAt(r.now()) < r.cfg.Threshold
+	return cred.TimeLeft() < r.cfg.Threshold
 }
 
 // RenewOnce performs a single renewal unconditionally, replacing the held
@@ -153,7 +144,6 @@ func (r *Renewer) RenewOnce(ctx context.Context) error {
 	client := r.cfg.NewClient(current)
 	fresh, err := client.Get(ctx, core.GetOptions{
 		Username: r.cfg.Username,
-		CredName: r.cfg.CredName,
 		Lifetime: r.cfg.Lifetime,
 		Renewal:  true,
 	})

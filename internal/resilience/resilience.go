@@ -5,10 +5,9 @@
 // a server that degrades gracefully, and clients that ride out transient
 // faults instead of failing the portal login on the first dropped packet.
 // This package is the client half: an exponential-backoff retry policy with
-// jitter, per-attempt timeout budgets, context-aware cancellation, and an
-// explicit vocabulary for the two kinds of non-retryable failure —
-// permanent errors (the server said no) and ambiguous errors (a mutation
-// may or may not have committed).
+// jitter, context-aware cancellation, and an explicit vocabulary for the two
+// kinds of non-retryable failure — permanent errors (the server said no)
+// and ambiguous errors (a mutation may or may not have committed).
 package resilience
 
 import (
@@ -26,21 +25,9 @@ type Policy struct {
 	// MaxAttempts is the total number of attempts including the first;
 	// values below 1 mean 1.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (0 = 100ms).
+	// BaseDelay is the backoff before the first retry (0 = 100ms); each
+	// later retry waits twice as long, up to maxDelay.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff (0 = 5s).
-	MaxDelay time.Duration
-	// Multiplier grows the backoff between retries (0 = 2).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in [0, 1]
-	// (0 = 0.5): delay' = delay * (1 - Jitter + Jitter*rand). Jitter
-	// decorrelates the retry storms of many clients hitting one repository
-	// after a shared fault.
-	Jitter float64
-	// PerAttemptTimeout, when positive, bounds each attempt with its own
-	// context deadline, so one black-holed connection cannot consume the
-	// whole operation budget.
-	PerAttemptTimeout time.Duration
 
 	// OnRetry, when non-nil, observes every scheduled retry (stats,
 	// logging). attempt is the 1-based number of the attempt that failed.
@@ -53,6 +40,15 @@ type Policy struct {
 	// seeded source.
 	Rand func() float64
 }
+
+const (
+	// maxDelay caps the backoff.
+	maxDelay = 5 * time.Second
+	// jitter is the fraction of each delay that is randomized: delay' =
+	// delay * (1 - jitter + jitter*rand). Jitter decorrelates the retry
+	// storms of many clients hitting one repository after a shared fault.
+	jitter = 0.5
+)
 
 // sharedRand backs the default jitter source; rand.Rand is not
 // concurrency-safe, so guard it.
@@ -149,49 +145,23 @@ func IsRetrySafe(err error) bool {
 // Backoff returns the backoff before retry number retry (0-based), without
 // jitter applied.
 func (p Policy) Backoff(retry int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
+	d := p.BaseDelay
+	if d <= 0 {
+		d = 100 * time.Millisecond
 	}
-	maxDelay := p.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
+	for i := 0; i < retry && d < maxDelay; i++ {
+		d *= 2
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
-	d := float64(base)
-	for i := 0; i < retry; i++ {
-		d *= mult
-		if d >= float64(maxDelay) {
-			return maxDelay
-		}
-	}
-	if d > float64(maxDelay) {
-		return maxDelay
-	}
-	return time.Duration(d)
+	return min(d, maxDelay)
 }
 
-// jittered applies the policy's jitter fraction to d.
+// jittered applies the jitter fraction to d.
 func (p Policy) jittered(d time.Duration) time.Duration {
-	j := p.Jitter
-	if j == 0 {
-		j = 0.5
-	}
-	if j < 0 {
-		j = 0
-	}
-	if j > 1 {
-		j = 1
-	}
 	rnd := p.Rand
 	if rnd == nil {
 		rnd = defaultRand
 	}
-	f := 1 - j + j*rnd()
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (1 - jitter + jitter*rnd()))
 }
 
 func (p Policy) sleep(ctx context.Context, d time.Duration) error {
@@ -213,9 +183,9 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 
 // Do runs op under the policy. Transient failures are retried with
 // exponential backoff and jitter until MaxAttempts is exhausted or ctx is
-// done; errors wrapped by Permanent or Ambiguous stop immediately.
-// Each attempt runs under its own PerAttemptTimeout (when set), always
-// bounded by ctx. The returned error is the last attempt's, annotated with
+// done; errors wrapped by Permanent or Ambiguous stop immediately. Each
+// attempt runs under ctx; the caller's transport bounds one attempt. The
+// returned error is the last attempt's, annotated with
 // the attempt count when more than one was made (the underlying error
 // remains reachable through errors.Is/As).
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) error {
@@ -231,12 +201,7 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 			}
 			return ctx.Err()
 		}
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if p.PerAttemptTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, p.PerAttemptTimeout)
-		}
-		err = op(attemptCtx)
-		cancel()
+		err = op(ctx)
 		if err == nil {
 			return nil
 		}

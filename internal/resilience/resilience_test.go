@@ -13,9 +13,7 @@ func fastPolicy(attempts int, slept *[]time.Duration) Policy {
 	return Policy{
 		MaxAttempts: attempts,
 		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    80 * time.Millisecond,
-		Jitter:      1,                           // fully randomized...
-		Rand:        func() float64 { return 1 }, // ...but pinned for determinism
+		Rand:        func() float64 { return 1 }, // jitter pinned to identity
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			if slept != nil {
 				*slept = append(*slept, d)
@@ -136,45 +134,18 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	}
 }
 
-func TestPerAttemptTimeout(t *testing.T) {
-	p := Policy{
-		MaxAttempts:       2,
-		PerAttemptTimeout: 20 * time.Millisecond,
-		Sleep:             func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-	}
-	deadlines := 0
-	err := p.Do(context.Background(), func(ctx context.Context) error {
-		dl, ok := ctx.Deadline()
-		if !ok {
-			t.Fatal("attempt context has no deadline")
-		}
-		if time.Until(dl) > 25*time.Millisecond {
-			t.Errorf("deadline too far: %v", time.Until(dl))
-		}
-		deadlines++
-		<-ctx.Done() // the attempt blocks until its budget expires
-		return ctx.Err()
-	})
-	if deadlines != 2 {
-		t.Errorf("attempts = %d, want 2", deadlines)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestBackoffCapsAtMaxDelay(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
-	want := []time.Duration{10, 20, 35, 35}
+	p := Policy{BaseDelay: time.Second}
+	want := []time.Duration{1, 2, 4, 5, 5}
 	for i, w := range want {
-		if got := p.Backoff(i); got != w*time.Millisecond {
-			t.Errorf("Backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
+		if got := p.Backoff(i); got != w*time.Second {
+			t.Errorf("Backoff(%d) = %v, want %v", i, got, w*time.Second)
 		}
 	}
 }
 
 func TestJitterStaysInRange(t *testing.T) {
-	p := Policy{BaseDelay: 100 * time.Millisecond, Jitter: 0.5}
+	p := Policy{BaseDelay: 100 * time.Millisecond}
 	for _, r := range []float64{0, 0.25, 0.5, 1} {
 		p.Rand = func() float64 { return r }
 		d := p.jittered(p.Backoff(0))
