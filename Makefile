@@ -62,9 +62,10 @@ race-failover:
 
 # fuzz-smoke runs each native fuzz target for a few seconds: the wire
 # parsers (protocol requests/responses) and the GSI frame decoders, seeded
-# from the golden exchanges, and the byte-level proxy subject and
+# from the golden exchanges, the byte-level proxy subject and
 # ProxyCertInfo readings against their encoding/asn1 references, seeded
-# from real chains. A short time box keeps `make check` fast; longer
+# from real chains, and the minted proxy certificate against
+# x509.CreateCertificate, seeded across DER length boundaries. A short time box keeps `make check` fast; longer
 # campaigns are a manual `go test -fuzz=... -fuzztime=10m`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/protocol
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadStreamFrame -fuzztime=5s ./internal/gsi
 	$(GO) test -run='^$$' -fuzz=FuzzParseProxyCertInfo -fuzztime=5s ./internal/proxy
 	$(GO) test -run='^$$' -fuzz=FuzzProxySubject -fuzztime=5s ./internal/proxy
+	$(GO) test -run='^$$' -fuzz=FuzzMintProxy -fuzztime=5s ./internal/proxy
 
 # stress repeats, under the race detector, the tests that were
 # schedule-dependent before the GSI endpoint existed once (DESIGN.md §18) —

@@ -60,6 +60,7 @@ var hotCostlySeeds = map[string]string{
 	"crypto/rsa.SignPKCS1v15":            "signing",
 	"crypto/ecdsa.SignASN1":              "signing",
 	"crypto/x509.CreateCertificate":      "certificate signing",
+	"(crypto.Signer).Sign":               "signing",
 	"crypto/rand.Read":                   "entropy read",
 }
 

@@ -3,7 +3,6 @@ package gsi
 import (
 	"context"
 	"crypto"
-	"crypto/rand"
 	"crypto/x509"
 	"errors"
 	"fmt"
@@ -57,9 +56,7 @@ func RequestDelegationFrom(ch Channel, keys proxy.KeySource, spec pki.KeySpec, r
 func requestDelegationWithKey(ch Channel, key crypto.Signer, roots *x509.CertPool) (*pki.Credential, error) {
 	// The CSR subject is ignored by the signer (RFC 3820: the issuer
 	// dictates the subject), but must be present for a well-formed request.
-	csrDER, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
-		Subject: ch.LocalCredential().Certificate.Subject,
-	}, key)
+	csrDER, err := proxy.CreateRequest(ch.LocalCredential().Certificate.RawSubject, key)
 	if err != nil {
 		return nil, fmt.Errorf("gsi: create CSR: %w", err)
 	}

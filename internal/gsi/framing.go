@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // DefaultMaxFrame bounds a single protocol message. Credential chains and
@@ -32,7 +33,8 @@ const MaxFrameSize = 16 << 20
 // or an outgoing payload exceeds MaxFrameSize.
 var ErrFrameTooLarge = errors.New("gsi: frame exceeds maximum size")
 
-// WriteFrame writes one length-prefixed message.
+// WriteFrame writes one length-prefixed message, header and payload in one
+// Write.
 //
 //myproxy:hotpath
 func WriteFrame(w io.Writer, payload []byte) error {
@@ -41,13 +43,31 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("gsi: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("gsi: write frame body: %w", err)
+	if err := writeJoined(w, hdr[:], payload); err != nil {
+		return fmt.Errorf("gsi: write frame: %w", err)
 	}
 	return nil
+}
+
+// frameBuffers holds the buffers writeJoined assembles frames in. A buffer
+// larger than maxPooledFrame is left to the collector rather than kept.
+var frameBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 64 << 10
+
+// writeJoined writes hdr and payload in one Write, so that a frame is one
+// TLS record and one system call rather than two. The copy is cleared
+// before its buffer goes back to the pool: requests carry pass phrases.
+func writeJoined(w io.Writer, hdr, payload []byte) error {
+	bp := frameBuffers.Get().(*[]byte)
+	buf := append(append((*bp)[:0], hdr...), payload...)
+	_, err := w.Write(buf)
+	clear(buf)
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf[:0]
+		frameBuffers.Put(bp)
+	}
+	return err
 }
 
 // ReadFrame reads one length-prefixed message of at most max bytes
@@ -86,7 +106,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 const streamIDLen = 4
 
 // WriteStreamFrame writes one length-prefixed message tagged with a
-// stream identifier (id must be nonzero).
+// stream identifier (id must be nonzero), header and payload in one Write.
 //
 //myproxy:hotpath
 func WriteStreamFrame(w io.Writer, id uint32, payload []byte) error {
@@ -99,11 +119,8 @@ func WriteStreamFrame(w io.Writer, id uint32, payload []byte) error {
 	var hdr [4 + streamIDLen]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+streamIDLen))
 	binary.BigEndian.PutUint32(hdr[4:], id)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("gsi: write stream frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("gsi: write stream frame body: %w", err)
+	if err := writeJoined(w, hdr[:], payload); err != nil {
+		return fmt.Errorf("gsi: write stream frame: %w", err)
 	}
 	return nil
 }

@@ -121,3 +121,54 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 		t.Fatalf("WriteFrame(small) = %v", err)
 	}
 }
+
+// writeRecorder records what each Write call was handed, both as a copy
+// and as the slice itself.
+type writeRecorder struct{ copies, handed [][]byte }
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.copies = append(w.copies, bytes.Clone(p))
+	w.handed = append(w.handed, p)
+	return len(p), nil
+}
+
+// A frame goes out in one Write — header and payload together, so one TLS
+// record and one system call — in both framings, and the assembled copy is
+// cleared once written, since request payloads carry pass phrases.
+func TestFrameIsOneWrite(t *testing.T) {
+	for _, n := range []int{0, 5, 4096, 100 << 10} {
+		payload := bytes.Repeat([]byte{'s'}, n)
+		for _, stream := range []bool{false, true} {
+			w := &writeRecorder{}
+			var err error
+			if stream {
+				err = WriteStreamFrame(w, 9, payload)
+			} else {
+				err = WriteFrame(w, payload)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w.copies) != 1 {
+				t.Fatalf("stream=%v, %d-byte payload: %d writes, want 1", stream, n, len(w.copies))
+			}
+			r := bytes.NewReader(w.copies[0])
+			var got []byte
+			if stream {
+				var id uint32
+				id, got, err = ReadStreamFrame(r, 0)
+				if id != 9 {
+					t.Errorf("stream id %d, want 9", id)
+				}
+			} else {
+				got, err = ReadFrame(r, 0)
+			}
+			if err != nil || !bytes.Equal(got, payload) || r.Len() != 0 {
+				t.Fatalf("stream=%v, %d-byte payload: the one write does not read back as the frame: %v", stream, n, err)
+			}
+			if bytes.ContainsRune(w.handed[0], 's') {
+				t.Errorf("stream=%v, %d-byte payload: the written copy was not cleared", stream, n)
+			}
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto"
-	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
@@ -139,9 +138,7 @@ func (c *Client) Get(ctx context.Context, req GetRequest) (*pki.Credential, erro
 	if err != nil {
 		return nil, err
 	}
-	csrDER, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
-		Subject: c.Credential.Certificate.Subject,
-	}, key)
+	csrDER, err := proxy.CreateRequest(c.Credential.Certificate.RawSubject, key)
 	if err != nil {
 		return nil, err
 	}

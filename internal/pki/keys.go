@@ -8,6 +8,7 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/x509"
+	"encoding/asn1"
 	"encoding/base64"
 	"encoding/pem"
 	"errors"
@@ -235,11 +236,17 @@ func marshalKeyDER(key crypto.Signer) ([]byte, error) {
 	}
 }
 
-// parseKeyDER is marshalKeyDER's inverse: it tries PKCS#1 first (the RSA
-// back-compat format) and falls back to PKCS#8.
+// parseKeyDER is marshalKeyDER's inverse. The second element of the
+// outer SEQUENCE tells the two forms apart: PKCS#1 (the RSA back-compat
+// format) has the modulus INTEGER there, PKCS#8 its AlgorithmIdentifier
+// SEQUENCE. Only DER with an INTEGER there is tried as PKCS#1; the rest,
+// and DER that fails that parse, is parsed as PKCS#8, whose error is the
+// one reported.
 func parseKeyDER(der []byte) (crypto.Signer, error) {
-	if key, err := x509.ParsePKCS1PrivateKey(der); err == nil {
-		return key, nil
+	if secondElementTag(der) == asn1.TagInteger {
+		if key, err := x509.ParsePKCS1PrivateKey(der); err == nil {
+			return key, nil
+		}
 	}
 	parsed, err := x509.ParsePKCS8PrivateKey(der)
 	if err != nil {
@@ -250,6 +257,19 @@ func parseKeyDER(der []byte) (crypto.Signer, error) {
 		return nil, fmt.Errorf("pki: private key type %T cannot sign", parsed)
 	}
 	return signer, nil
+}
+
+// secondElementTag is the tag of the second element inside the SEQUENCE
+// der, or -1 where der does not read that far.
+func secondElementTag(der []byte) int {
+	tag, content, _, ok := derTLV(der)
+	if !ok || tag != tagSequence {
+		return -1
+	}
+	if _, _, rest, ok := derTLV(content); ok && len(rest) > 0 {
+		return int(rest[0])
+	}
+	return -1
 }
 
 // EncodeKeyPEM renders a private key in PEM form: PKCS#1 ("RSA PRIVATE

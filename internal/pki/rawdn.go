@@ -196,6 +196,33 @@ func appendDERHeader(dst []byte, tag byte, n int) []byte {
 	return dst
 }
 
+// AppendDER appends one whole DER element: tag, minimal length, contents.
+func AppendDER(dst []byte, tag byte, contents []byte) []byte {
+	return append(appendDERHeader(dst, tag, len(contents)), contents...)
+}
+
+// BeginDER appends the tag of an element whose contents are appended next,
+// and room for a one-byte length. The caller notes len(dst) before the call
+// and hands it to EndDER once the contents are in.
+func BeginDER(dst []byte, tag byte) []byte {
+	return append(dst, tag, 0)
+}
+
+// EndDER writes the length of the element BeginDER started at offset at:
+// everything appended since is its contents. A length that needs more than
+// the one byte BeginDER reserved moves the contents right to make room, so
+// elements nest: close the inner before the outer.
+func EndDER(dst []byte, at int) []byte {
+	n := len(dst) - at - 2
+	if extra := derHeaderLen(n) - 2; extra > 0 {
+		var room [8]byte
+		dst = append(dst, room[:extra]...)
+		copy(dst[at+2+extra:], dst[at+2:at+2+n])
+	}
+	appendDERHeader(dst[:at], dst[at], n)
+	return dst
+}
+
 // ExtendsByCN reports whether child is parent plus one CN RDN, read on the
 // bytes: parent is canonical and child's RDNSequence is parent's, byte for
 // byte, followed by one canonical RDN of type CN. True means ParseRawDN

@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/x509"
-	"crypto/x509/pkix"
 	"errors"
 	"fmt"
 	"math/big"
@@ -186,8 +184,8 @@ func CreateDER(issuer *pki.Credential, pub crypto.PublicKey, opts Options) ([]by
 		}
 	}
 
+	f := certFields{serial: serial, notBefore: notBefore, notAfter: notAfter, pub: pub, pathLen: Unlimited}
 	var cn string
-	var extra []pkix.Extension
 	switch opts.Type {
 	case Legacy:
 		cn = "proxy"
@@ -197,60 +195,35 @@ func CreateDER(issuer *pki.Credential, pub crypto.PublicKey, opts Options) ([]by
 		// RFC 3820 §3.4: the CN must be unique among proxies issued by this
 		// issuer; the serial number in decimal is the conventional choice.
 		cn = serial.String()
-		ci := &CertInfo{PathLenConstraint: Unlimited}
 		if opts.PathLenConstraint != nil {
 			if *opts.PathLenConstraint < 0 {
 				return nil, fmt.Errorf("proxy: negative path length constraint %d", *opts.PathLenConstraint)
 			}
-			ci.PathLenConstraint = *opts.PathLenConstraint
+			f.pathLen = *opts.PathLenConstraint
 		}
 		switch opts.Type {
 		case RFC3820:
-			ci.PolicyLanguage = OIDPolicyInheritAll
+			f.policyLang = derPolicyInheritAll
 		case RFC3820Limited:
-			ci.PolicyLanguage = OIDPolicyLimited
+			f.policyLang = derPolicyLimited
 		case RFC3820Independent:
-			ci.PolicyLanguage = OIDPolicyIndependent
+			f.policyLang = derPolicyIndependent
 		case RFC3820Restricted:
-			ci.PolicyLanguage = OIDPolicyRestrictedOps
-			ci.Policy = encodeOps(opts.RestrictedOps)
+			f.policyLang = derPolicyRestrictedOps
+			f.policy = encodeOps(opts.RestrictedOps)
 		}
-		ext, err := ci.Extension()
-		if err != nil {
-			return nil, err
-		}
-		extra = append(extra, ext)
 	default:
 		return nil, fmt.Errorf("proxy: unknown proxy type %d", int(opts.Type))
 	}
 
-	rawSubject, ok := pki.AppendCN(issuerSubject, cn)
-	if !ok {
-		if rawSubject, err = issuerDN.WithCN(cn).Marshal(); err != nil {
+	var ok bool
+	if f.subject, ok = pki.AppendCN(issuerSubject, cn); !ok {
+		if f.subject, err = issuerDN.WithCN(cn).Marshal(); err != nil {
 			return nil, err
 		}
 	}
 
-	// RFC 3820 §3.6: digitalSignature is required for further delegation.
-	// keyEncipherment supports RSA key exchange in the era-appropriate SSL
-	// cipher suites; asserting it on a signature-only key (ECDSA, Ed25519)
-	// would be wrong per RFC 5280.
-	keyUsage := x509.KeyUsageDigitalSignature
-	if _, isRSA := pub.(*rsa.PublicKey); isRSA {
-		keyUsage |= x509.KeyUsageKeyEncipherment
-	}
-	tmpl := &x509.Certificate{
-		SerialNumber:    serial,
-		RawSubject:      rawSubject,
-		NotBefore:       notBefore,
-		NotAfter:        notAfter,
-		KeyUsage:        keyUsage,
-		ExtraExtensions: extra,
-		// RFC 3820 §3.7: proxies MUST NOT carry basicConstraints CA=true.
-		// We omit basicConstraints entirely, matching Globus output.
-		BasicConstraintsValid: false,
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, issuer.Certificate, pub, issuer.PrivateKey)
+	der, err := mintCert(issuer, &f)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: sign proxy certificate: %w", err)
 	}

@@ -4,9 +4,9 @@
 // Go's crypto/x509 cannot mint or validate proxy certificates — proxies are
 // signed by end-entity certificates (which x509 path building rejects) and
 // carry the ProxyCertInfo extension (which x509 does not know). This package
-// hand-encodes the extension with encoding/asn1 and implements RFC-3820-style
-// path validation alongside the legacy "CN=proxy" style the 2001 deployment
-// used.
+// mints proxy certificates and their requests on DER bytes (mint.go) and
+// implements RFC-3820-style path validation alongside the legacy "CN=proxy"
+// style the 2001 deployment used.
 package proxy
 
 import (
@@ -70,11 +70,11 @@ func (ci *CertInfo) Marshal() ([]byte, error) {
 	if len(ci.PolicyLanguage) == 0 {
 		return nil, errors.New("proxy: ProxyCertInfo requires a policy language")
 	}
-	pol := proxyPolicyASN{PolicyLanguage: ci.PolicyLanguage, Policy: ci.Policy}
-	if ci.PathLenConstraint < 0 {
-		return asn1.Marshal(certInfoNoPathLen{Policy: pol})
+	lang, err := asn1.Marshal(ci.PolicyLanguage)
+	if err != nil {
+		return nil, err
 	}
-	return asn1.Marshal(certInfoWithPathLen{PathLen: ci.PathLenConstraint, Policy: pol})
+	return appendCertInfo(nil, ci.PathLenConstraint, lang, ci.Policy), nil
 }
 
 // ParseCertInfo decodes a DER ProxyCertInfo value. The first element's tag
