@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,60 +11,28 @@ import (
 // started with that CRL refuses the revoked identity while still serving
 // others.
 func TestCLIRevocation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the full CLI suite")
-	}
-	bin := builtBinaries(t)
-	work := t.TempDir()
+	c := newTools(t)
 
-	run := func(stdin string, name string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		cmd.Dir = work
-		if stdin != "" {
-			cmd.Stdin = strings.NewReader(stdin)
-		}
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
-		}
-		return string(out)
-	}
-	runExpectFail := func(stdin string, name string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		cmd.Dir = work
-		if stdin != "" {
-			cmd.Stdin = strings.NewReader(stdin)
-		}
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("%s %v unexpectedly succeeded:\n%s", name, args, out)
-		}
-		return string(out)
-	}
-
-	run("", "grid-ca", "init", "-dir", "ca", "-name", "/C=US/O=Rev Grid/CN=Rev CA", "-bits", "1024")
-	run("", "grid-ca", "user", "-dir", "ca", "-cn", "Victim", "-out", "victim.pem", "-bits", "1024")
-	run("", "grid-ca", "user", "-dir", "ca", "-cn", "Bystander", "-out", "bystander.pem", "-bits", "1024")
-	run("", "grid-ca", "host", "-dir", "ca", "-hostname", "localhost", "-out", "host.pem", "-bits", "1024")
+	c.run(t, "", "grid-ca", "init", "-dir", "ca", "-name", "/C=US/O=Rev Grid/CN=Rev CA", "-bits", "1024")
+	c.run(t, "", "grid-ca", "user", "-dir", "ca", "-cn", "Victim", "-out", "victim.pem", "-bits", "1024")
+	c.run(t, "", "grid-ca", "user", "-dir", "ca", "-cn", "Bystander", "-out", "bystander.pem", "-bits", "1024")
+	c.run(t, "", "grid-ca", "host", "-dir", "ca", "-hostname", "localhost", "-out", "host.pem", "-bits", "1024")
 
 	// Revoke the victim and publish the CRL.
-	out := run("", "grid-ca", "revoke", "-dir", "ca", "-cert", "victim.pem")
+	out := c.run(t, "", "grid-ca", "revoke", "-dir", "ca", "-cert", "victim.pem")
 	if !strings.Contains(out, "revoked serial") {
 		t.Fatalf("revoke: %s", out)
 	}
-	out = run("", "grid-ca", "crl", "-dir", "ca", "-out", "ca.crl")
+	out = c.run(t, "", "grid-ca", "crl", "-dir", "ca", "-out", "ca.crl")
 	if !strings.Contains(out, "1 revocation(s)") {
 		t.Fatalf("crl: %s", out)
 	}
 
-	mustWrite(t, filepath.Join(work, "accepted"), "/C=US/O=Rev Grid/*\n")
-	mustWrite(t, filepath.Join(work, "retrievers"), "/C=US/O=Rev Grid/*\n")
+	mustWrite(t, filepath.Join(c.work, "accepted"), "/C=US/O=Rev Grid/*\n")
+	mustWrite(t, filepath.Join(c.work, "retrievers"), "/C=US/O=Rev Grid/*\n")
 
 	addr := freeAddr(t)
-	server := exec.Command(filepath.Join(bin, "myproxy-server"),
-		"-listen", addr,
+	c.serve(t, "myproxy-server", addr,
 		"-cred", "host.pem",
 		"-ca", filepath.Join("ca", "ca-cert.pem"),
 		"-store", "store",
@@ -74,24 +41,15 @@ func TestCLIRevocation(t *testing.T) {
 		"-crl", "ca.crl",
 		"-kdf-iter", "1024",
 	)
-	server.Dir = work
-	if err := server.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		server.Process.Kill()
-		server.Wait()
-	}()
-	waitForListen(t, addr)
 
 	common := []string{"-s", addr, "-ca", filepath.Join("ca", "ca-cert.pem"), "-serverdn", "*/CN=localhost"}
 
 	// The bystander works.
-	run("rev pass phrase\nrev pass phrase\n", "myproxy-init",
+	c.run(t, "rev pass phrase\nrev pass phrase\n", "myproxy-init",
 		append([]string{"-l", "bystander", "-cred", "bystander.pem", "-c", "24"}, common...)...)
 
 	// The revoked victim is refused at authentication.
-	errOut := runExpectFail("rev pass phrase\nrev pass phrase\n", "myproxy-init",
+	errOut := c.refuse(t, "rev pass phrase\nrev pass phrase\n", "myproxy-init",
 		append([]string{"-l", "victim", "-cred", "victim.pem", "-c", "24"}, common...)...)
 	// The server rejects the revoked chain after the handshake and drops
 	// the connection; depending on timing the client reports a handshake

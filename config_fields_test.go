@@ -28,27 +28,31 @@ var configStructs = map[string][]string{
 	"repro/internal/policy":     {"LifetimePolicy", "PassphrasePolicy"},
 }
 
-// unsetFields are the config fields that no binary, example or benchmark
-// sets, each with the reason it stays. Every other field must have a setter
-// outside test code.
+// unsetFields are the config fields that no binary or benchmark sets, each
+// with the reason it stays. Every other field must have a setter outside
+// test code.
 var unsetFields = map[string]string{
-	"core.ServerConfig.Now":              "clock seam: tests move the repository past lifetimes and expiry",
-	"core.ServerConfig.PurgeInterval":    "the expiry sweeper; only tests start it until the server decides when to sweep",
-	"core.Client.ProxyType":              "emulates a legacy client that delegates a legacy proxy to the repository",
-	"cluster.Config.Probation":           "clock seam: tests shorten or lengthen a failed node's probation",
-	"cluster.Config.DialContext":         "fault seam: the test deployment partitions nodes through it",
-	"gram.Config.Renewal":                "long jobs renew their proxy from MyProxy (paper §6.6, E11)",
-	"gram.RenewalOptions.RepoAddr":       "part of gram.Config.Renewal",
-	"gram.RenewalOptions.ExpectedServer": "part of gram.Config.Renewal",
-	"gram.RenewalOptions.Threshold":      "part of gram.Config.Renewal",
-	"gram.RenewalOptions.Lifetime":       "part of gram.Config.Renewal",
-	"gram.RenewalOptions.Interval":       "part of gram.Config.Renewal",
-	"gram.RenewalOptions.KeyBits":        "part of gram.Config.Renewal",
-	"proxy.Options.RestrictedOps":        "restricted proxies limit what a delegation may do (E12)",
-	"proxy.Options.KeySource":            "key seam: the test deployment draws proxy keys from its shared pool",
-	"pki.CAConfig.Key":                   "fixture seam: test CAs sign with pre-generated keys",
-	"resilience.Policy.Sleep":            "test seam: records backoffs instead of sleeping them",
-	"resilience.Policy.Rand":             "test seam: pins the jitter so backoffs are exact",
+	"core.ServerConfig.Now":               "clock seam: tests move the repository past lifetimes and expiry",
+	"core.ServerConfig.PurgeInterval":     "the expiry sweeper; only tests start it until the server decides when to sweep",
+	"core.ServerConfig.OTP":               "one-time passwords (E9); tests enroll users, and myproxy-server has no OTP flag yet",
+	"core.ServerConfig.DelegationKeyBits": "tests mint 1024-bit deposit keys; the binaries size keys by -key-alg",
+	"portal.Config.KeyBits":               "tests mint 1024-bit login keys; portal-server sizes keys by -key-alg",
+	"renewal.Config.OnRenew":              "TestRunLoopRenews waits on each renewal instead of polling",
+	"core.Client.ProxyType":               "emulates a legacy client that delegates a legacy proxy to the repository",
+	"cluster.Config.Probation":            "clock seam: tests shorten or lengthen a failed node's probation",
+	"cluster.Config.DialContext":          "fault seam: the test deployment partitions nodes through it",
+	"gram.Config.Renewal":                 "long jobs renew their proxy from MyProxy (paper §6.6, E11)",
+	"gram.RenewalOptions.RepoAddr":        "part of gram.Config.Renewal",
+	"gram.RenewalOptions.ExpectedServer":  "part of gram.Config.Renewal",
+	"gram.RenewalOptions.Threshold":       "part of gram.Config.Renewal",
+	"gram.RenewalOptions.Lifetime":        "part of gram.Config.Renewal",
+	"gram.RenewalOptions.Interval":        "part of gram.Config.Renewal",
+	"gram.RenewalOptions.KeyBits":         "part of gram.Config.Renewal",
+	"proxy.Options.RestrictedOps":         "restricted proxies limit what a delegation may do (E12)",
+	"proxy.Options.KeySource":             "key seam: the test deployment draws proxy keys from its shared pool",
+	"pki.CAConfig.Key":                    "fixture seam: test CAs sign with pre-generated keys",
+	"resilience.Policy.Sleep":             "test seam: records backoffs instead of sleeping them",
+	"resilience.Policy.Rand":              "test seam: pins the jitter so backoffs are exact",
 }
 
 // TestEveryConfigFieldHasAUser holds the config structs to the rule in
@@ -141,7 +145,7 @@ func TestEveryConfigFieldHasAUser(t *testing.T) {
 		reason, listed := unsetFields[key]
 		switch {
 		case !has && !listed:
-			t.Errorf("%s: no binary, example or benchmark sets it; delete it, make it a constant, or list it in unsetFields with a reason", key)
+			t.Errorf("%s: no binary or benchmark sets it; delete it, make it a constant, or list it in unsetFields with a reason", key)
 		case has && listed:
 			t.Errorf("%s is listed in unsetFields (%q) but non-test code sets it; take it off the list", key, reason)
 		}

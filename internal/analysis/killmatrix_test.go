@@ -78,11 +78,10 @@ var killMatrix = []mutation{
 		edits: one("internal/credstore/store.go",
 			"\tpki.WipeBytes(got) // the derived verifier is pass-phrase-equivalent\n", ""),
 		caughtBy: "pass zeroize"},
-	{n: 6, what: "the wallet keeps the on-disk credential image after decoding it",
-		edits: one("internal/wallet/wallet.go",
-			"\t\tpki.WipeBytes(credData) // decoded; drop the on-disk credential image\n", ""),
-		caughtBy: "none",
-		why:      "os.ReadFile's result carries no secret label; same follow-up as row 3"},
+	{n: 6, what: "RETRIEVE keeps the unsealed credential PEM after decoding it",
+		edits: one("internal/core/client.go",
+			"\tpki.WipeBytes(plain) // decoded into cred; drop the plaintext PEM\n", ""),
+		caughtBy: "pass zeroize"},
 	{n: 7, what: "the command table calls DESTROY idempotent",
 		edits: one("internal/protocol/protocol.go",
 			"CmdDestroy:          false,", "CmdDestroy:          true,"),

@@ -468,6 +468,34 @@ func TestWalletSelection(t *testing.T) {
 	}
 }
 
+// TestWalletSelectionRanking pins the rule behind a task hint (§6.2, E10):
+// an expired credential is passed over, and among the rest the one with the
+// fewest tags wins, then the one valid longest.
+func TestWalletSelectionRanking(t *testing.T) {
+	now := time.Now()
+	store := credstore.NewMemStore()
+	for _, e := range []*credstore.Entry{
+		{Name: "expired", TaskTags: []string{"render"}, NotAfter: now.Add(-time.Hour)},
+		{Name: "broad", TaskTags: []string{"render", "store", "archive"}, NotAfter: now.Add(9 * time.Hour)},
+		{Name: "earlier", TaskTags: []string{"render", "store"}, NotAfter: now.Add(time.Hour)},
+		{Name: "later", TaskTags: []string{"render", "store"}, NotAfter: now.Add(2 * time.Hour)},
+	} {
+		e.Username = testUser
+		if err := store.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := &Service{cfg: ServerConfig{Store: store, Now: func() time.Time { return now }}}
+	for hint, want := range map[string]string{"render": "later", "archive": "broad"} {
+		got, err := s.selectEntry(testUser, "", hint)
+		if err != nil {
+			t.Errorf("task %q: %v", hint, err)
+		} else if got.Name != want {
+			t.Errorf("task %q selected %q, want %q", hint, got.Name, want)
+		}
+	}
+}
+
 func TestExpiredStoredCredentialRefused(t *testing.T) {
 	fakeNow := time.Now()
 	srv, addr := startServer(t, func(cfg *ServerConfig) {

@@ -163,7 +163,8 @@ func (s *Service) selected(op, peer string, req *protocol.Request) (*credstore.E
 // retrievable runs what GET and RETRIEVE share: the retriever ACL, the OTP
 // gate, wallet selection, the refusal of a renewable entry, and the
 // per-credential retriever list, which composes with the server ACL. blob
-// asks for a client-sealed deposit.
+// asks for a client-sealed deposit (RETRIEVE); without it the entry must be
+// one the repository can delegate from (GET).
 //
 // A renewable entry is sealed under the empty pass phrase (myproxy-init
 // -n), so a GET could open it without knowing anything: only RENEWAL, with
@@ -179,9 +180,12 @@ func (s *Service) retrievable(op, peer string, req *protocol.Request, blob bool)
 	if v != nil {
 		return nil, v
 	}
-	if blob && entry.Kind != credstore.KindStored {
-		return nil, s.refuse(VerdictConflict, peer, "credential is not retrievable; use get-delegation",
-			"%s %q/%q is %s", op, req.Username, entry.Name, entry.Kind)
+	if blob != (entry.Kind == credstore.KindStored) {
+		public := "credential is not retrievable; use get-delegation"
+		if !blob {
+			public = "credential is stored, not delegated; use retrieve"
+		}
+		return nil, s.refuse(VerdictConflict, peer, public, "%s %q/%q is %s", op, req.Username, entry.Name, entry.Kind)
 	}
 	if entry.Renewable {
 		return nil, s.refuse(VerdictDenied, peer, deniedMsg, "%s %q/%q is renewable: only RENEWAL delegates it", op, req.Username, entry.Name)

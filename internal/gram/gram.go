@@ -159,7 +159,7 @@ func (s *Server) Close() error {
 	return err
 }
 
-// WaitIdle blocks until no jobs are pending or active (tests, examples).
+// WaitIdle blocks until no jobs are pending or active (tests).
 func (s *Server) WaitIdle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

@@ -42,6 +42,7 @@ var (
 		"one-time password chain exhausted":                  "otp-exhausted",
 		"credential exists and is owned by another identity": "conflict",
 		"credential is not retrievable; use get-delegation":  "conflict",
+		"credential is stored, not delegated; use retrieve":  "conflict",
 	}
 	wantStatus = map[class]int{
 		"denied": 403, "not-found": 404, "bad-passphrase": 403, "expired": 410,
@@ -492,6 +493,14 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 		{"RETRIEVE of a delegated entry", []class{"conflict"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			_, err := f.retrieve(alice, core.RetrieveOptions{Username: user, Passphrase: parityPass})
+			c, _ := f.outcome(t, err)
+			return []class{c}
+		}},
+		{"GET of a stored entry", []class{"conflict"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
+			if err := f.store(alice, core.StoreOptions{Username: user, Passphrase: parityPass, Credential: alice}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := f.get(portal, core.GetOptions{Username: user, Passphrase: parityPass})
 			c, _ := f.outcome(t, err)
 			return []class{c}
 		}},

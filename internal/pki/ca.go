@@ -268,17 +268,3 @@ func (ca *CA) CRL(validity time.Duration) (*x509.RevocationList, error) {
 	}
 	return x509.ParseRevocationList(der)
 }
-
-// CheckCRL verifies a CRL's signature against the CA certificate and
-// reports whether serial is revoked according to it.
-func CheckCRL(crl *x509.RevocationList, caCert *x509.Certificate, serial *big.Int) (bool, error) {
-	if err := crl.CheckSignatureFrom(caCert); err != nil {
-		return false, fmt.Errorf("pki: CRL signature: %w", err)
-	}
-	for _, e := range crl.RevokedCertificateEntries {
-		if e.SerialNumber.Cmp(serial) == 0 {
-			return true, nil
-		}
-	}
-	return false, nil
-}

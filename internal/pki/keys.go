@@ -20,8 +20,9 @@ import (
 // verifiers accept; the 2001-era deployment used 512/1024-bit keys.
 const DefaultKeyBits = 2048
 
-// DemoKeyBits is the deliberately small RSA modulus the examples and
-// benchmarks use where generation latency matters more than strength.
+// DemoKeyBits is the deliberately small RSA modulus the tests, the
+// benchmarks and the simulated job manager's job proxies use where
+// generation latency matters more than strength.
 // Never use it for real credentials.
 const DemoKeyBits = 1024
 

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -13,31 +12,13 @@ import (
 // the server persists a stats snapshot on graceful shutdown (SIGTERM →
 // drain → flush) and myproxy-admin stats renders it offline.
 func TestStatsCLIEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the full CLI suite")
-	}
-	bin := builtBinaries(t)
-	work := t.TempDir()
+	c := newTools(t)
 
-	run := func(t *testing.T, stdin string, name string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		cmd.Dir = work
-		if stdin != "" {
-			cmd.Stdin = strings.NewReader(stdin)
-		}
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
-		}
-		return string(out)
-	}
-
-	run(t, "", "grid-ca", "init", "-dir", "ca", "-name", "/C=US/O=Stats Grid/CN=Stats CA", "-bits", "1024")
-	run(t, "", "grid-ca", "user", "-dir", "ca", "-cn", "Alice Stats", "-out", "alice.pem", "-bits", "1024")
-	run(t, "", "grid-ca", "host", "-dir", "ca", "-hostname", "localhost", "-out", "myproxy-host.pem", "-bits", "1024")
-	mustWrite(t, filepath.Join(work, "accepted"), "/C=US/O=Stats Grid/*\n")
-	mustWrite(t, filepath.Join(work, "retrievers"), "/C=US/O=Stats Grid/*\n")
+	c.run(t, "", "grid-ca", "init", "-dir", "ca", "-name", "/C=US/O=Stats Grid/CN=Stats CA", "-bits", "1024")
+	c.run(t, "", "grid-ca", "user", "-dir", "ca", "-cn", "Alice Stats", "-out", "alice.pem", "-bits", "1024")
+	c.run(t, "", "grid-ca", "host", "-dir", "ca", "-hostname", "localhost", "-out", "myproxy-host.pem", "-bits", "1024")
+	mustWrite(t, filepath.Join(c.work, "accepted"), "/C=US/O=Stats Grid/*\n")
+	mustWrite(t, filepath.Join(c.work, "retrievers"), "/C=US/O=Stats Grid/*\n")
 
 	// The snapshot lands beside the credentials whichever flag named their
 	// directory: -store, or a file backend spec that overrides it.
@@ -50,7 +31,7 @@ func TestStatsCLIEndToEnd(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := freeAddr(t)
-			server := exec.Command(filepath.Join(bin, "myproxy-server"), append([]string{
+			server := c.command("", "myproxy-server", append([]string{
 				"-listen", addr,
 				"-cred", "myproxy-host.pem",
 				"-ca", filepath.Join("ca", "ca-cert.pem"),
@@ -59,7 +40,6 @@ func TestStatsCLIEndToEnd(t *testing.T) {
 				"-kdf-iter", "1024",
 				"-drain-timeout", "10s",
 			}, tc.flags...)...)
-			server.Dir = work
 			if err := server.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +53,7 @@ func TestStatsCLIEndToEnd(t *testing.T) {
 			waitForListen(t, addr)
 
 			common := []string{"-s", addr, "-ca", filepath.Join("ca", "ca-cert.pem"), "-serverdn", "*/CN=localhost"}
-			run(t, "stats pass phrase\nstats pass phrase\n", "myproxy-init",
+			c.run(t, "stats pass phrase\nstats pass phrase\n", "myproxy-init",
 				append([]string{"-l", "alice", "-cred", "alice.pem", "-c", "24"}, common...)...)
 
 			// Graceful shutdown persists the final snapshot.
@@ -92,7 +72,7 @@ func TestStatsCLIEndToEnd(t *testing.T) {
 				t.Fatal("server did not drain after SIGTERM")
 			}
 
-			out := run(t, "", "myproxy-admin", "stats", "-store", tc.dir)
+			out := c.run(t, "", "myproxy-admin", "stats", "-store", tc.dir)
 			for _, want := range []string{"stats written at", "puts", "connections", "retries", "timeouts", "drain_refusals"} {
 				if !strings.Contains(out, want) {
 					t.Fatalf("stats output missing %q:\n%s", want, out)
