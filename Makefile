@@ -64,14 +64,17 @@ race-failover:
 # parsers (protocol requests/responses) and the GSI frame decoders, seeded
 # from the golden exchanges, the byte-level proxy subject and
 # ProxyCertInfo readings against their encoding/asn1 references, seeded
-# from real chains, and the minted proxy certificate against
-# x509.CreateCertificate, seeded across DER length boundaries. A short time box keeps `make check` fast; longer
+# from real chains, the minted proxy certificate against
+# x509.CreateCertificate, seeded across DER length boundaries, and the
+# byte-level reading of a delegation's certification request against
+# x509.ParseCertificateRequest. A short time box keeps `make check` fast; longer
 # campaigns are a manual `go test -fuzz=... -fuzztime=10m`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRequest -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzParseResponse -fuzztime=5s ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=5s ./internal/gsi
 	$(GO) test -run='^$$' -fuzz=FuzzReadStreamFrame -fuzztime=5s ./internal/gsi
+	$(GO) test -run='^$$' -fuzz=FuzzSignCSR -fuzztime=5s ./internal/gsi
 	$(GO) test -run='^$$' -fuzz=FuzzParseProxyCertInfo -fuzztime=5s ./internal/proxy
 	$(GO) test -run='^$$' -fuzz=FuzzProxySubject -fuzztime=5s ./internal/proxy
 	$(GO) test -run='^$$' -fuzz=FuzzMintProxy -fuzztime=5s ./internal/proxy

@@ -20,7 +20,7 @@ import (
 // devirtualized (DESIGN.md §8), so a call through an interface leaves the
 // cone — the Fig. 2 roots are therefore annotated on both sides of each
 // interface seam (the core handlers AND keypool.Get, proxy.VerifyCache,
-// credstore.UnsealDelegated, the gsi framing layer) rather than trusting
+// credstore.UnsealIssuer, the gsi framing layer) rather than trusting
 // reachability to cross it.
 const hotpathMarker = "//myproxy:hotpath"
 

@@ -7,6 +7,7 @@ import (
 	"crypto/rsa"
 	"fmt"
 	"log"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -162,5 +163,46 @@ func TestPutWipesTheKeyItSealed(t *testing.T) {
 	key := source.keys[0].(*rsa.PrivateKey)
 	if key.D.Sign() != 0 || key.Primes[0].Sign() != 0 || key.Primes[1].Sign() != 0 {
 		t.Error("the deposited key's private components survive the PUT")
+	}
+}
+
+// TestBareConnectIsNotAnAuthFailure: a peer that connects and closes
+// without sending a byte — a load balancer's health check — presented no
+// credential, so it is neither an authentication failure nor an audit
+// event. A client whose chain the repository does not trust still is both.
+func TestBareConnectIsNotAnAuthFailure(t *testing.T) {
+	var sink auditLog
+	srv, addr := startServer(t, func(cfg *ServerConfig) { cfg.Logger = log.New(&sink, "", 0) })
+	probe, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+
+	rogueCA, err := pki.NewCA(pki.CAConfig{Name: pki.MustParseDN("/CN=Probe Rogue CA"), Key: testpki.Key(t, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue, err := rogueCA.IssueCredentialForKey(pki.MustParseDN("/CN=probe-rogue"), time.Hour, testpki.Key(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newClient(t, rogue, addr).Info(context.Background(), testUser, testPass); err == nil {
+		t.Fatal("a client of an untrusted CA was served")
+	}
+	// The probe was accepted before the rogue client; Close waits for
+	// both handlers.
+	srv.Close()
+	if got := srv.Stats().AuthFailures.Load(); got != 1 {
+		t.Errorf("auth failures = %d, want 1 (the untrusted client alone)", got)
+	}
+	failed := 0
+	for _, e := range sink.all() {
+		if strings.Contains(e, "authentication failed") {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d authentication failures logged, want 1: %q", failed, sink.all())
 	}
 }

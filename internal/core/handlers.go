@@ -167,7 +167,7 @@ func (s *Server) deliver(ch gsi.Channel, v *Verdict) error {
 // at-rest property is unchanged.
 type unsealCache struct {
 	mu sync.Mutex
-	m  map[[sha256.Size]byte]*pki.Credential
+	m  map[[sha256.Size]byte]*credstore.Issuer
 }
 
 func unsealKey(e *credstore.Entry, passphrase []byte) [sha256.Size]byte {
@@ -180,11 +180,11 @@ func unsealKey(e *credstore.Entry, passphrase []byte) [sha256.Size]byte {
 	return k
 }
 
-// lookup returns the cached unsealed credential, or nil. Nil-receiver
+// lookup returns the cached unsealed issuer, or nil. Nil-receiver
 // safe: a single-exchange connection has no cache.
 //
 //myproxy:hotpath
-func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *pki.Credential {
+func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *credstore.Issuer {
 	if c == nil {
 		return nil
 	}
@@ -197,12 +197,12 @@ func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *pki.Credent
 	return c.m[k]
 }
 
-// add caches cred unless another stream raced it in first; it reports
-// whether cred is now owned by the cache (and must not be dropped by the
+// add caches issuer unless another stream raced it in first; it reports
+// whether issuer is now owned by the cache (and must not be dropped by the
 // caller). Nil-receiver safe.
 //
 //myproxy:hotpath
-func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, cred *pki.Credential) bool {
+func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, issuer *credstore.Issuer) bool {
 	if c == nil {
 		return false
 	}
@@ -213,9 +213,9 @@ func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, cred *pki.Crede
 		return false
 	}
 	if c.m == nil {
-		c.m = make(map[[sha256.Size]byte]*pki.Credential)
+		c.m = make(map[[sha256.Size]byte]*credstore.Issuer)
 	}
-	c.m[k] = cred
+	c.m[k] = issuer
 	return true
 }
 
@@ -223,8 +223,8 @@ func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, cred *pki.Crede
 func (c *unsealCache) wipe() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, cred := range c.m {
-		dropKey(cred)
+	for k, issuer := range c.m {
+		dropKey(issuer.Credential)
 		delete(c.m, k)
 	}
 }

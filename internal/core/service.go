@@ -350,7 +350,7 @@ func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr f
 	cached := issuer != nil
 	if !cached {
 		var err error
-		issuer, err = credstore.UnsealDelegated(entry, passphrase)
+		issuer, err = credstore.UnsealIssuer(entry, passphrase)
 		if err != nil {
 			if errors.Is(err, credstore.ErrBadPassphrase) {
 				return nil, s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, "GET %q/%q: bad pass phrase", req.Username, entry.Name)
@@ -363,7 +363,7 @@ func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr f
 	// Wipe and drop the unsealed key (paper §5.1: plaintext exists only
 	// while in active use); a session-cached key goes when the session ends.
 	if !cached {
-		dropKey(issuer)
+		dropKey(issuer.Credential)
 	}
 	return chain, v
 }
@@ -390,12 +390,12 @@ func (s *Service) renew(peer string, req *protocol.Request, csr func() ([]byte, 
 	if v := s.unexpired("RENEWAL", peer, req, entry); v != nil {
 		return nil, v
 	}
-	issuer, err := credstore.UnsealDelegated(entry, nil)
+	issuer, err := credstore.UnsealIssuer(entry, nil)
 	if err != nil {
 		return nil, fault("could not open stored credential", err)
 	}
 	chain, v := s.delegate(peer, req, entry, issuer, csr)
-	dropKey(issuer)
+	dropKey(issuer.Credential)
 	return chain, v
 }
 
@@ -403,7 +403,7 @@ func (s *Service) renew(peer string, req *protocol.Request, csr func() ([]byte, 
 // the CSR, sign, count, audit. The repository is the exporter here.
 //
 //myproxy:hotpath
-func (s *Service) delegate(peer string, req *protocol.Request, entry *credstore.Entry, issuer *pki.Credential, csr func() ([]byte, error)) ([]byte, *Verdict) {
+func (s *Service) delegate(peer string, req *protocol.Request, entry *credstore.Entry, issuer *credstore.Issuer, csr func() ([]byte, error)) ([]byte, *Verdict) {
 	op, done := "GET", "DELEGATED"
 	if req.Renewal {
 		op, done = "RENEWAL", "RENEWED"
@@ -414,7 +414,7 @@ func (s *Service) delegate(peer string, req *protocol.Request, entry *credstore.
 	if err != nil {
 		err = fmt.Errorf("gsi: receive CSR: %w", err)
 	} else {
-		_, chain, err = gsi.SignCSR(csrDER, issuer, proxy.Options{Type: s.cfg.DelegationProxyType, Lifetime: lifetime})
+		_, chain, err = gsi.SignCSR(csrDER, issuer.Credential, issuer.ChainPEM, proxy.Options{Type: s.cfg.DelegationProxyType, Lifetime: lifetime})
 	}
 	if err != nil {
 		v := fault("delegation failed: "+err.Error(), fmt.Errorf("%s delegation to %s: %w", op, peer, err))

@@ -14,7 +14,7 @@ import (
 // either input changes — or session streams would re-run the KDF (cache
 // misses) or, far worse, serve another user's credential (cross-key hits).
 func TestUnsealCacheRoundtrip(t *testing.T) {
-	cred := testpki.User(t, "unseal-cache-alice")
+	cred := &credstore.Issuer{Credential: testpki.User(t, "unseal-cache-alice")}
 	entry := &credstore.Entry{SealedKey: []byte("sealed-key-bytes-1")}
 	other := &credstore.Entry{SealedKey: []byte("sealed-key-bytes-2")}
 	passphrase := []byte("correct horse battery staple")
@@ -38,7 +38,7 @@ func TestUnsealCacheRoundtrip(t *testing.T) {
 		t.Fatalf("lookup with different sealed key = %v, want nil", got)
 	}
 	// A racing second add for the same key must not take ownership.
-	if sc.add(entry, passphrase, testpki.User(t, "unseal-cache-bob")) {
+	if sc.add(entry, passphrase, &credstore.Issuer{Credential: testpki.User(t, "unseal-cache-bob")}) {
 		t.Fatal("second add for the same key should report not-owned")
 	}
 	if got := sc.lookup(entry, passphrase); got != cred {
@@ -58,7 +58,7 @@ func TestUnsealCacheRoundtrip(t *testing.T) {
 	if got := sc.lookup(entry, passphrase); got != nil {
 		t.Fatal("lookup after wipe should miss")
 	}
-	if cred.PrivateKey != nil {
+	if cred.Credential.PrivateKey != nil {
 		t.Fatal("wipe should nil out the cached private key")
 	}
 }

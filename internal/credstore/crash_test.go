@@ -32,11 +32,10 @@ func TestStaleTempFilesSweptOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash leftovers: two aborted deposits.
+	// Crash leftovers: two aborted deposits, older than any deposit in
+	// flight.
 	for _, name := range []string{".put-1234", ".put-dead"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o600); err != nil {
-			t.Fatal(err)
-		}
+		writeTempFile(t, dir, name, staleTempAge+time.Minute)
 	}
 
 	// Reopen: leftovers swept, committed entry intact.
@@ -59,6 +58,42 @@ func TestStaleTempFilesSweptOnOpen(t *testing.T) {
 	}
 	if string(got.SealedKey) != "sealed" {
 		t.Errorf("entry corrupted: %q", got.SealedKey)
+	}
+}
+
+// TestSweepSparesDepositInFlight: a server or gateway sharing the store
+// directory may be between writing a deposit's temp file and renaming it
+// when another one opens the store. A fresh temp file survives that open;
+// an aged one is a crashed deposit and goes.
+func TestSweepSparesDepositInFlight(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewFileStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	writeTempFile(t, dir, ".put-inflight", 0)
+	writeTempFile(t, dir, ".put-crashed", staleTempAge+time.Minute)
+	if _, err := NewFileStore(dir); err != nil {
+		t.Fatalf("second open: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".put-inflight")); err != nil {
+		t.Errorf("the in-flight deposit's temp file did not survive a second open: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".put-crashed")); !os.IsNotExist(err) {
+		t.Errorf("the aged temp file survived a second open: %v", err)
+	}
+}
+
+// writeTempFile leaves a deposit temp file named name in dir, last
+// modified age ago.
+func writeTempFile(t *testing.T, dir, name string, age time.Duration) {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte("partial"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	then := time.Now().Add(-age)
+	if err := os.Chtimes(path, then, then); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 )
 
 var errEmptyUsername = errors.New("credstore: empty username")
@@ -30,12 +32,19 @@ type FileStore struct {
 	readFile func(string) ([]byte, error)
 }
 
+// staleTempAge is how old an unrenamed ".put-*" file must be before an
+// open deletes it. A deposit holds its temp file for one write and fsync;
+// another server or gateway sharing the directory may be in the middle of
+// one, so only a file far older than that is taken as a crashed deposit.
+const staleTempAge = time.Hour
+
 // NewFileStore creates (if needed) and opens a directory-backed store.
-// Two kinds of leftover are swept on open. An unrenamed ".put-*" file is an
-// aborted deposit (the rename never happened, so the previous entry — if
-// any — is still intact) and is deleted rather than left to accumulate. An
-// entry file still carrying the name earlier versions gave it is renamed
-// to the one path() gives its recorded key.
+// Two kinds of leftover are swept on open. An unrenamed ".put-*" file
+// older than staleTempAge is an aborted deposit (the rename never
+// happened, so the previous entry — if any — is still intact) and is
+// deleted rather than left to accumulate. An entry file still carrying
+// the name earlier versions gave it is renamed to the one path() gives its
+// recorded key.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("credstore: create store dir: %w", err)
@@ -47,7 +56,7 @@ func NewFileStore(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// sweep removes ".put-*" leftovers from crashed writes and renames
+// sweep removes stale ".put-*" leftovers from crashed writes and renames
 // legacy-named entry files. Each rename is atomic, so a crash part-way
 // leaves every entry under its old or its new name and the next open
 // finishes the job; a file that vanishes under the sweep was renamed (or
@@ -63,6 +72,13 @@ func (s *FileStore) sweep() error {
 		switch {
 		case de.IsDir():
 		case strings.HasPrefix(de.Name(), ".put-"):
+			info, err := de.Info()
+			if errors.Is(err, fs.ErrNotExist) || err == nil && time.Since(info.ModTime()) < staleTempAge {
+				continue // renamed or removed since the scan, or a deposit in flight
+			}
+			if err != nil {
+				return fmt.Errorf("credstore: sweep %s: %w", de.Name(), err)
+			}
 			if err := os.Remove(old); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("credstore: sweep %s: %w", de.Name(), err)
 			}

@@ -260,8 +260,6 @@ func SealDelegated(e *Entry, cred *pki.Credential, passphrase []byte, kdfIter in
 // security gain. The verifier exists for entries the server cannot
 // decrypt (opaque KindStored blobs) and for operations that must check
 // the pass phrase without unsealing (INFO, DESTROY).
-//
-//myproxy:hotpath
 func UnsealDelegated(e *Entry, passphrase []byte) (*pki.Credential, error) {
 	if e.Kind != KindDelegated {
 		return nil, fmt.Errorf("credstore: %s credential cannot be unsealed for delegation", e.Kind)
@@ -278,6 +276,37 @@ func UnsealDelegated(e *Entry, passphrase []byte) (*pki.Credential, error) {
 		return nil, err
 	}
 	return &pki.Credential{Certificate: certs[0], PrivateKey: key, Chain: certs[1:]}, nil
+}
+
+// Issuer is a delegated entry opened to sign proxies (UnsealIssuer).
+type Issuer struct {
+	// Credential holds the key and the leaf certificate a proxy is minted
+	// under; its Chain is not parsed, so its CertChain is the leaf alone.
+	Credential *pki.Credential
+	// ChainPEM is the leaf and its chain in PEM, as pki.AppendCertsPEM
+	// writes them: the bytes sent behind every proxy the issuer signs.
+	ChainPEM []byte
+}
+
+// UnsealIssuer is UnsealDelegated for a delegation from the entry (a GET):
+// the pass phrase is checked by decryption first, then only the leaf
+// certificate is parsed, and the stored chain is kept in the PEM it is
+// sent in (pki.DecryptIssuer). The caller must discard the plaintext key
+// as soon as the delegation completes.
+//
+//myproxy:hotpath
+func UnsealIssuer(e *Entry, passphrase []byte) (*Issuer, error) {
+	if e.Kind != KindDelegated {
+		return nil, fmt.Errorf("credstore: %s credential cannot be unsealed for delegation", e.Kind)
+	}
+	cred, chainPEM, err := pki.DecryptIssuer(e.SealedKey, passphrase, e.CertsPEM)
+	if err != nil {
+		if errors.Is(err, pki.ErrBadPassphrase) {
+			return nil, ErrBadPassphrase
+		}
+		return nil, err
+	}
+	return &Issuer{Credential: cred, ChainPEM: chainPEM}, nil
 }
 
 // Reseal re-encrypts a delegated entry under a new pass phrase

@@ -1,7 +1,9 @@
 package gsi
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -173,9 +175,14 @@ func (a *Acceptor) handle(raw net.Conn) {
 		}
 		a.conns.Done()
 	}()
-	conn, err := Server(raw, a.cfg.Credential, a.cfg.Auth)
+	heard := &heardConn{Conn: raw}
+	conn, err := Server(heard, a.cfg.Credential, a.cfg.Auth)
 	if err != nil {
-		a.report(EventAuthFailed, raw, err)
+		// A peer that closed without sending a byte — a load balancer's
+		// health check, a port probe — presented no credential to fail.
+		if heard.any || !errors.Is(err, io.EOF) {
+			a.report(EventAuthFailed, raw, err)
+		}
 		return
 	}
 	defer conn.Close()
@@ -183,6 +190,20 @@ func (a *Acceptor) handle(raw net.Conn) {
 	conn.SetSessionDeadline(time.Now().Add(DefaultTimeout))
 	conn.SetMessageTimeout(a.cfg.MessageTimeout)
 	a.cfg.Handler(conn)
+}
+
+// heardConn notes whether its peer has sent anything at all.
+type heardConn struct {
+	net.Conn
+	any bool // set by Read; looked at only after a failed handshake, on the goroutine that ran it
+}
+
+func (c *heardConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		c.any = true
+	}
+	return n, err
 }
 
 // Close stops accepting (later arrivals are refused), lets in-flight

@@ -118,7 +118,7 @@ func Delegate(ch Channel, issuer *pki.Credential, opts proxy.Options) (*x509.Cer
 	if err != nil {
 		return nil, fmt.Errorf("gsi: receive CSR: %w", err)
 	}
-	der, chainPEM, err := SignCSR(csrDER, issuer, opts)
+	der, chainPEM, err := SignCSR(csrDER, issuer, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -144,28 +144,51 @@ func (csrError) Is(target error) bool { return target == ErrBadCSR }
 // SignCSR is the signing step of a delegation, shared by every transport
 // that can carry a CSR: it checks the request's proof of possession, signs
 // a proxy certificate for its key under issuer, and returns the
-// certificate's DER and the PEM chain to ship (new proxy first, then
-// issuer's chain); it does not parse what it signed. The
-// requested key's algorithm is taken from the CSR; any supported algorithm
-// (see pki.KeyAlgorithm) is accepted regardless of the issuer's own key
-// type — proxy chains may mix algorithms.
+// certificate's DER and the PEM chain to ship: the new proxy, then
+// chainPEM, issuer's own chain (leaf first) as pki.AppendCertsPEM writes
+// it, which is copied as it is; nil encodes issuer.CertChain(). It does
+// not parse what it signed. The requested key's algorithm is taken from
+// the CSR; any supported algorithm (see pki.KeyAlgorithm) is accepted
+// regardless of the issuer's own key type — proxy chains may mix
+// algorithms.
+//
+// The request proxy.CreateRequest writes is read on its bytes
+// (proxy.CheckRequest); any other is parsed and checked by crypto/x509.
 //
 //myproxy:hotpath
-func SignCSR(csrDER []byte, issuer *pki.Credential, opts proxy.Options) (der, chainPEM []byte, err error) {
+func SignCSR(csrDER []byte, issuer *pki.Credential, chainPEM []byte, opts proxy.Options) (der, out []byte, err error) {
+	pub, ok, err := proxy.CheckRequest(csrDER)
+	if err != nil {
+		return nil, nil, csrError{fmt.Errorf("gsi: CSR signature: %w", err)}
+	}
+	if !ok {
+		if pub, err = parseCSR(csrDER); err != nil {
+			return nil, nil, err
+		}
+	}
+	if der, err = proxy.CreateDER(issuer, pub, opts); err != nil {
+		return nil, nil, err
+	}
+	if chainPEM == nil {
+		chainPEM = pki.EncodeCertsPEM(issuer.CertChain())
+	}
+	out = make([]byte, 0, pki.CertPEMLen(len(der))+len(chainPEM))
+	return der, append(pki.AppendCertPEM(out, der), chainPEM...), nil
+}
+
+// parseCSR reads a certification request of any shape with crypto/x509 and
+// checks its proof of possession, returning the requested key.
+func parseCSR(csrDER []byte) (crypto.PublicKey, error) {
 	csr, err := x509.ParseCertificateRequest(csrDER)
 	if err != nil {
-		return nil, nil, csrError{fmt.Errorf("gsi: parse CSR: %w", err)}
+		return nil, csrError{fmt.Errorf("gsi: parse CSR: %w", err)}
 	}
 	// Proof of possession of the requested key.
 	if err := csr.CheckSignature(); err != nil {
-		return nil, nil, csrError{fmt.Errorf("gsi: CSR signature: %w", err)}
+		return nil, csrError{fmt.Errorf("gsi: CSR signature: %w", err)}
 	}
 	if _, ok := pki.AlgorithmOf(csr.PublicKey); !ok {
-		return nil, nil, csrError{errors.New("gsi: CSR public key algorithm not supported")}
+		return nil, csrError{errors.New("gsi: CSR public key algorithm not supported")}
 	}
-	if der, err = proxy.CreateDER(issuer, csr.PublicKey, opts); err != nil {
-		return nil, nil, err
-	}
-	chainPEM = pki.AppendCertPEM(nil, der)
-	return der, pki.AppendCertsPEM(chainPEM, issuer.CertChain()), nil
+	return csr.PublicKey, nil
 }

@@ -159,6 +159,12 @@ func (g *Gateway) refuse(w http.ResponseWriter, v *core.Verdict) {
 	writeJSON(w, status, body)
 }
 
+// audit writes the request line the wire server writes for every request
+// it parses (core's dispatch): who asked, for what, from where.
+func (g *Gateway) audit(peer string, cmd protocol.Command, username, credName string, r *http.Request) {
+	core.Audit(g.cfg.Logger, "%s %s username=%q cred=%q from %v", peer, cmd, username, credName, r.RemoteAddr)
+}
+
 // decode reads a JSON request body, writing a 400 and reporting false when
 // it is malformed.
 func decode(w http.ResponseWriter, r *http.Request, req interface{}) bool {
@@ -212,6 +218,7 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, peer string)
 	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
+	g.audit(peer, protocol.CmdGet, req.Username, req.CredName, r)
 	block, _ := pem.Decode([]byte(req.CSRPEM))
 	if block == nil || block.Type != "CERTIFICATE REQUEST" {
 		writeErr(w, http.StatusBadRequest, "csr_pem must be a CERTIFICATE REQUEST block")
@@ -263,6 +270,7 @@ func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request, peer string
 	if !decode(w, r, &req) || !checkNames(w, req.Username, "") {
 		return
 	}
+	g.audit(peer, protocol.CmdInfo, req.Username, "", r)
 	entries, v := g.svc.Info(peer, &protocol.Request{Username: req.Username, Passphrase: req.Passphrase})
 	if v != nil {
 		g.refuse(w, v)
@@ -304,6 +312,7 @@ func (g *Gateway) handleStore(w http.ResponseWriter, r *http.Request, peer strin
 	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
+	g.audit(peer, protocol.CmdStore, req.Username, req.CredName, r)
 	if len(req.Blob) == 0 {
 		writeErr(w, http.StatusBadRequest, "blob required")
 		return
@@ -336,6 +345,7 @@ func (g *Gateway) handleRetrieve(w http.ResponseWriter, r *http.Request, peer st
 	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
+	g.audit(peer, protocol.CmdRetrieve, req.Username, req.CredName, r)
 	blob, v := g.svc.Retrieve(peer, &protocol.Request{
 		Username:   req.Username,
 		Passphrase: req.Passphrase,
@@ -362,6 +372,7 @@ func (g *Gateway) handleDestroy(w http.ResponseWriter, r *http.Request, peer str
 	if !decode(w, r, &req) || !checkNames(w, req.Username, req.CredName) {
 		return
 	}
+	g.audit(peer, protocol.CmdDestroy, req.Username, req.CredName, r)
 	if v := g.svc.Destroy(peer, &protocol.Request{
 		Username: req.Username, Passphrase: req.Passphrase, CredName: req.CredName,
 	}); v != nil {

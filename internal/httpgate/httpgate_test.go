@@ -2,6 +2,7 @@ package httpgate
 
 import (
 	"context"
+	"log"
 	"net"
 	"strings"
 	"testing"
@@ -88,6 +89,28 @@ func seedDelegated(t *testing.T, g *Gateway, username, pass string, user *pki.Cr
 }
 
 const gatePass = "http gateway pass phrase"
+
+// TestInfoOverHTTPLeavesRequestLine: the gateway writes the request line
+// the wire server writes for every request it parses, so an INFO, which
+// has no outcome line of its own, is in the audit log too.
+func TestInfoOverHTTPLeavesRequestLine(t *testing.T) {
+	var sink auditLog
+	g, base := startGateway(t, func(cfg *core.ServerConfig) { cfg.Logger = log.New(&sink, "", 0) })
+	seedDelegated(t, g, "alice", gatePass, testpki.User(t, "gate-info-alice"))
+	portal := testpki.Host(t, "gate-info-portal.test")
+	if _, err := newGateClient(t, portal, base).Info(context.Background(), "alice", gatePass); err != nil {
+		t.Fatalf("Info: %v", err)
+	}
+	want := portal.Subject() + ` INFO username="alice" cred="" from 127.0.0.1:`
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for _, e := range sink.events {
+		if strings.HasPrefix(e, want) {
+			return
+		}
+	}
+	t.Errorf("no line starting %q in the audit log: %q", want, sink.events)
+}
 
 func TestGetOverHTTP(t *testing.T) {
 	g, base := startGateway(t, nil)

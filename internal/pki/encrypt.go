@@ -7,6 +7,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/x509"
 	"encoding/binary"
 	"encoding/pem"
 	"errors"
@@ -182,6 +183,44 @@ func DecryptKeyPEM(data, passphrase []byte) (crypto.Signer, error) {
 		return nil, fmt.Errorf("pki: parse decrypted key: %w", err)
 	}
 	return key, nil
+}
+
+// DecryptIssuer opens a sealed key for signing proxies under its stored
+// certificate chain: keyPEM is decrypted with the pass phrase first, so a
+// wrong one is reported before anything about the chain. Only the leaf of
+// certsPEM is parsed — the certificate a proxy is minted under — and its
+// public key is the key's public half (parseKeyDERFor). chainPEM is the
+// chain to send behind each proxy: certsPEM itself when it is canonical
+// (CanonicalCertsPEM), else the whole chain, parsed and encoded again.
+// issuer.Chain stays nil.
+func DecryptIssuer(keyPEM, passphrase, certsPEM []byte) (issuer *Credential, chainPEM []byte, err error) {
+	container, err := encryptedBlock(keyPEM)
+	if err != nil {
+		return nil, nil, err
+	}
+	der, err := OpenBytes(container, passphrase)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer WipeBytes(der) // read into the key or refused; the DER image is done
+	var leaf *x509.Certificate
+	if leafDER, ok := CanonicalCertsPEM(certsPEM); ok {
+		if leaf, err = x509.ParseCertificate(leafDER); err != nil {
+			return nil, nil, fmt.Errorf("pki: parse certificate: %w", err)
+		}
+		chainPEM = certsPEM
+	} else {
+		certs, err := DecodeCertsPEM(certsPEM)
+		if err != nil {
+			return nil, nil, err
+		}
+		leaf, chainPEM = certs[0], EncodeCertsPEM(certs)
+	}
+	key, err := parseKeyDERFor(der, leaf.PublicKey)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pki: parse decrypted key: %w", err)
+	}
+	return &Credential{Certificate: leaf, PrivateKey: key}, chainPEM, nil
 }
 
 // KeyPEMVerifier recomputes, for a pass-phrase guess, the verifier

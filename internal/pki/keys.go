@@ -1,6 +1,7 @@
 package pki
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdsa"
 	"crypto/ed25519"
@@ -13,6 +14,7 @@ import (
 	"encoding/pem"
 	"errors"
 	"fmt"
+	"math/big"
 )
 
 // DefaultKeyBits is the RSA modulus size used for new credentials when the
@@ -260,14 +262,56 @@ func parseKeyDER(der []byte) (crypto.Signer, error) {
 	return signer, nil
 }
 
+// The PKCS#8 forms marshalKeyDER writes for the two curve keys, up to their
+// private scalar or seed: the P-256 ECPrivateKey carries its public point
+// after the scalar, the Ed25519 key nothing.
+var (
+	pkcs8P256Prefix = []byte{0x30, 0x81, 0x87, 0x02, 1, 0, 0x30, 19, 0x06, 7, 0x2a, 0x86, 0x48, 0xce, 0x3d, 0x02, 0x01,
+		0x06, 8, 0x2a, 0x86, 0x48, 0xce, 0x3d, 0x03, 0x01, 0x07, 0x04, 0x6d, 0x30, 0x6b, 0x02, 1, 1, 0x04, 32}
+	pkcs8P256Point    = []byte{0xa1, 0x44, 0x03, 0x42, 0x00, 0x04} // [1] { BIT STRING, uncompressed point }
+	pkcs8Ed25519Begin = []byte{0x30, 0x2e, 0x02, 1, 0, 0x30, 5, 0x06, 3, 0x2b, 0x65, 0x70, 0x04, 0x22, 0x04, 32}
+)
+
+// parseKeyDERFor is parseKeyDER for the private key of pub, the public key
+// of the certificate it was stored beside. A P-256 or Ed25519 key in the
+// PKCS#8 form marshalKeyDER writes is read off its bytes, and its public
+// half is pub rather than the point parsing recomputes from the private
+// scalar. A key that does not belong to pub then signs what pub does not
+// verify; a caller signs with it only through a check under pub (the proxy
+// mint's). Every other key is parsed by parseKeyDER.
+func parseKeyDERFor(der []byte, pub crypto.PublicKey) (crypto.Signer, error) {
+	switch pub := pub.(type) {
+	case *ecdsa.PublicKey:
+		scalar, ok := bytes.CutPrefix(der, pkcs8P256Prefix)
+		if !ok || pub.Curve != elliptic.P256() || len(scalar) != 32+len(pkcs8P256Point)+64 ||
+			!bytes.HasPrefix(scalar[32:], pkcs8P256Point) {
+			break
+		}
+		d := new(big.Int).SetBytes(scalar[:32])
+		if d.Sign() == 0 || d.Cmp(pub.Curve.Params().N) >= 0 {
+			wipeBig(d)
+			break
+		}
+		return &ecdsa.PrivateKey{PublicKey: *pub, D: d}, nil
+	case ed25519.PublicKey:
+		seed, ok := bytes.CutPrefix(der, pkcs8Ed25519Begin)
+		if !ok || len(seed) != ed25519.SeedSize || len(pub) != ed25519.PublicKeySize {
+			break
+		}
+		key := make(ed25519.PrivateKey, 0, ed25519.PrivateKeySize)
+		return append(append(key, seed...), pub...), nil
+	}
+	return parseKeyDER(der)
+}
+
 // secondElementTag is the tag of the second element inside the SEQUENCE
 // der, or -1 where der does not read that far.
 func secondElementTag(der []byte) int {
-	tag, content, _, ok := derTLV(der)
+	tag, content, _, ok := ReadDER(der)
 	if !ok || tag != tagSequence {
 		return -1
 	}
-	if _, _, rest, ok := derTLV(content); ok && len(rest) > 0 {
+	if _, _, rest, ok := ReadDER(content); ok && len(rest) > 0 {
 		return int(rest[0])
 	}
 	return -1
@@ -338,7 +382,7 @@ func EncodeCertsPEM(certs []*x509.Certificate) []byte {
 func AppendCertsPEM(dst []byte, certs []*x509.Certificate) []byte {
 	n := 0
 	for _, c := range certs {
-		n += certPEMLen(len(c.Raw))
+		n += CertPEMLen(len(c.Raw))
 	}
 	dst = grow(dst, n)
 	for _, c := range certs {
@@ -350,13 +394,16 @@ func AppendCertsPEM(dst []byte, certs []*x509.Certificate) []byte {
 const (
 	certPEMBegin = "-----BEGIN " + pemTypeCertificate + "-----\n"
 	certPEMEnd   = "-----END " + pemTypeCertificate + "-----\n"
-	pemLineBytes = 48 // encodes to one 64-character base64 line
+	pemLineBytes = 48 // encodes to one base64 line of pemLineChars
+	pemLineChars = 64
 )
+
+var certPEMEndBytes = []byte(certPEMEnd)
 
 // AppendCertPEM appends the CERTIFICATE block of one DER certificate to
 // dst: the bytes pem.EncodeToMemory writes for it.
 func AppendCertPEM(dst, der []byte) []byte {
-	dst = grow(dst, certPEMLen(len(der)))
+	dst = grow(dst, CertPEMLen(len(der)))
 	dst = append(dst, certPEMBegin...)
 	for len(der) > 0 {
 		line := der[:min(len(der), pemLineBytes)]
@@ -377,8 +424,8 @@ func grow(dst []byte, n int) []byte {
 	return out
 }
 
-// certPEMLen is the length of the block AppendCertPEM writes for n bytes.
-func certPEMLen(n int) int {
+// CertPEMLen is the length of the block AppendCertPEM writes for n bytes.
+func CertPEMLen(n int) int {
 	lines := (n + pemLineBytes - 1) / pemLineBytes
 	return len(certPEMBegin) + base64.StdEncoding.EncodedLen(n) + lines + len(certPEMEnd)
 }
@@ -405,6 +452,59 @@ func SplitCertsPEM(data []byte) ([][]byte, error) {
 		return nil, errors.New("pki: no CERTIFICATE blocks found")
 	}
 	return ders, nil
+}
+
+// CanonicalCertsPEM returns the DER of the first certificate in data when
+// data is exactly what AppendCertsPEM writes for a chain of non-empty
+// certificates — the form EncodeCertsPEM gives every chain the repository
+// stores — so that data can be sent on as it is. ok is false for any other
+// bytes; DecodeCertsPEM reads those. Each line is decoded and encoded
+// again to prove it canonical, and only the leaf's DER is allocated.
+func CanonicalCertsPEM(data []byte) (leaf []byte, ok bool) {
+	if len(data) == 0 {
+		return nil, false
+	}
+	for first := true; len(data) > 0; first = false {
+		if len(data) < len(certPEMBegin) || string(data[:len(certPEMBegin)]) != certPEMBegin {
+			return nil, false
+		}
+		data = data[len(certPEMBegin):]
+		end := bytes.Index(data, certPEMEndBytes)
+		if end <= 0 {
+			return nil, false
+		}
+		lines := data[:end]
+		data = data[end+len(certPEMEnd):]
+		if first {
+			leaf = make([]byte, 0, base64.StdEncoding.DecodedLen(len(lines)))
+		}
+		var der [pemLineBytes]byte
+		var enc [pemLineChars]byte
+		for len(lines) > 0 {
+			nl := bytes.IndexByte(lines, '\n')
+			if nl < 0 {
+				return nil, false
+			}
+			line := lines[:nl]
+			lines = lines[nl+1:]
+			// Every line but the last carries a full 48 bytes.
+			if len(line) == 0 || len(line) > len(enc) || len(line) < len(enc) && len(lines) > 0 {
+				return nil, false
+			}
+			n, err := base64.StdEncoding.Decode(der[:], line)
+			if err != nil || base64.StdEncoding.EncodedLen(n) != len(line) {
+				return nil, false
+			}
+			base64.StdEncoding.Encode(enc[:], der[:n])
+			if !bytes.Equal(enc[:len(line)], line) {
+				return nil, false
+			}
+			if first {
+				leaf = append(leaf, der[:n]...)
+			}
+		}
+	}
+	return leaf, true
 }
 
 // ParseCerts parses DER certificates, in order.

@@ -45,10 +45,10 @@ type derOID struct {
 // derCN is the DER encoding of the CN attribute type, 2.5.4.3.
 var derCN = []byte{tagOID, 3, 0x55, 0x04, 0x03}
 
-// derTLV splits the first element off b: its tag byte, its contents and
+// ReadDER splits the first element off b: its tag byte, its contents and
 // what follows it. Only one-byte tags and minimal definite lengths — what
 // encoding/asn1 accepts — are read; anything else is !ok.
-func derTLV(b []byte) (tag byte, content, rest []byte, ok bool) {
+func ReadDER(b []byte) (tag byte, content, rest []byte, ok bool) {
 	if len(b) < 2 || b[0]&0x1f == 0x1f {
 		return 0, nil, nil, false
 	}
@@ -76,20 +76,20 @@ func derTLV(b []byte) (tag byte, content, rest []byte, ok bool) {
 // canonicalRDN splits one canonical RDN off b and returns its attribute's
 // DER-encoded type and its value's contents.
 func canonicalRDN(b []byte) (oid, value, rest []byte, ok bool) {
-	tag, set, rest, ok := derTLV(b)
+	tag, set, rest, ok := ReadDER(b)
 	if !ok || tag != tagSet {
 		return nil, nil, nil, false
 	}
-	tag, atv, tail, ok := derTLV(set)
+	tag, atv, tail, ok := ReadDER(set)
 	if !ok || tag != tagSequence || len(tail) != 0 {
 		return nil, nil, nil, false
 	}
-	tag, _, after, ok := derTLV(atv)
+	tag, _, after, ok := ReadDER(atv)
 	if !ok || tag != tagOID {
 		return nil, nil, nil, false
 	}
 	oid = atv[:len(atv)-len(after)]
-	tag, value, tail, ok = derTLV(after)
+	tag, value, tail, ok = ReadDER(after)
 	if !ok || tag != tagUTF8String || len(tail) != 0 || !utf8.Valid(value) || attrName(oid) == "" {
 		return nil, nil, nil, false
 	}
@@ -137,7 +137,7 @@ func canonicalContent(raw []byte) (content []byte, n int, ok bool) {
 // rdnSequence returns the contents of the RDNSequence raw, which must be
 // the whole of raw.
 func rdnSequence(raw []byte) ([]byte, bool) {
-	tag, content, rest, ok := derTLV(raw)
+	tag, content, rest, ok := ReadDER(raw)
 	return content, ok && tag == tagSequence && len(rest) == 0
 }
 
@@ -258,18 +258,18 @@ func LastValue(raw []byte) (value []byte, ok bool) {
 	for len(content) > 0 {
 		var t byte
 		var set []byte
-		if t, set, content, ok = derTLV(content); !ok || t != tagSet {
+		if t, set, content, ok = ReadDER(content); !ok || t != tagSet {
 			return nil, false
 		}
 		for len(set) > 0 {
 			var atv, tail []byte
-			if t, atv, set, ok = derTLV(set); !ok || t != tagSequence {
+			if t, atv, set, ok = ReadDER(set); !ok || t != tagSequence {
 				return nil, false
 			}
-			if t, _, atv, ok = derTLV(atv); !ok || t != tagOID {
+			if t, _, atv, ok = ReadDER(atv); !ok || t != tagOID {
 				return nil, false
 			}
-			if tag, value, tail, ok = derTLV(atv); !ok || len(tail) != 0 {
+			if tag, value, tail, ok = ReadDER(atv); !ok || len(tail) != 0 {
 				return nil, false
 			}
 			found = true

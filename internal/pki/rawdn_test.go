@@ -200,8 +200,8 @@ func TestAppendCertPEMMatchesEncoding(t *testing.T) {
 		if got := AppendCertPEM(nil, der); !bytes.Equal(got, want) {
 			t.Errorf("%d bytes: got\n%s\nwant\n%s", n, got, want)
 		}
-		if got := certPEMLen(n); got != len(want) {
-			t.Errorf("certPEMLen(%d) = %d, want %d", n, got, len(want))
+		if got := CertPEMLen(n); got != len(want) {
+			t.Errorf("CertPEMLen(%d) = %d, want %d", n, got, len(want))
 		}
 	}
 	chain := []*x509.Certificate{{Raw: bytes.Repeat([]byte{1}, 700)}, {Raw: bytes.Repeat([]byte{2}, 900)}}

@@ -236,8 +236,14 @@ func escape(s string) string {
 	return s
 }
 
+// unescape is escape's inverse. A value without a backslash, which is
+// nearly every value, is returned as it is.
 func unescape(s string) string {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s
+	}
 	var b strings.Builder
+	b.Grow(len(s))
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
 			switch s[i+1] {
@@ -311,8 +317,9 @@ func MarshalRequest(req *Request) ([]byte, error) {
 }
 
 func parseLines(data []byte) ([][2]string, error) {
-	var out [][2]string
-	for i, line := range strings.Split(string(data), "\n") {
+	lines := strings.Split(string(data), "\n")
+	out := make([][2]string, 0, len(lines))
+	for i, line := range lines {
 		if line == "" {
 			continue
 		}
