@@ -1,43 +1,29 @@
 # Standard entry points; `make check` is the verification gate
-# (vet + lint + build + fuzz smoke + stress + race-enabled tests), also
-# available as scripts/check.sh.
+# (vet + kill matrix + build + fuzz smoke + stress + race-enabled tests),
+# also available as scripts/check.sh.
 
 GO ?= go
 
-.PHONY: all build vet vet-self vet-stats lint test race race-hotpath race-failover fuzz-smoke stress check bench bench-pairs clean
+.PHONY: all build vet killmatrix test race race-hotpath race-failover fuzz-smoke stress check bench bench-pairs clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
-# vet fails first on any file gofmt would rewrite (a `//` line belongs
-# between a doc comment and a //myproxy: directive), then runs go vet.
+# vet fails first on any file gofmt would rewrite, then runs go vet.
 vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: run gofmt -w on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
-# lint is the static-analysis gate (DESIGN.md "Static-analysis gate"): the
-# repo's own analyzer suite over the whole module, which exits nonzero on
-# any finding without a //myproxy:allow <pass> <reason> pragma at its site,
-# then the kill matrix (internal/analysis/killmatrix_test.go), which plants
-# each recorded defect in a copy of the module and fails when the pass or
-# test recorded as its catcher no longer catches it (a `race` catcher is a
-# test run under -race) — or when a pass is no row's catcher.
-lint:
-	$(GO) run ./cmd/myproxy-vet ./...
-	$(GO) test ./internal/analysis -run 'TestKillMatrix' -count=1 -timeout 30m -killmatrix
-
-# vet-stats runs the same suite and reports per-pass wall time and finding
-# counts as JSON (on stderr, after any findings).
-vet-stats:
-	$(GO) run ./cmd/myproxy-vet -stats ./...
-
-# vet-self is the fast loop when developing an analyzer pass: the CFG and
-# call-graph unit tests and the golden fixtures only, no repo-wide load.
-vet-self:
-	$(GO) test ./internal/analysis -run 'TestCFG|TestCallGraph|TestGolden|TestPragmaScoping|TestLockFlow|TestSARIF'
+# killmatrix is the mutation harness (DESIGN.md §8, killmatrix_test.go): it
+# plants each recorded defect in a copy of the module and fails when the
+# test recorded as its catcher no longer fails (a `race` catcher is a test
+# run under -race). Plain `go test` checks only that every row still
+# applies and every catcher still exists.
+killmatrix:
+	$(GO) test . -run '^TestKillMatrix$$' -killmatrix -count=1 -timeout 30m
 
 test:
 	$(GO) test ./...
@@ -95,7 +81,7 @@ stress:
 	$(GO) test -race -count=100 ./internal/gsi
 	$(GO) test -count=60 -run 'TestChainMutator' ./internal/proxy
 
-check: vet lint build race-hotpath race-failover fuzz-smoke stress race
+check: vet killmatrix build race-hotpath race-failover fuzz-smoke stress race
 
 # One-iteration smoke pass over the go-test benchmarks; the load benchmark
 # is `go run ./bench` (BENCHMARK.json, bench-pairs below).

@@ -150,9 +150,7 @@ func TestCLIEndToEnd(t *testing.T) {
 
 // TestEveryBinaryRunsInTier1 holds the tools README names to the tier-1
 // tests: each cmd/ binary is launched by a root test, which is to say its
-// name is a string argument of a call in a root _test.go file. The one
-// exception is myproxy-vet, the analyzer, which its own package test and
-// `make lint` run.
+// name is a string argument of a call in a root _test.go file.
 func TestEveryBinaryRunsInTier1(t *testing.T) {
 	dirs, err := os.ReadDir("cmd")
 	if err != nil {
@@ -184,7 +182,7 @@ func TestEveryBinaryRunsInTier1(t *testing.T) {
 	}
 	var idle []string
 	for _, d := range dirs {
-		if d.IsDir() && d.Name() != "myproxy-vet" && !launched[d.Name()] {
+		if d.IsDir() && !launched[d.Name()] {
 			idle = append(idle, d.Name())
 		}
 	}

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // configStructs are the structs a deployment configures the system through,
@@ -65,18 +63,18 @@ func TestEveryConfigFieldHasAUser(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	pkgs, err := analysis.Load("repro/...")
+	pkgs, err := loadedModule()
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatal(err)
 	}
 	fields := make(map[string]bool) // "pkg.Type.Field" of each exported field
 	set := make(map[string]bool)
 	for _, pkg := range pkgs {
-		if names, ok := configStructs[pkg.ImportPath]; ok {
+		if names, ok := configStructs[pkg.path]; ok {
 			for _, name := range names {
-				obj := pkg.Types.Scope().Lookup(name)
+				obj := pkg.types.Scope().Lookup(name)
 				if obj == nil {
-					t.Fatalf("%s has no type %s", pkg.ImportPath, name)
+					t.Fatalf("%s has no type %s", pkg.path, name)
 				}
 				st := obj.Type().Underlying().(*types.Struct)
 				for i := 0; i < st.NumFields(); i++ {
@@ -86,17 +84,14 @@ func TestEveryConfigFieldHasAUser(t *testing.T) {
 				}
 			}
 		}
-		if testCode(pkg.ImportPath) {
+		if testCode(pkg.path) {
 			continue
 		}
-		for _, file := range pkg.Files {
-			if strings.HasSuffix(pkg.Fset.File(file.Pos()).Name(), "_test.go") {
-				continue
-			}
+		for _, file := range pkg.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
-					tv, ok := pkg.Info.Types[n]
+					tv, ok := pkg.info.Types[n]
 					if !ok {
 						return true
 					}
@@ -163,12 +158,12 @@ func TestEveryConfigFieldHasAUser(t *testing.T) {
 
 // markSelector records expr as set when it selects a field of a struct,
 // attributing a promoted field to the struct that declares it.
-func markSelector(pkg *analysis.Package, expr ast.Expr, set map[string]bool) {
+func markSelector(pkg *modulePackage, expr ast.Expr, set map[string]bool) {
 	sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	s, ok := pkg.Info.Selections[sel]
+	s, ok := pkg.info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return
 	}
@@ -206,5 +201,5 @@ func testCode(importPath string) bool {
 			return true
 		}
 	}
-	return strings.HasSuffix(importPath, "_test")
+	return false
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/gsi"
 	"repro/internal/pki"
+	"repro/internal/protocol"
 	"repro/internal/resilience"
 	"repro/internal/testpki"
 )
@@ -166,6 +168,33 @@ func TestDestroyAmbiguousAfterLostConfirmation(t *testing.T) {
 	}
 	if stats.Ambiguous.Load() != 1 {
 		t.Errorf("ambiguous counter = %d", stats.Ambiguous.Load())
+	}
+}
+
+// A PUT whose final confirmation is cut off is ambiguous, and the transport
+// error that cut it stays reachable inside the AmbiguousError: the client's
+// wrap of the final read keeps the chain that retry classes and callers
+// inspect.
+func TestPutFinalResponseCutKeepsTheTransportError(t *testing.T) {
+	addr := startFakeRepository(t, func(conn *gsi.Conn) {
+		// Accept the PUT and take the delegation, then hang up before the
+		// confirmation: the deposit may or may not have committed.
+		if _, err := conn.ReadMessage(); err != nil {
+			return
+		}
+		if err := conn.WriteMessage(protocol.MarshalResponse(protocol.OKResponse())); err != nil {
+			return
+		}
+		gsi.RequestDelegationFrom(conn, nil, pki.KeySpec{Algorithm: pki.AlgEd25519}, nil)
+	})
+	cli := newClient(t, testpki.User(t, "core-alice"), addr)
+	err := cli.Put(context.Background(), PutOptions{Username: testUser, Passphrase: testPass})
+	var ae *resilience.AmbiguousError
+	if !errors.As(err, &ae) || ae.Op != "PUT" {
+		t.Fatalf("err = %v, want a PUT AmbiguousError", err)
+	}
+	if !errors.Is(ae.Err, io.EOF) {
+		t.Errorf("the cut is not reachable through the ambiguity: %v", err)
 	}
 }
 

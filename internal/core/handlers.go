@@ -16,8 +16,6 @@ import (
 // exchange runs one protocol exchange on an authenticated channel — a
 // whole connection, or one stream of a multiplexed session (sc is then the
 // session's unseal cache): read a request, parse it, answer it.
-//
-//myproxy:hotpath
 func (s *Server) exchange(ch gsi.Channel, sc *unsealCache) error {
 	reqData, err := ch.ReadMessage()
 	if err != nil {
@@ -45,8 +43,6 @@ func (s *Server) reject(ch gsi.Channel, resp *protocol.Response, err error) erro
 // a connection from a stream beyond the unseal cache; only SESSION can — it
 // upgrades a whole connection to pipelined exchanges and is refused inside
 // a stream.
-//
-//myproxy:hotpath
 func (s *Server) dispatch(ch gsi.Channel, req *protocol.Request, sc *unsealCache) error {
 	peer := ch.PeerIdentity()
 	s.svc.cfg.logf("%s %s username=%q cred=%q from %v", peer, req.Command, req.Username, req.CredName, ch.RemoteAddr())
@@ -170,6 +166,8 @@ type unsealCache struct {
 	m  map[[sha256.Size]byte]*credstore.Issuer
 }
 
+// unsealKey is the cache key of entry's sealed key under passphrase. The
+// caller hashes once, outside the cache's mutex, for both lookup and add.
 func unsealKey(e *credstore.Entry, passphrase []byte) [sha256.Size]byte {
 	h := sha256.New()
 	h.Write(e.SealedKey)
@@ -182,16 +180,10 @@ func unsealKey(e *credstore.Entry, passphrase []byte) [sha256.Size]byte {
 
 // lookup returns the cached unsealed issuer, or nil. Nil-receiver
 // safe: a single-exchange connection has no cache.
-//
-//myproxy:hotpath
-func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *credstore.Issuer {
+func (c *unsealCache) lookup(k [sha256.Size]byte) *credstore.Issuer {
 	if c == nil {
 		return nil
 	}
-	// Hash outside the critical section (mirroring add): SHA-256 over the
-	// sealed key is the expensive part, and every stream of the session
-	// serializes on this mutex.
-	k := unsealKey(e, passphrase)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m[k]
@@ -200,13 +192,10 @@ func (c *unsealCache) lookup(e *credstore.Entry, passphrase []byte) *credstore.I
 // add caches issuer unless another stream raced it in first; it reports
 // whether issuer is now owned by the cache (and must not be dropped by the
 // caller). Nil-receiver safe.
-//
-//myproxy:hotpath
-func (c *unsealCache) add(e *credstore.Entry, passphrase []byte, issuer *credstore.Issuer) bool {
+func (c *unsealCache) add(k [sha256.Size]byte, issuer *credstore.Issuer) bool {
 	if c == nil {
 		return false
 	}
-	k := unsealKey(e, passphrase)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[k]; ok {
@@ -238,8 +227,6 @@ func (c *unsealCache) wipe() {
 // next operation of an already-open session. When the server begins to
 // close, the session takes no further stream, finishes the ones in flight
 // and ends — an idle one at once.
-//
-//myproxy:hotpath
 func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 	if s.svc.cfg.DisableSessions {
 		// A refusal here is the downgrade signal: the client falls back to
@@ -290,8 +277,6 @@ func (s *Server) serveMultiplexed(conn *gsi.Conn) error {
 }
 
 // serveStream runs one protocol exchange on one session stream.
-//
-//myproxy:hotpath
 func (s *Server) serveStream(st *gsi.Stream, sc *unsealCache) {
 	s.svc.stats.Streams.Add(1)
 	if err := s.exchange(st, sc); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"crypto/x509"
 	"errors"
 	"fmt"
@@ -306,7 +307,7 @@ func (s *Service) Put(peer string, req *protocol.Request, receive func(pki.KeySp
 		Renewable:     req.Renewable,
 		CreatedAt:     s.cfg.now(),
 	}
-	passphrase := []byte(req.Passphrase)
+	passphrase := pki.Transient([]byte(req.Passphrase))
 	defer pki.WipeBytes(passphrase)
 	if err := credstore.SealDelegated(entry, cred, passphrase, s.cfg.KDFIterations); err != nil {
 		return fault("could not seal credential", err)
@@ -327,8 +328,6 @@ func (s *Service) Put(peer string, req *protocol.Request, receive func(pki.KeySp
 // once the request has been authorized (the client generates the key); the
 // result is the PEM chain to ship. sc, when non-nil, is the calling
 // session's unseal cache.
-//
-//myproxy:hotpath
 func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr func() ([]byte, error)) ([]byte, *Verdict) {
 	if req.Renewal {
 		return s.renew(peer, req, csr)
@@ -344,9 +343,13 @@ func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr f
 	// the same pass phrase skip the KDF via the session's unseal cache.
 	// One mutable copy of the pass phrase serves the cache probe, the
 	// unseal and the cache fill, and is wiped when the call returns.
-	passphrase := []byte(req.Passphrase)
+	passphrase := pki.Transient([]byte(req.Passphrase))
 	defer pki.WipeBytes(passphrase)
-	issuer := sc.lookup(entry, passphrase)
+	var key [sha256.Size]byte
+	if sc != nil {
+		key = unsealKey(entry, passphrase)
+	}
+	issuer := sc.lookup(key)
 	cached := issuer != nil
 	if !cached {
 		var err error
@@ -357,7 +360,7 @@ func (s *Service) Get(peer string, req *protocol.Request, sc *unsealCache, csr f
 			}
 			return nil, fault("could not open stored credential", err)
 		}
-		cached = sc.add(entry, passphrase, issuer)
+		cached = sc.add(key, issuer)
 	}
 	chain, v := s.delegate(peer, req, entry, issuer, csr)
 	// Wipe and drop the unsealed key (paper §5.1: plaintext exists only
@@ -401,8 +404,6 @@ func (s *Service) renew(peer string, req *protocol.Request, csr func() ([]byte, 
 
 // delegate is the tail GET and renewal share: clamp the lifetime, obtain
 // the CSR, sign, count, audit. The repository is the exporter here.
-//
-//myproxy:hotpath
 func (s *Service) delegate(peer string, req *protocol.Request, entry *credstore.Entry, issuer *credstore.Issuer, csr func() ([]byte, error)) ([]byte, *Verdict) {
 	op, done := "GET", "DELEGATED"
 	if req.Renewal {
@@ -439,7 +440,7 @@ func (s *Service) Info(peer string, req *protocol.Request) ([]*credstore.Entry, 
 	if err != nil {
 		return nil, fault("store error", err)
 	}
-	passphrase := []byte(req.Passphrase)
+	passphrase := pki.Transient([]byte(req.Passphrase))
 	defer pki.WipeBytes(passphrase)
 	matched := entries[:0]
 	for _, e := range entries {
@@ -461,7 +462,7 @@ func (s *Service) Destroy(peer string, req *protocol.Request) *Verdict {
 	if v != nil {
 		return v
 	}
-	passphrase := []byte(req.Passphrase)
+	passphrase := pki.Transient([]byte(req.Passphrase))
 	defer pki.WipeBytes(passphrase)
 	if err := entry.CheckPassphrase(passphrase); err != nil {
 		return s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, "DESTROY %q/%q: bad pass phrase", req.Username, req.CredName)
@@ -490,7 +491,7 @@ func (s *Service) ChangePassphrase(peer string, req *protocol.Request) *Verdict 
 		return &Verdict{Kind: VerdictConflict,
 			Public: "stored credentials are sealed client-side; re-upload with myproxy-store to change the pass phrase"}
 	}
-	oldPass, newPass := []byte(req.Passphrase), []byte(req.NewPassphrase)
+	oldPass, newPass := pki.Transient([]byte(req.Passphrase)), pki.Transient([]byte(req.NewPassphrase))
 	defer pki.WipeBytes(oldPass)
 	defer pki.WipeBytes(newPass)
 	if err := credstore.Reseal(entry, oldPass, newPass, s.cfg.KDFIterations); err != nil {
@@ -540,7 +541,7 @@ func (s *Service) Store(peer string, req *protocol.Request, blob func() ([]byte,
 		TaskTags:      req.TaskTags,
 		CreatedAt:     s.cfg.now(),
 	}
-	passphrase := []byte(req.Passphrase)
+	passphrase := pki.Transient([]byte(req.Passphrase))
 	defer pki.WipeBytes(passphrase)
 	if err := entry.SetPassphrase(passphrase, s.cfg.KDFIterations); err != nil {
 		return fault("could not record pass phrase verifier", err)
@@ -560,7 +561,7 @@ func (s *Service) Retrieve(peer string, req *protocol.Request) ([]byte, *Verdict
 	if v != nil {
 		return nil, v
 	}
-	passphrase := []byte(req.Passphrase)
+	passphrase := pki.Transient([]byte(req.Passphrase))
 	defer pki.WipeBytes(passphrase)
 	if err := entry.CheckPassphrase(passphrase); err != nil {
 		return nil, s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, "RETRIEVE %q/%q: bad pass phrase", req.Username, entry.Name)

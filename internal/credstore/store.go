@@ -181,7 +181,6 @@ func (e *Entry) SetPassphrase(passphrase []byte, iter int) error {
 		return fmt.Errorf("credstore: salt: %w", err)
 	}
 	e.VerifierSalt, e.VerifierIter, e.VerifierFromSeal = salt, iter, false
-	//myproxy:allow secretescape the verifier digest is persisted by design; the KDF input, not this derived value, is the secret to wipe
 	e.Verifier = kdf.SHA256Key(passphrase, salt, iter, 32)
 	return nil
 }
@@ -196,6 +195,7 @@ func (e *Entry) CheckPassphrase(passphrase []byte) error {
 	if err != nil {
 		return err
 	}
+	pki.Transient(got) // recomputed for this check alone; wiped below
 	ok := hmac.Equal(got, e.Verifier)
 	pki.WipeBytes(got) // the derived verifier is pass-phrase-equivalent
 	if !ok {
@@ -293,8 +293,6 @@ type Issuer struct {
 // certificate is parsed, and the stored chain is kept in the PEM it is
 // sent in (pki.DecryptIssuer). The caller must discard the plaintext key
 // as soon as the delegation completes.
-//
-//myproxy:hotpath
 func UnsealIssuer(e *Entry, passphrase []byte) (*Issuer, error) {
 	if e.Kind != KindDelegated {
 		return nil, fmt.Errorf("credstore: %s credential cannot be unsealed for delegation", e.Kind)

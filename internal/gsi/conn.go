@@ -269,8 +269,6 @@ func (c *Conn) armDeadline() error {
 }
 
 // WriteMessage sends one framed message over the channel.
-//
-//myproxy:hotpath
 func (c *Conn) WriteMessage(payload []byte) error {
 	if err := c.armDeadline(); err != nil {
 		return fmt.Errorf("gsi: arm write deadline: %w", err)
@@ -279,8 +277,6 @@ func (c *Conn) WriteMessage(payload []byte) error {
 }
 
 // ReadMessage receives one framed message.
-//
-//myproxy:hotpath
 func (c *Conn) ReadMessage() ([]byte, error) {
 	if err := c.armDeadline(); err != nil {
 		return nil, fmt.Errorf("gsi: arm read deadline: %w", err)

@@ -28,8 +28,6 @@ import (
 // a CSR, receives the signed chain, and assembles the resulting proxy
 // credential. The returned credential is verified against roots before
 // being accepted. The zero spec selects RSA at pki.DefaultKeyBits.
-//
-//myproxy:hotpath
 func RequestDelegation(ch Channel, spec pki.KeySpec, roots *x509.CertPool) (*pki.Credential, error) {
 	return RequestDelegationFrom(ch, nil, spec, roots)
 }
@@ -37,8 +35,6 @@ func RequestDelegation(ch Channel, spec pki.KeySpec, roots *x509.CertPool) (*pki
 // RequestDelegationFrom is RequestDelegation with the key pair drawn from
 // keys (typically a keypool.Pool), taking fresh-key generation off the
 // delegation hot path. A nil source generates synchronously.
-//
-//myproxy:hotpath
 func RequestDelegationFrom(ch Channel, keys proxy.KeySource, spec pki.KeySpec, roots *x509.CertPool) (*pki.Credential, error) {
 	var key crypto.Signer
 	var err error
@@ -111,8 +107,6 @@ func (st *Stream) verifyCache() *proxy.VerifyCache { return st.s.conn.auth.Cache
 // proxy certificate under issuer with the given options, sending back the
 // full chain (new proxy first, then issuer's chain). It returns the signed
 // certificate.
-//
-//myproxy:hotpath
 func Delegate(ch Channel, issuer *pki.Credential, opts proxy.Options) (*x509.Certificate, error) {
 	csrDER, err := ch.ReadMessage()
 	if err != nil {
@@ -154,8 +148,6 @@ func (csrError) Is(target error) bool { return target == ErrBadCSR }
 //
 // The request proxy.CreateRequest writes is read on its bytes
 // (proxy.CheckRequest); any other is parsed and checked by crypto/x509.
-//
-//myproxy:hotpath
 func SignCSR(csrDER []byte, issuer *pki.Credential, chainPEM []byte, opts proxy.Options) (der, out []byte, err error) {
 	pub, ok, err := proxy.CheckRequest(csrDER)
 	if err != nil {

@@ -35,8 +35,6 @@ var ErrFrameTooLarge = errors.New("gsi: frame exceeds maximum size")
 
 // WriteFrame writes one length-prefixed message, header and payload in one
 // Write.
-//
-//myproxy:hotpath
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, len(payload), MaxFrameSize)
@@ -72,8 +70,6 @@ func writeJoined(w io.Writer, hdr, payload []byte) error {
 
 // ReadFrame reads one length-prefixed message of at most max bytes
 // (max <= 0 selects DefaultMaxFrame).
-//
-//myproxy:hotpath
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
@@ -107,8 +103,6 @@ const streamIDLen = 4
 
 // WriteStreamFrame writes one length-prefixed message tagged with a
 // stream identifier (id must be nonzero), header and payload in one Write.
-//
-//myproxy:hotpath
 func WriteStreamFrame(w io.Writer, id uint32, payload []byte) error {
 	if id == 0 {
 		return errors.New("gsi: stream id 0 is reserved")
@@ -127,8 +121,6 @@ func WriteStreamFrame(w io.Writer, id uint32, payload []byte) error {
 
 // ReadStreamFrame reads one stream-tagged frame of at most max payload
 // bytes (max <= 0 selects DefaultMaxFrame).
-//
-//myproxy:hotpath
 func ReadStreamFrame(r io.Reader, max int) (uint32, []byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame

@@ -230,7 +230,6 @@ func (s *Session) writeFrame(st *Stream, payload []byte) error {
 			return fmt.Errorf("gsi: arm stream write deadline: %w", err)
 		}
 	}
-	//myproxy:allow hotblock frames must serialize on wmu by design; the per-frame write deadline above bounds the hold
 	if err := WriteStreamFrame(s.conn.tls, st.id, payload); err != nil {
 		s.fail(err)
 		return err
@@ -291,15 +290,11 @@ type Stream struct {
 }
 
 // WriteMessage sends one framed message on this stream.
-//
-//myproxy:hotpath
 func (st *Stream) WriteMessage(payload []byte) error {
 	return st.s.writeFrame(st, payload)
 }
 
 // ReadMessage receives the next message routed to this stream.
-//
-//myproxy:hotpath
 func (st *Stream) ReadMessage() ([]byte, error) {
 	var timeout <-chan time.Time
 	if st.timeout > 0 {

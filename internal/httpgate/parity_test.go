@@ -127,7 +127,8 @@ const (
 // verdict class, the same delegated identity and lifetime, and the same
 // counter, whichever front-end carried it. The audit log of the whole table
 // is the canary: every event is one line free of control bytes, and none
-// holds a pass phrase or a one-time password the table spoke.
+// holds a pass phrase or a one-time password the table spoke. After every
+// row, each transient secret buffer it made (pki.Transient) is all zero.
 func TestSharedStoreBetweenFrontends(t *testing.T) {
 	roots := testpki.PoolOf(testpki.CA(t).Certificate())
 	registry := otp.NewRegistry()
@@ -514,12 +515,24 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 			c, _ := f.outcome(t, f.destroy(mallory, user, parityPass))
 			return []class{c}
 		}},
+		{"DESTROY with a wrong pass phrase", []class{"bad-passphrase"}, "auth_failures", func(t *testing.T, f frontend, user string) []class {
+			seed(t, user, alice, nil)
+			c, _ := f.outcome(t, f.destroy(alice, user, wrongPass))
+			return []class{c}
+		}},
 		{"DESTROY by the owner", []class{"ok"}, "destroys", func(t *testing.T, f frontend, user string) []class {
 			seed(t, user, alice, nil)
 			c, _ := f.outcome(t, f.destroy(alice, user, parityPass))
 			return []class{c}
 		}},
 	}
+	// The wipe ledger records every transient secret buffer the rows make
+	// on either side: stretched keys, opened plaintexts, the repository's
+	// pass-phrase copies. Each must be zero once its row is over.
+	ledger := &pki.Ledger{}
+	pki.SetLedger(ledger)
+	t.Cleanup(func() { pki.SetLedger(nil) })
+	buffers := 0
 	for _, row := range rows {
 		for _, f := range frontends {
 			t.Run(row.name+"/"+f.name, func(t *testing.T) {
@@ -527,6 +540,11 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 				got := row.run(t, f, testpki.FreshName("parity"))
 				if !slices.Equal(got, row.want) {
 					t.Errorf("outcomes %v, want %v", got, row.want)
+				}
+				recorded, unwiped := ledger.Drain()
+				buffers += recorded
+				if unwiped > 0 {
+					t.Errorf("%d of the %d transient secret buffers the row made are not wiped", unwiped, recorded)
 				}
 				if row.counter == "" {
 					return
@@ -536,6 +554,10 @@ func TestSharedStoreBetweenFrontends(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	if buffers == 0 {
+		t.Error("the wipe ledger recorded no buffer: it checked nothing")
 	}
 
 	audit.mu.Lock()

@@ -21,10 +21,9 @@ import (
 // enough that a brute-force attack against a dumped repository is slow
 // (the repository defaults to 64k iterations, see internal/credstore).
 //
-// The result is key material: callers must wipe it (pki.WipeBytes) once the
-// derived key has been used.
-//
-//myproxy:secret
+// The result is key material: a caller that does not keep it must wipe it
+// (pki.WipeBytes) once the derived key has been used, and registers it with
+// pki.Transient so tests can check that it did.
 func Key(password, salt []byte, iter, keyLen int, h func() hash.Hash) []byte {
 	if iter < 1 {
 		panic("kdf: iteration count must be >= 1")
@@ -63,8 +62,6 @@ func Key(password, salt []byte, iter, keyLen int, h func() hash.Hash) []byte {
 }
 
 // SHA256Key derives a key with PBKDF2-HMAC-SHA256, the repository default.
-//
-//myproxy:secret
 func SHA256Key(password, salt []byte, iter, keyLen int) []byte {
 	return Key(password, salt, iter, keyLen, sha256.New)
 }

@@ -25,7 +25,7 @@ var rfc6070 = []struct {
 
 func TestSHA1KeyRFC6070(t *testing.T) {
 	for i, tc := range rfc6070 {
-		got := SHA1Key([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen) //myproxy:allow zeroize RFC 6070 vector; the derived key is a public constant
+		got := SHA1Key([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen)
 		if hex.EncodeToString(got) != tc.want {
 			t.Errorf("vector %d: got %x, want %s", i, got, tc.want)
 		}
@@ -50,7 +50,7 @@ var sha256Vectors = []struct {
 
 func TestSHA256KeyVectors(t *testing.T) {
 	for i, tc := range sha256Vectors {
-		got := SHA256Key([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen) //myproxy:allow zeroize published PBKDF2-SHA256 vector; the derived key is a public constant
+		got := SHA256Key([]byte(tc.password), []byte(tc.salt), tc.iter, tc.keyLen)
 		if hex.EncodeToString(got) != tc.want {
 			t.Errorf("vector %d: got %x, want %s", i, got, tc.want)
 		}
@@ -59,7 +59,7 @@ func TestSHA256KeyVectors(t *testing.T) {
 
 func TestKeyLengthExact(t *testing.T) {
 	for _, n := range []int{0, 1, 31, 32, 33, 64, 100} {
-		got := SHA256Key([]byte("pw"), []byte("salt"), 3, n) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
+		got := SHA256Key([]byte("pw"), []byte("salt"), 3, n)
 		if len(got) != n {
 			t.Errorf("keyLen %d: got %d bytes", n, len(got))
 		}
@@ -67,32 +67,32 @@ func TestKeyLengthExact(t *testing.T) {
 }
 
 func TestKeyDeterministic(t *testing.T) {
-	a := SHA256Key([]byte("pw"), []byte("salt"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
-	b := SHA256Key([]byte("pw"), []byte("salt"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
+	a := SHA256Key([]byte("pw"), []byte("salt"), 100, 32)
+	b := SHA256Key([]byte("pw"), []byte("salt"), 100, 32)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same inputs produced different keys")
 	}
 }
 
 func TestKeyPasswordSensitivity(t *testing.T) {
-	a := SHA256Key([]byte("pw1"), []byte("salt"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
-	b := SHA256Key([]byte("pw2"), []byte("salt"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
+	a := SHA256Key([]byte("pw1"), []byte("salt"), 100, 32)
+	b := SHA256Key([]byte("pw2"), []byte("salt"), 100, 32)
 	if bytes.Equal(a, b) {
 		t.Fatal("different passwords produced identical keys")
 	}
 }
 
 func TestKeySaltSensitivity(t *testing.T) {
-	a := SHA256Key([]byte("pw"), []byte("salt1"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
-	b := SHA256Key([]byte("pw"), []byte("salt2"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
+	a := SHA256Key([]byte("pw"), []byte("salt1"), 100, 32)
+	b := SHA256Key([]byte("pw"), []byte("salt2"), 100, 32)
 	if bytes.Equal(a, b) {
 		t.Fatal("different salts produced identical keys")
 	}
 }
 
 func TestKeyIterSensitivity(t *testing.T) {
-	a := SHA256Key([]byte("pw"), []byte("salt"), 100, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
-	b := SHA256Key([]byte("pw"), []byte("salt"), 101, 32) //myproxy:allow zeroize fixed test inputs; the derived key is not a real secret
+	a := SHA256Key([]byte("pw"), []byte("salt"), 100, 32)
+	b := SHA256Key([]byte("pw"), []byte("salt"), 101, 32)
 	if bytes.Equal(a, b) {
 		t.Fatal("different iteration counts produced identical keys")
 	}
@@ -138,11 +138,10 @@ func TestKeyInjectiveProperty(t *testing.T) {
 	f := func(pw, salt []byte) bool {
 		k := hex.EncodeToString(SHA256Key(pw, salt, 2, 32))
 		prev, ok := seen[k]
-		//myproxy:allow consttime collision-detection on generated test inputs, not an authentication decision
-		if ok && (prev[0] != string(pw) || prev[1] != string(salt)) { //myproxy:allow secretescape generated quick-check inputs, not real key material
+		if ok && (prev[0] != string(pw) || prev[1] != string(salt)) {
 			return false
 		}
-		seen[k] = [2]string{string(pw), string(salt)} //myproxy:allow secretescape generated quick-check inputs, not real key material
+		seen[k] = [2]string{string(pw), string(salt)}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -160,8 +159,6 @@ func BenchmarkSHA256Key64k(b *testing.B) {
 
 // SHA1Key derives a key with PBKDF2-HMAC-SHA1, for checking Key against the
 // RFC 6070 vectors.
-//
-//myproxy:secret
 func SHA1Key(password, salt []byte, iter, keyLen int) []byte {
 	return Key(password, salt, iter, keyLen, sha1.New)
 }

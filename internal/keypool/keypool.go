@@ -146,8 +146,6 @@ func (p *Pool) Bits() int {
 // spec matches the pool's exactly; otherwise — different algorithm or
 // size, drained buffer, nil or closed pool — Get generates synchronously,
 // honoring ctx (and Close) during the fallback.
-//
-//myproxy:hotpath
 func (p *Pool) Get(ctx context.Context, spec pki.KeySpec) (crypto.Signer, error) {
 	spec = spec.Normalize()
 	if p != nil && spec == p.spec {

@@ -81,7 +81,6 @@ func TestGetServesPooledKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	//myproxy:allow consttime pointer identity of a test fixture, not key-content comparison
 	if got != want {
 		t.Fatal("Get did not serve the pooled key")
 	}

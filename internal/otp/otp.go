@@ -27,11 +27,10 @@ import (
 
 // Value is one 64-bit chain value: H^n(seed||passphrase). Every Value is
 // derived from the user's secret pass phrase, and knowing H^(n-1) forges
-// the next login, so Values are secret-labelled for the static-analysis
-// gate: they must never reach a format string and must be compared in
-// constant time (Verify uses subtle.ConstantTimeCompare).
-//
-//myproxy:secret
+// the next login, so a Value must never reach a format string and must be
+// compared in constant time (Verify uses subtle.ConstantTimeCompare; the
+// root TestSecretsCompareInConstantTime refuses ==, != and bytes.Equal on
+// a Value).
 type Value [8]byte
 
 // Algorithm selects the hash underlying the chain.

@@ -80,8 +80,6 @@ func (c *Credential) Validate(now time.Time) error {
 // leaf certificate, private key, then the rest of the chain. The encoding
 // contains the plaintext private key: callers that do not persist it must
 // WipeBytes it once sealed or written.
-//
-//myproxy:secret
 func (c *Credential) EncodePEM() []byte {
 	out := EncodeCertPEM(c.Certificate)
 	out = append(out, EncodeKeyPEM(c.PrivateKey)...)

@@ -70,7 +70,7 @@ func TestCredentialPEMRoundTrip(t *testing.T) {
 	ca := newTestCA(t)
 	_ = ca
 
-	data := cred.EncodePEM() //myproxy:allow zeroize throwaway test credential; the encoding is not a real secret
+	data := cred.EncodePEM()
 	back, err := DecodeCredentialPEM(data, nil)
 	if err != nil {
 		t.Fatalf("DecodeCredentialPEM: %v", err)
@@ -180,7 +180,7 @@ func TestSealOpenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenBytes(c, pass) //myproxy:allow zeroize plaintext is a known test string, not key material
+	got, err := OpenBytes(c, pass)
 	if err != nil || !bytes.Equal(got, plaintext) {
 		t.Fatalf("OpenBytes = %q, %v", got, err)
 	}

@@ -74,7 +74,7 @@ func seal(plaintext, passphrase []byte, iter int) (container, verifier []byte, e
 	if _, err := io.ReadFull(rand.Reader, salt); err != nil {
 		return nil, nil, fmt.Errorf("pki: salt: %w", err)
 	}
-	key := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)
+	key := Transient(kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New))
 	defer WipeBytes(key) // the cipher keeps its own schedule; drop ours
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -123,14 +123,12 @@ func splitContainer(container []byte) (iter int, salt, rest []byte, err error) {
 // OpenBytes decrypts a container produced by SealBytes. The plaintext is
 // key material: the caller inherits the obligation to WipeBytes it once
 // decoded.
-//
-//myproxy:secret
 func OpenBytes(container, passphrase []byte) ([]byte, error) {
 	iter, salt, rest, err := splitContainer(container)
 	if err != nil {
 		return nil, err
 	}
-	key := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)
+	key := Transient(kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New))
 	defer WipeBytes(key) // the cipher keeps its own schedule; drop ours
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -145,7 +143,7 @@ func OpenBytes(container, passphrase []byte) ([]byte, error) {
 	if err != nil {
 		return nil, ErrBadPassphrase
 	}
-	return plaintext, nil
+	return Transient(plaintext), nil
 }
 
 // EncryptKeyPEM seals a private key under the pass phrase and renders it as
@@ -236,7 +234,7 @@ func KeyPEMVerifier(data, passphrase []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)
+	key := Transient(kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New))
 	verifier := verifierOf(key)
 	WipeBytes(key) // K opens the container; only its one-way image leaves
 	return verifier, nil

@@ -224,8 +224,6 @@ const (
 // marshalKeyDER renders a private key in DER: PKCS#1 for RSA (the on-disk
 // back-compat format), PKCS#8 otherwise. The caller owns the returned
 // secret bytes and must WipeBytes them when done.
-//
-//myproxy:secret
 func marshalKeyDER(key crypto.Signer) ([]byte, error) {
 	switch k := key.(type) {
 	case *rsa.PrivateKey:

@@ -6,15 +6,63 @@ import (
 	"crypto/ed25519"
 	"crypto/rsa"
 	"math/big"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Best-effort scrubbing of key material. Go's runtime may have copied a
 // buffer during GC or stack growth, so zeroing is not a guarantee — but the
 // paper's threat model (§2.1, §5.1: the repository holds keys encrypted and
 // exposes plaintext only transiently) makes "don't leave plaintext sitting
-// in dead heap objects" the cheap, worthwhile half of the discipline. The
-// myproxy-vet zeroize pass enforces that every transient secret buffer
-// reaches one of these helpers (or an inline zeroing loop) on all paths.
+// in dead heap objects" the cheap, worthwhile half of the discipline.
+//
+// Each transient secret buffer is handed to Transient where it is made: a
+// stretched key, an opened plaintext, the repository's copy of a request's
+// pass phrase. A buffer kept by design (the verifier an entry stores) is
+// not. A test installs a Ledger and checks, once an operation is over,
+// that every buffer it recorded was wiped.
+
+// A Ledger records the transient secret buffers made while it is installed.
+type Ledger struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+var ledger atomic.Pointer[Ledger]
+
+// SetLedger installs l, or removes the ledger when l is nil. It is a test
+// hook: production installs none, and Transient is then one nil check.
+func SetLedger(l *Ledger) { ledger.Store(l) }
+
+// Transient records b in the installed ledger, if any, and returns b.
+func Transient(b []byte) []byte {
+	if l := ledger.Load(); l != nil {
+		l.record(b)
+	}
+	return b
+}
+
+func (l *Ledger) record(b []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.bufs = append(l.bufs, b)
+}
+
+// Drain forgets the buffers recorded so far and reports how many there
+// were and how many of them still hold a nonzero byte.
+func (l *Ledger) Drain() (recorded, unwiped int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, b := range l.bufs {
+		if slices.ContainsFunc(b, func(c byte) bool { return c != 0 }) {
+			unwiped++
+		}
+	}
+	recorded = len(l.bufs)
+	l.bufs = nil
+	return recorded, unwiped
+}
 
 // WipeBytes zeroes b in place. Call it as soon as a decrypted key, derived
 // KDF output, or plaintext credential encoding has served its purpose.

@@ -54,7 +54,6 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("re-parse of marshaled request failed: %v", err)
 		}
 		if back.Command != req.Command || back.Username != req.Username ||
-			//myproxy:allow consttime wire-format round-trip equality on fuzz fixtures, not an authentication decision
 			back.CredName != req.CredName || back.Passphrase != req.Passphrase {
 			t.Errorf("round trip changed fields: %+v != %+v", back, req)
 		}

@@ -46,7 +46,6 @@ func TestRequestValuesWithNewlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//myproxy:allow consttime wire-format round-trip equality on fixtures, not an authentication decision
 	if back.Passphrase != req.Passphrase || back.Description != req.Description {
 		t.Errorf("escaping broken: %+v", back)
 	}
@@ -250,7 +249,6 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		//myproxy:allow consttime wire-format round-trip equality on fixtures, not an authentication decision
 		return back.Username == user && back.Passphrase == pass
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

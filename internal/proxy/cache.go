@@ -109,8 +109,6 @@ func sameDER(der []byte) []byte { return der }
 
 // Verify is a caching front end to Verify: identical contract, identical
 // errors on the miss path. A nil *VerifyCache degrades to plain Verify.
-//
-//myproxy:hotpath
 func (vc *VerifyCache) Verify(chain []*x509.Certificate, opts VerifyOptions) (*Result, error) {
 	if vc == nil || len(chain) == 0 || opts.Roots == nil {
 		return Verify(chain, opts)
@@ -144,8 +142,6 @@ func (vc *VerifyCache) Verify(chain []*x509.Certificate, opts VerifyOptions) (*R
 // anchor's revocation hook re-runs over the issuer chain on every hit. A
 // leaf that is not a proxy, a nil *VerifyCache and nil roots all take plain
 // Verify. Anchor lookups are counted apart from Hits and Misses.
-//
-//myproxy:hotpath
 func (vc *VerifyCache) VerifyDelegated(chain []*x509.Certificate, opts VerifyOptions) (*Result, error) {
 	if vc == nil || len(chain) < 2 || opts.Roots == nil || !IsProxy(chain[0]) {
 		return Verify(chain, opts)
@@ -179,8 +175,6 @@ func (vc *VerifyCache) VerifyDelegated(chain []*x509.Certificate, opts VerifyOpt
 // an anchor for, byte for byte under opts' depth bound, is not parsed
 // again: its certificates are the anchor's. Only the leaf is parsed then.
 // The chain returned is the caller's own slice either way.
-//
-//myproxy:hotpath
 func (vc *VerifyCache) ParseDelegated(ders [][]byte, opts VerifyOptions) ([]*x509.Certificate, error) {
 	if vc == nil || len(ders) < 2 {
 		return pki.ParseCerts(ders...)

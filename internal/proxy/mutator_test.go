@@ -52,7 +52,7 @@ const chainsPerSeed = 100
 
 // seeded draws the mutator's choices. It must be math/rand: a seed has to
 // name its chains.
-type seeded = mrand.Rand //myproxy:allow weakrand seeded test input; reproducibility requires math/rand, no key material
+type seeded = mrand.Rand
 
 func TestChainMutator(t *testing.T) {
 	f := newMutFixture(t)
@@ -60,7 +60,7 @@ func TestChainMutator(t *testing.T) {
 	var chains, warmHits int
 	for _, base := range mutatorSeeds {
 		seed := base + run*int64(len(mutatorSeeds))
-		rng := mrand.New(mrand.NewSource(seed)) //myproxy:allow weakrand seeded test input, as above
+		rng := mrand.New(mrand.NewSource(seed))
 		for i := 0; i < chainsPerSeed; i++ {
 			c := f.bend(t, rng)
 			label := fmt.Sprintf("seed %d chain %d (%s)", seed, i, c.what)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -36,8 +35,8 @@ type Policy struct {
 	// Sleep replaces the backoff sleep (tests); nil selects a
 	// context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// Rand replaces the jitter source (tests); nil selects a shared
-	// seeded source.
+	// Rand replaces the jitter source (tests); nil selects math/rand's
+	// top-level source.
 	Rand func() float64
 }
 
@@ -49,20 +48,6 @@ const (
 	// storms of many clients hitting one repository after a shared fault.
 	jitter = 0.5
 )
-
-// sharedRand backs the default jitter source; rand.Rand is not
-// concurrency-safe, so guard it.
-var (
-	randMu sync.Mutex
-	// Guarded by randMu.
-	sharedRand = rand.New(rand.NewSource(time.Now().UnixNano())) //myproxy:allow weakrand backoff jitter decorrelates retry storms; not key material
-)
-
-func defaultRand() float64 {
-	randMu.Lock()
-	defer randMu.Unlock()
-	return sharedRand.Float64()
-}
 
 // permanentError marks an error that must not be retried.
 type permanentError struct{ err error }
@@ -159,7 +144,9 @@ func (p Policy) Backoff(retry int) time.Duration {
 func (p Policy) jittered(d time.Duration) time.Duration {
 	rnd := p.Rand
 	if rnd == nil {
-		rnd = defaultRand
+		// math/rand's top-level source is safe for concurrent use and
+		// seeded at start-up.
+		rnd = rand.Float64
 	}
 	return time.Duration(float64(d) * (1 - jitter + jitter*rnd()))
 }
@@ -197,7 +184,7 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			if err != nil {
-				return fmt.Errorf("resilience: %w (interrupted: %v)", err, ctx.Err()) //myproxy:allow errwrap classification must track the primary op error, not the interrupt
+				return fmt.Errorf("resilience: %w (interrupted: %v)", err, ctx.Err())
 			}
 			return ctx.Err()
 		}
@@ -226,7 +213,7 @@ func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) erro
 			p.OnRetry(attempt, err, backoff)
 		}
 		if serr := p.sleep(ctx, backoff); serr != nil {
-			return fmt.Errorf("resilience: %w (interrupted: %v)", err, serr) //myproxy:allow errwrap classification must track the primary op error, not the interrupt
+			return fmt.Errorf("resilience: %w (interrupted: %v)", err, serr)
 		}
 	}
 }

@@ -1,41 +1,31 @@
-package analysis
+package repro
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
-var killMatrixFlag = flag.Bool("killmatrix", false, "apply every kill-matrix mutation to a copy of the module and check its recorded catcher (minutes; `make lint` sets it)")
+var killMatrixFlag = flag.Bool("killmatrix", false, "apply every kill-matrix mutation to a copy of the module and run its recorded catcher (minutes; `make killmatrix` sets it)")
 
-// The kill matrix decides which passes exist. Each row is one fixed edit
-// that plants the defect a pass was written for at the real site in this
-// repository, and records the cheapest thing that catches it: an existing
-// test, else a pass, else nothing. A pass stays in the suite only while
-// some row names it — i.e. the defect compiles, passes its package's tests
-// and would merge without it. Rows recorded as "none" are the gaps, written
-// down (DESIGN.md "Static-analysis gate" lists them).
+// The kill matrix is a mutation harness. Each row is one fixed edit that
+// plants a defect at a real site of this repository, and records the test
+// that catches it. A row recorded as "none" is a gap, written down with its
+// reason; a "retired" row names a defect the code can no longer express.
 //
-// TestKillMatrix applies each row to one temp copy of the module and runs
-// the copy's own `myproxy-vet -json ./...`; for a row whose catcher is a
-// test it runs that test (for a "race" row under -race, and once more
-// without it, which must pass: the defect is a data race no plain run can
-// see), for a row whose catcher is a pass the mutated
-// package's tests (which must still pass, or the pass is not the cheapest
-// catcher). It fails when a recorded catcher no longer catches, when a pass
-// starts firing on a row recorded as a gap, when a registered pass is no
-// row's catcher, or — checked on every `go test`, without the flag — when a
-// row's `old` text has drifted away from the file or its catcher is no
-// longer a registered pass or a test function of the named package.
+// On every `go test`, TestKillMatrix checks that each row's `old` text
+// still occurs exactly once and that its catcher is still a test function
+// of the named package, so a drifted row or a renamed test fails tier-1.
+// Under -killmatrix it copies the module once and, row by row, applies the
+// edit and runs the catcher, which must fail. A "race" catcher runs under
+// -race, and once more without it, which must pass: the defect is a data
+// race no plain run can see. A gap's edit must still build.
 
 // edit replaces the single occurrence of old in file (module-relative).
 type edit struct{ file, old, new string }
@@ -44,10 +34,10 @@ type mutation struct {
 	n     int
 	what  string
 	edits []edit
-	// caughtBy is "pass <name>", "test <package dir> <TestName>", "race
-	// <package dir> <TestName>" (the test fails only under -race) or "none".
+	// caughtBy is "test <package dir> <TestName>", "race <package dir>
+	// <TestName>" (the test fails only under -race), "none" or "retired".
 	caughtBy string
-	// why explains a "none" row.
+	// why explains a "none" or "retired" row.
 	why string
 }
 
@@ -62,26 +52,25 @@ var killMatrix = []mutation{
 		edits: one("internal/core/service.go",
 			`"DESTROY %q/%q: bad pass phrase", req.Username, req.CredName)`,
 			`"DESTROY %q/%q: bad pass phrase %s", req.Username, req.CredName, req.Passphrase)`),
-		caughtBy: "pass logtaint"},
+		caughtBy: "test internal/httpgate TestSharedStoreBetweenFrontends"},
 	{n: 3, what: "DESTROY no longer wipes its pass-phrase copy",
 		edits: one("internal/core/service.go",
-			"\tpassphrase := []byte(req.Passphrase)\n\tdefer pki.WipeBytes(passphrase)\n\tif err := entry.CheckPassphrase(passphrase); err != nil {\n\t\treturn s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, \"DESTROY",
-			"\tpassphrase := []byte(req.Passphrase)\n\tif err := entry.CheckPassphrase(passphrase); err != nil {\n\t\treturn s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, \"DESTROY"),
-		caughtBy: "none",
-		why:      "zeroize tracks secret-typed results, not a []byte conversion of a request field; a Secret type that owns its wipe is ROADMAP 13(d)"},
+			"\tpassphrase := pki.Transient([]byte(req.Passphrase))\n\tdefer pki.WipeBytes(passphrase)\n\tif err := entry.CheckPassphrase(passphrase); err != nil {\n\t\treturn s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, \"DESTROY",
+			"\tpassphrase := pki.Transient([]byte(req.Passphrase))\n\tif err := entry.CheckPassphrase(passphrase); err != nil {\n\t\treturn s.refuse(VerdictBadPassphrase, peer, badPhraseMsg, \"DESTROY"),
+		caughtBy: "test internal/httpgate TestSharedStoreBetweenFrontends"},
 	{n: 4, what: "the seal key derived from the pass phrase is not wiped",
 		edits: one("internal/pki/encrypt.go",
-			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n\tdefer WipeBytes(key) // the cipher keeps its own schedule; drop ours\n",
-			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New)\n"),
-		caughtBy: "pass zeroize"},
+			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := Transient(kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New))\n\tdefer WipeBytes(key) // the cipher keeps its own schedule; drop ours\n",
+			"\t\treturn nil, nil, fmt.Errorf(\"pki: salt: %w\", err)\n\t}\n\tkey := Transient(kdf.Key(passphrase, salt, iter, sealKeyLen, sha256.New))\n"),
+		caughtBy: "test internal/httpgate TestSharedStoreBetweenFrontends"},
 	{n: 5, what: "the derived pass-phrase verifier is not wiped",
 		edits: one("internal/credstore/store.go",
 			"\tpki.WipeBytes(got) // the derived verifier is pass-phrase-equivalent\n", ""),
-		caughtBy: "pass zeroize"},
+		caughtBy: "test internal/httpgate TestSharedStoreBetweenFrontends"},
 	{n: 6, what: "RETRIEVE keeps the unsealed credential PEM after decoding it",
 		edits: one("internal/core/client.go",
 			"\tpki.WipeBytes(plain) // decoded into cred; drop the plaintext PEM\n", ""),
-		caughtBy: "pass zeroize"},
+		caughtBy: "test internal/httpgate TestSharedStoreBetweenFrontends"},
 	{n: 7, what: "the command table calls DESTROY idempotent",
 		edits: one("internal/protocol/protocol.go",
 			"CmdDestroy:          false,", "CmdDestroy:          true,"),
@@ -91,7 +80,7 @@ var killMatrix = []mutation{
 			{"internal/otp/otp.go", "\t\"crypto/subtle\"\n", ""},
 			{"internal/otp/otp.go", `subtle.ConstantTimeCompare(next[:], st.last[:]) != 1`, `string(next[:]) != string(st.last[:])`},
 		},
-		caughtBy: "pass consttime"},
+		caughtBy: "test . TestSecretsCompareInConstantTime"},
 	{n: 9, what: "a failed handshake leaves the raw connection open",
 		edits: one("internal/gsi/conn.go",
 			"\t\t\t_ = raw.Close() // already failing; close is best-effort\n", "\t\t\t_ = raw\n"),
@@ -115,11 +104,11 @@ var killMatrix = []mutation{
 			{"internal/pki/keys.go", "\t\"crypto/rand\"\n", "\t\"crypto/rand\"\n\tmrand \"math/rand\"\n"},
 			{"internal/pki/keys.go", `rsa.GenerateKey(rand.Reader, bits)`, `rsa.GenerateKey(mrand.New(mrand.NewSource(1)), bits)`},
 		},
-		caughtBy: "pass weakrand"},
+		caughtBy: "test . TestMathRandOnlyWhereAllowed"},
 	{n: 14, what: "the client flattens the final confirmation's read error with %v, losing its retry class",
 		edits: one("internal/core/client.go",
 			`fmt.Errorf("core: read final response: %w", err)`, `fmt.Errorf("core: read final response: %v", err)`),
-		caughtBy: "pass errwrap"},
+		caughtBy: "test internal/core TestPutFinalResponseCutKeepsTheTransportError"},
 	{n: 15, what: "Sessions.Len reads the table without its lock",
 		edits: one("internal/portal/session.go",
 			"func (s *Sessions) Len() int {\n\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n", "func (s *Sessions) Len() int {\n"),
@@ -167,15 +156,13 @@ var killMatrix = []mutation{
 			"\t}, \"\")\n\treturn resp.Infos, err\n"),
 		caughtBy: "test internal/core TestInfoFromAVanishingRepositoryIsAnError"},
 	{n: 25, what: "the session's unseal cache hashes the sealed key under its mutex",
-		edits: one("internal/core/handlers.go",
-			"\tk := unsealKey(e, passphrase)\n\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn c.m[k]\n",
-			"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn c.m[unsealKey(e, passphrase)]\n"),
-		caughtBy: "pass hotblock"},
+		caughtBy: "retired",
+		why:      "lookup and add take the key Service.Get hashed once, outside the mutex; the defect can no longer be written in place"},
 	{n: 26, what: "the unseal-cache key is hashed from a string copy of the pass phrase",
 		edits: one("internal/core/handlers.go",
 			"\th.Write(e.SealedKey)\n\th.Write([]byte{0})\n\th.Write(passphrase)\n",
 			"\th.Write([]byte(string(e.SealedKey) + \"\\x00\" + string(passphrase)))\n"),
-		caughtBy: "pass secretescape"},
+		caughtBy: "test internal/core TestUnsealKeyDoesNotAllocate"},
 	{n: 27, what: "the GSI TLS configuration lets crypto/tls verify the client chain",
 		edits: one("internal/gsi/conn.go",
 			"ClientAuth:         tls.RequireAnyClientCert,", "ClientAuth:         tls.RequireAndVerifyClientCert,"),
@@ -192,11 +179,10 @@ var killMatrix = []mutation{
 	{n: 30, what: "the stretched key the pass-phrase verifier is derived from is not wiped",
 		edits: one("internal/pki/encrypt.go",
 			"\tWipeBytes(key) // K opens the container; only its one-way image leaves\n", ""),
-		caughtBy: "pass zeroize"},
-	// Rows 31-35 plant the defects of the deleted guardedby, lockcheck,
-	// goroleak, nilness and verdict passes at a second site where each pass
-	// fired, to show that a test, not the pass, was the cheapest catcher
-	// beyond its birthplace too.
+		caughtBy: "test internal/httpgate TestSharedStoreBetweenFrontends"},
+	// Rows 31-35 plant the defects of the analyzer passes guardedby,
+	// lockcheck, goroleak, nilness and verdict at a second site where each
+	// pass fired: a test caught every one, and the passes were deleted.
 	{n: 31, what: "a handler's exit takes its connection out of the drain set without the lock",
 		edits: one("internal/gsi/acceptor.go",
 			"\t\ta.mu.Lock()\n\t\tdelete(a.active, raw)\n\t\ta.mu.Unlock()\n", "\t\tdelete(a.active, raw)\n"),
@@ -223,17 +209,11 @@ var killMatrix = []mutation{
 }
 
 func TestKillMatrix(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cheap enough for every `go test`: each row still applies to the tree
-	// and its catcher still exists under the recorded name.
 	for _, m := range killMatrix {
-		if _, err := mutate(root, m); err != nil {
+		if _, err := mutate(".", m); err != nil {
 			t.Errorf("row %d: %v", m.n, err)
 		}
-		if err := catcherExists(root, m.caughtBy); err != nil {
+		if err := catcherExists(m); err != nil {
 			t.Errorf("row %d: %v", m.n, err)
 		}
 	}
@@ -241,101 +221,73 @@ func TestKillMatrix(t *testing.T) {
 		return
 	}
 	if !*killMatrixFlag {
-		t.Log("rows apply; mutations not run (-killmatrix, set by `make lint`, runs them)")
+		t.Log("rows apply; mutations not run (-killmatrix, set by `make killmatrix`, runs them)")
 		return
 	}
 	work := t.TempDir()
-	copyModule(t, root, work)
-	if fired := firingPasses(t, work); len(fired) > 0 {
-		t.Fatalf("the unmutated tree has findings from %v: `myproxy-vet ./...` must be clean first", keys(fired))
-	}
-
+	copyModule(t, ".", work)
 	for _, m := range killMatrix {
-		mutated, err := mutate(work, m)
-		if err != nil {
-			t.Fatalf("row %d: %v", m.n, err)
+		if m.caughtBy == "retired" {
+			continue
 		}
-		original := make(map[string][]byte, len(mutated))
-		for file, data := range mutated {
-			if original[file], err = os.ReadFile(file); err != nil {
+		t.Run(fmt.Sprintf("row %d", m.n), func(t *testing.T) {
+			mutated, err := mutate(work, m)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(file, data, 0o644); err != nil {
-				t.Fatal(err)
+			for file, data := range mutated {
+				original, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(file, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				defer os.WriteFile(file, original, 0o644)
 			}
-		}
-		fired := firingPasses(t, work)
-		kind, arg, _ := strings.Cut(m.caughtBy, " ")
-		caught := ""
-		switch kind {
-		case "pass":
-			if !fired[arg] {
-				t.Errorf("row %d (%s): %s no longer fires (fired: %v)", m.n, m.what, arg, keys(fired))
-			}
-			pkg := filepath.ToSlash(filepath.Dir(m.edits[0].file))
-			if out, failed := runTest(work, pkg, ".*", false); failed {
-				t.Errorf("row %d (%s): %s's own tests catch it now, cheaper than %s: record the test\n%s", m.n, m.what, pkg, arg, out)
-			}
-		case "test", "race":
+			kind, arg, _ := strings.Cut(m.caughtBy, " ")
 			pkg, name, _ := strings.Cut(arg, " ")
-			out, failed := runTest(work, pkg, name, kind == "race")
-			if !failed {
-				t.Errorf("row %d (%s): %s %s still passes:\n%s", m.n, m.what, pkg, name, out)
+			if kind == "none" {
+				if out, err := goIn(work, "build", "./"+filepath.Dir(m.edits[0].file)); err != nil {
+					t.Errorf("%s: the gap's edit does not build:\n%s", m.what, out)
+				}
+				return
 			}
-			caught = firstFailure(out)
+			out, err := goIn(work, "test", "-count=1", "-timeout=120s", "-race="+fmt.Sprint(kind == "race"), "-run", "^"+name+"$", "./"+pkg)
+			if err == nil {
+				t.Fatalf("%s: %s %s still passes:\n%s", m.what, pkg, name, out)
+			}
+			caught := firstFailure(out)
+			if caught == "" {
+				t.Fatalf("%s: %s %s failed, but no test did (does the edit build?):\n%s", m.what, pkg, name, out)
+			}
 			if kind == "race" {
-				if out, failed := runTest(work, pkg, name, false); failed {
-					t.Errorf("row %d (%s): %s %s fails without -race too, which is cheaper: record it as a test\n%s", m.n, m.what, pkg, name, out)
+				if out, err := goIn(work, "test", "-count=1", "-timeout=120s", "-run", "^"+name+"$", "./"+pkg); err != nil {
+					t.Errorf("%s: %s %s fails without -race too, which is cheaper: record it as a test\n%s", m.what, pkg, name, out)
 				}
 			}
-		case "none":
-			if m.why == "" {
-				t.Errorf("row %d: a gap needs its reason", m.n)
-			}
-			if len(fired) > 0 {
-				t.Errorf("row %d (%s) is recorded as %q but %v fires now: record it", m.n, m.what, m.caughtBy, keys(fired))
-			}
-		default:
-			t.Errorf("row %d: unknown catcher %q", m.n, m.caughtBy)
-		}
-		t.Logf("row %2d: caught by %-70s passes firing: %v %s", m.n, m.caughtBy, keys(fired), caught)
-		for file, data := range original {
-			if err := os.WriteFile(file, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// The rule itself: every registered pass is some row's cheapest catcher.
-	named := make(map[string]bool)
-	for _, m := range killMatrix {
-		if pass, ok := strings.CutPrefix(m.caughtBy, "pass "); ok {
-			named[pass] = true
-		}
-	}
-	for _, p := range Passes {
-		if !named[p.Name] {
-			t.Errorf("pass %s is no row's catcher: add the row it alone catches or delete it", p.Name)
-		}
+			t.Logf("caught by %s (%s)", m.caughtBy, caught)
+		})
 	}
 }
 
-// catcherExists checks a recorded catcher by name: a registered pass, or a
-// test function declared in the named package directory. A renamed test or
-// a deleted pass fails here, on every `go test`, not only under -killmatrix.
-func catcherExists(root, caughtBy string) error {
-	kind, arg, _ := strings.Cut(caughtBy, " ")
+// catcherExists checks a row's record: a gap or a retired row states its
+// reason; a catcher is a test function declared in the named package
+// directory.
+func catcherExists(m mutation) error {
+	kind, arg, _ := strings.Cut(m.caughtBy, " ")
 	switch kind {
-	case "pass":
-		for _, p := range Passes {
-			if p.Name == arg {
-				return nil
-			}
+	case "none", "retired":
+		if m.why == "" {
+			return fmt.Errorf("a %s row needs its reason", kind)
 		}
-		return fmt.Errorf("catcher %q is not a registered pass", caughtBy)
+		if (kind == "retired") != (len(m.edits) == 0) {
+			return fmt.Errorf("a retired row, and only a retired row, has no edit")
+		}
+		return nil
 	case "test", "race":
 		pkg, name, _ := strings.Cut(arg, " ")
-		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(pkg), "*_test.go"))
+		files, err := filepath.Glob(filepath.Join(filepath.FromSlash(pkg), "*_test.go"))
 		if err != nil {
 			return err
 		}
@@ -348,9 +300,9 @@ func catcherExists(root, caughtBy string) error {
 				return nil
 			}
 		}
-		return fmt.Errorf("catcher %q: no func %s( in %s/*_test.go", caughtBy, name, pkg)
+		return fmt.Errorf("catcher %q: no func %s( in %s/*_test.go", m.caughtBy, name, pkg)
 	}
-	return nil // "none" and unknown kinds are the slow half's to judge
+	return fmt.Errorf("unknown catcher %q", m.caughtBy)
 }
 
 // copyModule copies the module's files, skipping dot-directories.
@@ -404,60 +356,29 @@ func mutate(root string, m mutation) (map[string][]byte, error) {
 	return out, nil
 }
 
-// firingPasses runs the copy's analyzer over the copy and names the passes
-// with an unsuppressed finding.
-func firingPasses(t *testing.T, work string) map[string]bool {
-	t.Helper()
-	cmd := exec.Command("go", "run", "./cmd/myproxy-vet", "-json", "./...")
-	cmd.Dir = work
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	var exit *exec.ExitError
-	if err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 1 && len(out) > 0) {
-		t.Fatalf("myproxy-vet on the mutated copy (does the mutation compile?): %v\n%s", err, stderr.String())
-	}
-	var rep struct {
-		Findings []Diagnostic `json:"findings"`
-	}
-	if err := json.Unmarshal(out, &rep); err != nil {
-		t.Fatalf("decode myproxy-vet -json: %v\n%s", err, out)
-	}
-	fired := make(map[string]bool)
-	for _, d := range rep.Findings {
-		fired[d.Pass] = true
-	}
-	return fired
-}
-
-func runTest(work, pkg, name string, race bool) (string, bool) {
-	args := []string{"test", "-count=1", "-timeout=60s"}
-	if race {
-		args = append(args, "-race")
-	}
-	args = append(args, "-run", "^"+name+"$", "./"+pkg)
+// goIn runs the go tool in dir.
+func goIn(dir string, args ...string) (string, error) {
 	cmd := exec.Command("go", args...)
-	cmd.Dir = work
+	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
-	return string(out), err != nil
+	return string(out), err
 }
 
-// firstFailure picks the line of a failed test run that says how it failed,
-// for the -killmatrix log.
+// firstFailure picks the lines of a failed test run that say how it
+// failed, for the -killmatrix log: the innermost failing test and its first
+// message, or the panic or race report; "" when no test failed.
 func firstFailure(out string) string {
+	failed := ""
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "panic:") || strings.Contains(line, "DATA RACE") {
-			return "(" + strings.TrimSpace(line) + ")"
+		line = strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(line, "--- FAIL"):
+			failed = line
+		case failed != "" && strings.Contains(line, "_test.go:"):
+			return failed + " " + line
+		case strings.HasPrefix(line, "panic:") || strings.Contains(line, "DATA RACE"):
+			return line
 		}
 	}
-	return ""
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return failed
 }
